@@ -25,14 +25,14 @@ func backendFingerprint(res *SolverResult) string {
 	return sb.String()
 }
 
-// TestNetworkBackendConformance pins the tentpole contract of the ALT /
-// distance-table work: switching the network metric's point-query
-// backend (ALT A* vs plain Dijkstra) or pre-resolving the provider
-// distance table must change *nothing* about any solver's output — not
-// a pair, not an ulp of cost. All three run the same canonical forward
-// relaxation, so their floats are identical, not merely close; the
-// solvers are deterministic given identical distances, so the whole
-// matching is.
+// TestNetworkBackendConformance pins the contract of the network
+// distance backends: switching the network metric's point-query search
+// (plain Dijkstra vs contraction hierarchy), turning the landmark lower
+// bound on or off, or pre-resolving the provider distance table must
+// change *nothing* about any solver's output — not a pair, not an ulp
+// of cost. Every path computes the same canonical forward relaxation,
+// so their floats are identical, not merely close; the solvers are
+// deterministic given identical distances, so the whole matching is.
 func TestNetworkBackendConformance(t *testing.T) {
 	space := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 	net := datagen.NewNetwork(16, space, 2008)
@@ -58,13 +58,12 @@ func TestNetworkBackendConformance(t *testing.T) {
 		distTable int // core.Options.DistTable
 		ch        int // SetCH argument (0 = off; the 256-node grid is below auto)
 	}{
-		{"alt", -1, -1, 0},       // default landmarks, point queries only
 		{"dijkstra", 0, -1, 0},   // landmarks off, plain forward Dijkstra
 		{"table", -1, 0, 0},      // bulk many-to-many table, auto budget
 		{"table-plain", 0, 0, 0}, // table without landmarks
 		{"ch", -1, -1, 1},        // contraction-hierarchy point queries
 		{"ch-plain", 0, -1, 1},   // hierarchy without landmarks
-		{"ch+table", -1, 0, 1},   // table built through the hierarchy sweep
+		{"ch+table", -1, 0, 1},   // table with the hierarchy on for point queries
 	}
 
 	for _, algo := range []string{"ida", "sspa", "greedy", "sharded:ida"} {
@@ -94,7 +93,7 @@ func TestNetworkBackendConformance(t *testing.T) {
 				t.Errorf("%s/%s: %d node-cache misses; distance table never engaged", algo, b.name, misses)
 			}
 			// Likewise the hierarchy rows must actually route their point
-			// queries through chDist, not silently fall through to ALT.
+			// queries through chDist, not silently fall through to Dijkstra.
 			if q, _ := metric.CHStats(); b.ch == 1 && b.distTable != 0 && q == 0 {
 				t.Errorf("%s/%s: hierarchy enabled but no chDist queries recorded", algo, b.name)
 			}

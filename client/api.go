@@ -77,12 +77,14 @@ type Instance struct {
 	Metric  string `json:"metric,omitempty"`
 	NetGrid int    `json:"net_grid,omitempty"`
 	NetSeed int64  `json:"net_seed,omitempty"`
-	// NetLandmarks configures ALT landmark pruning for "network": 0
-	// selects the server default, -1 disables it (plain Dijkstra point
-	// queries), positive values pick the landmark count (bounded by the
-	// server). Part of the network's identity — like NetGrid/NetSeed,
-	// not an Options field — because landmark state lives on the shared
-	// per-network metric. Distances are byte-identical either way.
+	// NetLandmarks configures the landmark lower bound for "network":
+	// 0 selects the server default, -1 disables it (a Euclidean bound),
+	// positive values pick the landmark count (bounded by the server).
+	// Landmarks only tighten the lower bound exact NN refinement prunes
+	// with; point queries never use them. Part of the network's
+	// identity — like NetGrid/NetSeed, not an Options field — because
+	// landmark state lives on the shared per-network metric. Distances
+	// are byte-identical either way.
 	NetLandmarks int `json:"net_landmarks,omitempty"`
 	// NetCH configures contraction-hierarchy point queries for
 	// "network": 0 selects automatic mode (on for networks of at least

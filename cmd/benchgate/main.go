@@ -14,14 +14,15 @@
 // row's CPU is normalized by the run's own reference row (the first row
 // of the figure — "serial" for the shard sweep, "euclid" for the net
 // sweep), and only those ratios are compared across runs. A machine
-// twice as fast shifts every row equally and passes; an ALT search that
-// got 20% slower relative to the Euclidean floor fails on any machine.
+// twice as fast shifts every row equally and passes; a hierarchy search
+// that got 20% slower relative to the Euclidean floor fails on any
+// machine.
 //
-// The net sweep additionally carries two absolute floors: the distance
-// table must keep a >= 3x cold-solve speedup over the legacy
-// bidirectional-Dijkstra baseline, and the contraction hierarchy must
-// keep a >= 3x cold point-query speedup over ALT (the QueryNS column)
-// — the ratios each optimization was merged on (see BENCH_net.json).
+// The net sweep additionally carries two absolute floors, both stated
+// against its plain forward-Dijkstra row: the distance table must keep
+// a >= 4x cold-solve speedup, and the contraction hierarchy a >= 26x
+// cold point-query speedup (the QueryNS column) — no looser than the
+// ratios each optimization was merged on (see BENCH_net.json).
 // The churn sweep carries absolute
 // invariants of its own: the unlimited-budget row must track the full
 // re-solve oracle exactly, every budgeted row's worst observed drift
@@ -72,17 +73,18 @@ type serveRow struct {
 }
 
 // netFloorSpeedup is the absolute invariant of the net sweep: the
-// "table" backend's cold-solve speedup over the "bidi" baseline row.
-const netFloorSpeedup = 3.0
+// "table" backend's cold-solve speedup over the "dijkstra" row.
+const netFloorSpeedup = 4.0
 
 // chQueryFloorSpeedup is the absolute invariant the contraction
-// hierarchy was merged on: CH cold point queries must stay >= 3x
-// faster than ALT cold point queries (the QueryNS column of the net
-// sweep). The floor is on per-query latency, not on row CPU — the
-// solve rows share the assignment solver's own work, which Amdahl-caps
-// any end-to-end ratio regardless of how fast the backend gets. Runs
-// predating the QueryNS column (both values zero) skip the check.
-const chQueryFloorSpeedup = 3.0
+// hierarchy was merged on: CH cold point queries must stay >= 26x
+// faster than plain Dijkstra cold point queries (the QueryNS column of
+// the net sweep). The floor is on per-query latency, not on row CPU —
+// the solve rows share the assignment solver's own work, which
+// Amdahl-caps any end-to-end ratio regardless of how fast the backend
+// gets. Runs predating the QueryNS column (both values zero) skip the
+// check.
+const chQueryFloorSpeedup = 26.0
 
 // churnDriftCeiling is the documented drift bound of the churn sweep:
 // no re-opt budget >= 1 may let the incremental matching's cost drift
@@ -173,7 +175,7 @@ func baselineFor(runs []run, cand run) (run, bool) {
 
 // gateInternal checks one run's own invariants: the net sweep's
 // backend rows must agree on the matching (same Size; Cost equal to
-// float round-trip noise) and hold the table-speedup floor; the churn
+// float round-trip noise) and hold the table and ch floors; the churn
 // sweep's budget rows must agree on matching size (augmentation is
 // never budgeted), its exact row must show no drift, and every
 // budgeted row must hold the drift ceiling.
@@ -181,7 +183,6 @@ func gateInternal(name string, rows []expr.Row) []string {
 	if name == "churn" {
 		return gateChurn(rows)
 	}
-	var msgs []string
 	if name != "net" {
 		return nil
 	}
@@ -189,32 +190,27 @@ func gateInternal(name string, rows []expr.Row) []string {
 	for _, r := range rows {
 		byLabel[r.Label] = r
 	}
-	// dijkstra, alt and table are byte-identical by contract; bidi sums
-	// the same paths in a different order, so it agrees to rounding.
-	if ref, ok := byLabel["dijkstra"]; ok {
-		for _, lbl := range []string{"alt", "ch", "table"} {
-			if r, ok := byLabel[lbl]; ok && (r.Cost != ref.Cost || r.Size != ref.Size || r.Esub != ref.Esub) {
-				msgs = append(msgs, fmt.Sprintf("net: %s diverged from dijkstra: cost %v vs %v, size %d vs %d, esub %d vs %d",
-					lbl, r.Cost, ref.Cost, r.Size, ref.Size, r.Esub, ref.Esub))
-			}
-		}
-		if b, ok := byLabel["bidi"]; ok && relDiff(b.Cost, ref.Cost) > 1e-9 {
-			msgs = append(msgs, fmt.Sprintf("net: bidi cost %v vs dijkstra %v beyond rounding", b.Cost, ref.Cost))
+	ref, ok := byLabel["dijkstra"]
+	if !ok {
+		return nil
+	}
+	// dijkstra, ch and table are byte-identical by contract.
+	var msgs []string
+	for _, lbl := range []string{"ch", "table"} {
+		if r, ok := byLabel[lbl]; ok && (r.Cost != ref.Cost || r.Size != ref.Size || r.Esub != ref.Esub) {
+			msgs = append(msgs, fmt.Sprintf("net: %s diverged from dijkstra: cost %v vs %v, size %d vs %d, esub %d vs %d",
+				lbl, r.Cost, ref.Cost, r.Size, ref.Size, r.Esub, ref.Esub))
 		}
 	}
-	bidi, okB := byLabel["bidi"]
-	tab, okT := byLabel["table"]
-	if okB && okT && tab.CPU > 0 {
-		if speedup := float64(bidi.CPU) / float64(tab.CPU); speedup < netFloorSpeedup {
-			msgs = append(msgs, fmt.Sprintf("net: table speedup %.2fx over bidi below the %.0fx floor", speedup, netFloorSpeedup))
+	if tab, ok := byLabel["table"]; ok && tab.CPU > 0 {
+		if speedup := float64(ref.CPU) / float64(tab.CPU); speedup < netFloorSpeedup {
+			msgs = append(msgs, fmt.Sprintf("net: table cold-solve speedup %.2fx over dijkstra below the %.0fx floor", speedup, netFloorSpeedup))
 		}
 	}
-	alt, okA := byLabel["alt"]
-	ch, okC := byLabel["ch"]
-	if okA && okC && alt.QueryNS > 0 && ch.QueryNS > 0 {
-		if speedup := float64(alt.QueryNS) / float64(ch.QueryNS); speedup < chQueryFloorSpeedup {
-			msgs = append(msgs, fmt.Sprintf("net: ch cold point query %.2fx over alt below the %.0fx floor (alt %v, ch %v)",
-				speedup, chQueryFloorSpeedup, alt.QueryNS, ch.QueryNS))
+	if ch, ok := byLabel["ch"]; ok && ref.QueryNS > 0 && ch.QueryNS > 0 {
+		if speedup := float64(ref.QueryNS) / float64(ch.QueryNS); speedup < chQueryFloorSpeedup {
+			msgs = append(msgs, fmt.Sprintf("net: ch cold point query %.2fx over dijkstra below the %.0fx floor (dijkstra %v, ch %v)",
+				speedup, chQueryFloorSpeedup, ref.QueryNS, ch.QueryNS))
 		}
 	}
 	return msgs

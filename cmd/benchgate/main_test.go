@@ -105,7 +105,7 @@ func TestAugmentsColumnCompatibility(t *testing.T) {
 	}
 
 	var legacy expr.Row
-	if err := json.Unmarshal([]byte(`{"Label":"alt","Algo":"ida","Size":10,"Cost":1.5}`), &legacy); err != nil {
+	if err := json.Unmarshal([]byte(`{"Label":"ch","Algo":"ida","Size":10,"Cost":1.5}`), &legacy); err != nil {
 		t.Fatalf("legacy row without Augments failed to decode: %v", err)
 	}
 	if legacy.Augments != 0 {
@@ -113,7 +113,7 @@ func TestAugmentsColumnCompatibility(t *testing.T) {
 	}
 
 	var modern expr.Row
-	if err := json.Unmarshal([]byte(`{"Label":"alt","Algo":"ida","Augments":42}`), &modern); err != nil {
+	if err := json.Unmarshal([]byte(`{"Label":"ch","Algo":"ida","Augments":42}`), &modern); err != nil {
 		t.Fatalf("row with Augments failed to decode: %v", err)
 	}
 	if modern.Augments != 42 {
@@ -121,13 +121,13 @@ func TestAugmentsColumnCompatibility(t *testing.T) {
 	}
 }
 
-// TestInflatedCPUFails slows the candidate's alt and table rows 3x
+// TestInflatedCPUFails slows the candidate's dijkstra and table rows 3x
 // relative to the run's own reference row — the machine-independent
 // shape regression the gate exists to catch.
 func TestInflatedCPUFails(t *testing.T) {
 	path := mutateLatest(t, func(rows []expr.Row) {
 		for i := range rows {
-			if rows[i].Label == "alt" || rows[i].Label == "table" {
+			if rows[i].Label == "dijkstra" || rows[i].Label == "table" {
 				rows[i].CPU *= 3
 			}
 		}
@@ -136,7 +136,7 @@ func TestInflatedCPUFails(t *testing.T) {
 	if len(msgs) == 0 {
 		t.Fatal("3x normalized CPU regression passed the gate")
 	}
-	if !containsAll(msgs, "alt", "table") {
+	if !containsAll(msgs, "dijkstra/ida", "table/ida") {
 		t.Errorf("findings name neither inflated row: %v", msgs)
 	}
 }
@@ -174,26 +174,40 @@ func TestCostDriftFails(t *testing.T) {
 	}
 }
 
-// TestSpeedupFloor drops the table row's speedup under 3x: the gate
-// must enforce the floor even with no prior run to diff against.
-func TestSpeedupFloor(t *testing.T) {
+// latestNet returns a copy of the committed trajectory's latest net
+// rows, for single-run floor tests.
+func latestNet(t *testing.T) (run, []expr.Row) {
+	t.Helper()
 	runs := loadNetRuns(t)
 	last := runs[len(runs)-1]
-	rows := append([]expr.Row(nil), last.Figures["net"]...)
-	var bidi int64
+	return last, append([]expr.Row(nil), last.Figures["net"]...)
+}
+
+// gateSingle gates rows as the only run of a trajectory, so only the
+// internal invariants (floors, determinism across rows) apply.
+func gateSingle(t *testing.T, last run, rows []expr.Row) []string {
+	t.Helper()
+	last.Figures = map[string][]expr.Row{"net": rows}
+	return gateFile(writeRuns(t, []run{last}), 0.15)
+}
+
+// TestSpeedupFloor drops the table row's cold-solve speedup over
+// dijkstra under 4x: the gate must enforce the floor even with no
+// prior run to diff against.
+func TestSpeedupFloor(t *testing.T) {
+	last, rows := latestNet(t)
+	var ref time.Duration
 	for _, r := range rows {
-		if r.Label == "bidi" {
-			bidi = int64(r.CPU)
+		if r.Label == "dijkstra" {
+			ref = r.CPU
 		}
 	}
 	for i := range rows {
 		if rows[i].Label == "table" {
-			rows[i].CPU = time.Duration(bidi / 2) // 2x < 3x floor
+			rows[i].CPU = ref / 2 // 2x < 4x floor
 		}
 	}
-	last.Figures = map[string][]expr.Row{"net": rows}
-	path := writeRuns(t, []run{last})
-	msgs := gateFile(path, 0.15)
+	msgs := gateSingle(t, last, rows)
 	if len(msgs) == 0 {
 		t.Fatal("sub-floor table speedup passed the gate")
 	}
@@ -202,23 +216,21 @@ func TestSpeedupFloor(t *testing.T) {
 	}
 }
 
-// TestCHQueryFloor drops the ch row's cold point-query speedup under
-// 3x: the per-query floor must fire even when every row CPU is
-// healthy, and must stay silent for runs predating the QueryNS column.
+// TestCHQueryFloor drops the ch row's cold point-query speedup over
+// dijkstra under 26x: the per-query floor must fire even when every row
+// CPU is healthy, and must stay silent for runs predating the QueryNS
+// column.
 func TestCHQueryFloor(t *testing.T) {
-	runs := loadNetRuns(t)
-	last := runs[len(runs)-1]
-	rows := append([]expr.Row(nil), last.Figures["net"]...)
+	last, rows := latestNet(t)
 	for i := range rows {
 		switch rows[i].Label {
-		case "alt":
-			rows[i].QueryNS = 300 * time.Microsecond
+		case "dijkstra":
+			rows[i].QueryNS = 3000 * time.Microsecond
 		case "ch":
-			rows[i].QueryNS = 200 * time.Microsecond // 1.5x < 3x floor
+			rows[i].QueryNS = 200 * time.Microsecond // 15x < 26x floor
 		}
 	}
-	last.Figures = map[string][]expr.Row{"net": rows}
-	msgs := gateFile(writeRuns(t, []run{last}), 0.15)
+	msgs := gateSingle(t, last, rows)
 	if len(msgs) == 0 {
 		t.Fatal("sub-floor ch point-query speedup passed the gate")
 	}
@@ -229,9 +241,54 @@ func TestCHQueryFloor(t *testing.T) {
 	for i := range rows {
 		rows[i].QueryNS = 0 // legacy run: column absent
 	}
-	last.Figures = map[string][]expr.Row{"net": rows}
-	if msgs := gateFile(writeRuns(t, []run{last}), 0.15); len(msgs) > 0 {
+	if msgs := gateSingle(t, last, rows); len(msgs) > 0 {
 		t.Errorf("legacy run without QueryNS rejected: %v", msgs)
+	}
+}
+
+// TestNetFloorsNameRow puts each net floor just under and just over
+// its threshold, one at a time against the dijkstra reference row:
+// under must produce exactly one finding naming the row and the
+// reference, over must pass.
+func TestNetFloorsNameRow(t *testing.T) {
+	const ref = 100 * time.Millisecond
+	cases := []struct {
+		row   string
+		floor float64
+		set   func(r *expr.Row, d time.Duration)
+	}{
+		{"table", netFloorSpeedup, func(r *expr.Row, d time.Duration) { r.CPU = d }},
+		{"ch", chQueryFloorSpeedup, func(r *expr.Row, d time.Duration) { r.QueryNS = d }},
+	}
+	for _, c := range cases {
+		for _, speedup := range []float64{c.floor * 0.99, c.floor * 1.01} {
+			last, rows := latestNet(t)
+			for i := range rows {
+				switch rows[i].Label {
+				case "dijkstra":
+					rows[i].CPU, rows[i].QueryNS = ref, ref
+				case "table", "ch":
+					// Both rows comfortably clear their floors
+					// unless the case below lowers one of them.
+					rows[i].CPU, rows[i].QueryNS = ref/100, ref/100
+				}
+			}
+			for i := range rows {
+				if rows[i].Label == c.row {
+					c.set(&rows[i], time.Duration(float64(ref)/speedup))
+				}
+			}
+			msgs := gateSingle(t, last, rows)
+			if speedup > c.floor {
+				if len(msgs) > 0 {
+					t.Errorf("%s at %.2fx (floor %.0fx) rejected: %v", c.row, speedup, c.floor, msgs)
+				}
+				continue
+			}
+			if len(msgs) != 1 || !containsAll(msgs, "net: "+c.row+" ", "over dijkstra", "floor") {
+				t.Errorf("%s at %.2fx (floor %.0fx): want one finding naming the row, got %v", c.row, speedup, c.floor, msgs)
+			}
+		}
 	}
 }
 

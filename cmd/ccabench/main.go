@@ -42,8 +42,9 @@ independent figure points through the shared scheduler concurrently
 	shards := flag.Int("shards", 0, `region count threaded into every sweep for sharded:* solvers
 (0 = the shard layer's automatic count); pick solvers with -algos,
 e.g. -algos ida,sharded:ida -shards 8`)
-	landmarks := flag.Int("landmarks", -1, `ALT landmark count for -metric network workloads: -1 = default,
-0 = disable landmark pruning (plain Dijkstra point queries)`)
+	landmarks := flag.Int("landmarks", -1, `landmark count for -metric network workloads: -1 = automatic by
+network size, 0 = none (Euclidean bound); landmarks only tighten the
+NN-refinement lower bound, never a distance`)
 	table := flag.String("table", "auto", `bulk distance-table precompute threaded into every sweep's
 options: "auto" (size-gated), "off", or a float64-cell memory budget`)
 	ch := flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network

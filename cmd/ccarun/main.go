@@ -40,8 +40,8 @@ func main() {
 -netgrid/-netseed the workload was generated with)`)
 		netGrid   = flag.Int("netgrid", 32, "road network grid size for -metric network (ccagen's -grid)")
 		netSeed   = flag.Int64("netseed", 2008, "road network seed for -metric network (ccagen's -seed)")
-		landmarks = flag.Int("landmarks", -1, `ALT landmark count for -metric network: -1 = default
-(`+fmt.Sprint(netmetric.DefaultLandmarks)+`), 0 = disable landmark pruning (plain Dijkstra point queries)`)
+		landmarks = flag.Int("landmarks", -1, `landmark count for -metric network: -1 = automatic by network size,
+0 = none (Euclidean bound); landmarks only tighten the NN-refinement lower bound, never a distance`)
 		ch = flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network:
 "auto" (on at `+fmt.Sprint(netmetric.DefaultCHMinNodes)+`+ nodes), "off", or "on"`)
 		distTable = flag.String("disttable", "auto", `bulk distance-table precompute for -metric network:

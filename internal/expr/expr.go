@@ -59,8 +59,8 @@ func SetMetric(name string) error {
 func MetricName() string { return metricName }
 
 // netLandmarks carries ccabench's -landmarks flag into every network
-// workload: -1 = the package default, 0 = landmark pruning disabled
-// (plain Dijkstra point queries), positive = explicit count. Purely a
+// workload: -1 = the package default, 0 = no landmarks (a Euclidean
+// NN-refinement bound), positive = explicit count. Purely a
 // performance knob — distances are byte-identical either way.
 var netLandmarks = -1
 
@@ -69,7 +69,7 @@ var netLandmarks = -1
 // budget in float64 cells).
 var netDistTable = 0
 
-// SetLandmarks sets the ALT landmark count for network workloads.
+// SetLandmarks sets the lower-bound landmark count for network workloads.
 func SetLandmarks(k int) { netLandmarks = k }
 
 // netCH carries ccabench's -ch flag into every network workload:

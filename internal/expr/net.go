@@ -15,25 +15,24 @@ import (
 // capacities), solved cold by IDA under every network-distance backend
 // plus the Euclidean baseline for context. Each network row rebuilds a
 // fresh metric, so nothing is amortized across rows — the CPU column is
-// the full cold cost including landmark/table preprocessing (the solver
-// charges table builds to CPUTime).
+// the full cold cost including landmark/hierarchy/table preprocessing
+// (the solver charges table builds to CPUTime).
 //
 // Rows:
 //
 //	euclid    straight-line distance (the paper's setting)
-//	bidi      legacy bidirectional Dijkstra point queries — the
-//	          pre-ALT baseline benchgate measures speedups against
-//	dijkstra  canonical plain forward Dijkstra, landmarks disabled
-//	alt       ALT A* with default landmarks (the point-query default)
+//	dijkstra  canonical plain forward Dijkstra point queries, landmarks
+//	          disabled — the reference benchgate's floors are stated
+//	          against
 //	ch        contraction-hierarchy point queries (table disabled, so
-//	          the row isolates the cold point-query win over alt)
-//	table     ALT plus the bulk many-to-many distance table
+//	          the row isolates the cold point-query win)
+//	table     the bulk many-to-many distance table, plain Dijkstra for
+//	          any point query it does not cover
 //
-// dijkstra, alt, ch and table return byte-identical matchings (the
-// root conformance suite pins this); bidi agrees only to rounding
-// error, which is exactly why it was demoted to a baseline. The
-// pre-existing rows pin SetCH(0) so automatic CH enablement (16K nodes
-// clears DefaultCHMinNodes) cannot reroute their point queries.
+// dijkstra, ch and table return byte-identical matchings (the root
+// conformance suite pins this). dijkstra and table pin SetCH(0) so
+// automatic CH enablement (16K nodes clears DefaultCHMinNodes) cannot
+// reroute their point queries.
 //
 // Every network row also records QueryNS, the mean cold point-query
 // latency of its backend measured by coldQueryNS on a second fresh
@@ -41,7 +40,7 @@ import (
 // cost end to end" — where Amdahl caps any backend's win at the
 // solver's share — while QueryNS answers "what does one uncached
 // distance cost", the figure the CH hierarchy exists to shrink and the
-// one benchgate's CH-vs-ALT floor gates on.
+// one benchgate's CH-vs-dijkstra floor gates on.
 func NetBackends(s float64, out io.Writer) ([]Row, error) {
 	p := Default(s)
 	// The figure sweeps run on the default 32×32 grid (1K nodes), where
@@ -49,7 +48,8 @@ func NetBackends(s float64, out io.Writer) ([]Row, error) {
 	// no distance backend could show its shape there (Amdahl caps the
 	// end-to-end gain near 1). This sweep is *about* the distance
 	// backend, so it uses a road network at a realistic granularity:
-	// 128×128 ≈ 16K nodes, the regime ALT and bulk tables exist for.
+	// 128×128 ≈ 16K nodes, the regime the hierarchy and bulk tables
+	// exist for.
 	const netGrid = 128
 
 	// The workload (points, tree, buffer) is metric-independent; build
@@ -65,9 +65,7 @@ func NetBackends(s float64, out io.Writer) ([]Row, error) {
 		table int                              // core.Options.DistTable for the row
 	}{
 		{"euclid", nil, 0},
-		{"bidi", func(m *netmetric.NetworkMetric) { m.SetLandmarks(0); m.SetLegacyBidi(true); m.SetCH(0) }, -1},
 		{"dijkstra", func(m *netmetric.NetworkMetric) { m.SetLandmarks(0); m.SetCH(0) }, -1},
-		{"alt", func(m *netmetric.NetworkMetric) { m.SetCH(0) }, -1},
 		{"ch", func(m *netmetric.NetworkMetric) { m.SetCH(1) }, -1},
 		{"table", func(m *netmetric.NetworkMetric) { m.SetCH(0) }, 0},
 	}
@@ -104,27 +102,19 @@ func NetBackends(s float64, out io.Writer) ([]Row, error) {
 	PrintRows(out, fmt.Sprintf("Network distance backends: cold ida solves, |Q|=%d |P|=%d k(cap)=%d",
 		p.NQ, p.NP, p.K), rows, false)
 
-	speedup := func(name string) float64 {
-		for _, r := range rows {
-			if r.Label == name && r.CPU > 0 {
-				return float64(rows[1].CPU) / float64(r.CPU)
-			}
-		}
-		return 0
+	byLabel := map[string]Row{}
+	for _, r := range rows {
+		byLabel[r.Label] = r
 	}
-	fmt.Fprintf(out, "cold-solve speedup vs bidi baseline: dijkstra %.2fx, alt %.2fx, ch %.2fx, table %.2fx\n",
-		speedup("dijkstra"), speedup("alt"), speedup("ch"), speedup("table"))
-	query := func(name string) time.Duration {
-		for _, r := range rows {
-			if r.Label == name {
-				return r.QueryNS
-			}
-		}
-		return 0
+	ref, ch, tab := byLabel["dijkstra"], byLabel["ch"], byLabel["table"]
+	if ch.CPU > 0 && tab.CPU > 0 {
+		fmt.Fprintf(out, "cold-solve speedup vs dijkstra: ch %.2fx, table %.2fx\n",
+			float64(ref.CPU)/float64(ch.CPU), float64(ref.CPU)/float64(tab.CPU))
 	}
-	if qa, qc := query("alt"), query("ch"); qa > 0 && qc > 0 {
-		fmt.Fprintf(out, "cold point query: alt %v, ch %v (%.1fx)\n",
-			qa.Round(time.Microsecond), qc.Round(time.Microsecond), float64(qa)/float64(qc))
+	if ref.QueryNS > 0 && ch.QueryNS > 0 {
+		fmt.Fprintf(out, "cold point query: dijkstra %v, ch %v (%.1fx)\n",
+			ref.QueryNS.Round(time.Microsecond), ch.QueryNS.Round(time.Microsecond),
+			float64(ref.QueryNS)/float64(ch.QueryNS))
 	}
 	return rows, nil
 }

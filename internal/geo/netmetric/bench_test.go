@@ -29,8 +29,8 @@ func BenchmarkNetworkMetric(b *testing.B) {
 
 // BenchmarkNetworkMetricCold isolates the uncached cost the way a cold
 // solve pays it: every iteration builds a fresh metric and runs a batch
-// of point queries, so the one-time ALT preprocessing is amortized over
-// the batch exactly as it is over an instance's P×C distance calls.
+// of point queries, so any one-time preprocessing is amortized over the
+// batch exactly as it is over an instance's P×C distance calls.
 func BenchmarkNetworkMetricCold(b *testing.B) {
 	net := datagen.NewNetwork(32, space, 2008)
 	pts := net.Points(datagen.Config{N: 256, Dist: datagen.Uniform, Seed: 2})
@@ -44,33 +44,19 @@ func BenchmarkNetworkMetricCold(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkMetricPointQuery compares the cold point-query
-// backends on identical node pairs: the legacy bidirectional baseline,
-// the plain forward Dijkstra, the default ALT A*, and the contraction
-// hierarchy (one-time preprocessing is excluded here — BENCH_net.json
-// charges it to the end-to-end solve where it belongs).
+// BenchmarkNetworkMetricPointQuery compares the two point-query
+// searches on identical node pairs: the plain forward Dijkstra and the
+// contraction hierarchy (one-time preprocessing is excluded here —
+// BENCH_net.json charges it to the end-to-end solve where it belongs).
 func BenchmarkNetworkMetricPointQuery(b *testing.B) {
 	m := FromNetwork(datagen.NewNetwork(32, space, 2008))
 	m.SetCH(1)
-	lm := m.landmarks()
 	ch := m.hierarchy()
 	pairs := testPairs(m, 1024, 11)
-	b.Run("bidi", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pr := pairs[i%len(pairs)]
-			sinkDist = m.bidiDijkstra(pr[0], pr[1])
-		}
-	})
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pr := pairs[i%len(pairs)]
 			sinkDist = m.forwardDijkstra(pr[0], pr[1])
-		}
-	})
-	b.Run("alt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pr := pairs[i%len(pairs)]
-			sinkDist = m.astar(pr[0], pr[1], lm)
 		}
 	})
 	b.Run("ch", func(b *testing.B) {
@@ -82,8 +68,8 @@ func BenchmarkNetworkMetricPointQuery(b *testing.B) {
 }
 
 // BenchmarkCHLargeGrid is the scale the hierarchy exists for: cold
-// point queries on the 128x128 benchmark grid (16384 nodes), where ALT
-// still expands thousands of nodes per query. The build sub-benchmark
+// point queries on the 128x128 benchmark grid (16384 nodes), where a
+// plain Dijkstra settles thousands of nodes per query. The build sub-benchmark
 // prices the one-time contraction so the preprocessing cost stays
 // visible next to the per-query win; CI smokes this family with
 // -bench=CH -benchtime=1x.
@@ -101,18 +87,11 @@ func BenchmarkCHLargeGrid(b *testing.B) {
 	m := FromNetwork(net)
 	m.SetCH(1)
 	ch := m.hierarchy()
-	lm := m.landmarks()
 	pairs := testPairs(m, 4096, 11)
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pr := pairs[i%len(pairs)]
 			sinkDist = m.chDist(ch, pr[0], pr[1])
-		}
-	})
-	b.Run("alt-query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pr := pairs[i%len(pairs)]
-			sinkDist = m.astar(pr[0], pr[1], lm)
 		}
 	})
 	// The solver shape: one provider queried against a run of

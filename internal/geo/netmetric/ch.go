@@ -1,14 +1,14 @@
 package netmetric
 
-// Contraction-hierarchy point queries and bulk sweeps.
+// Contraction-hierarchy point queries.
 //
 // A plain bidirectional CH search sums a forward and a backward partial
 // and so diverges from the canonical forward-relaxation float contract
-// (search.go) in the last ulps, exactly like the demoted bidirectional
-// Dijkstra. chDist therefore uses the up/down meet only to *identify*
-// the shortest path: it unpacks the winning up-down path's shortcuts
-// down to original network edges and re-evaluates that edge sequence as
-// a left-associated forward sum from src — the canonical value itself.
+// (search.go) in the last ulps, like any bidirectional search. chDist
+// therefore uses the up/down meet only to *identify* the shortest
+// path: it unpacks the winning up-down path's shortcuts down to
+// original network edges and re-evaluates that edge sequence as a
+// left-associated forward sum from src — the canonical value itself.
 // Whenever path identification is ambiguous — a competing meet or a
 // relaxation tie within chSlack — it falls back to forwardDijkstra
 // instead of guessing. On the jittered synthetic networks ambiguity is
@@ -18,37 +18,32 @@ package netmetric
 // conformance suite pin this).
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
 )
 
 // DefaultCHMinNodes is the network size at which automatic mode turns
-// the hierarchy on. Below it the ALT search is already a few hundred
-// settles per cold query, so CH preprocessing cannot pay for itself;
-// above it the up/down cones stay near-constant while ALT keeps
-// growing with the grid.
-const DefaultCHMinNodes = 4096
+// the hierarchy on; smaller networks answer point queries with plain
+// forward Dijkstra. At 1,024 nodes a cold Dijkstra point query costs
+// ~50µs against 5–8µs for a cold hierarchy query (under 1.5µs warm),
+// so a one-off ~20ms contraction pays for itself within a few hundred
+// cold queries. Below that the saving per query shrinks with the grid
+// while the contraction still costs milliseconds. Table sweeps never
+// touch the hierarchy, so only point-query traffic pays for it.
+const DefaultCHMinNodes = 1024
 
 // chSlack is the ambiguity margin of the hierarchy query: when the
 // second-best meet (or any relaxation tie) is within this margin of
 // the winner, the shortest *path* is not unambiguously identified and
-// chDist falls back to forwardDijkstra. Same scale rationale as
-// altSlack: vastly above accumulated rounding error, vanishingly small
-// against real distances.
+// chDist falls back to forwardDijkstra. The margin is vastly above any
+// rounding error accumulated at the workloads' coordinate scale, and
+// vanishingly small against real distances.
 const chSlack = 1e-6
 
-// chSweepMinEdge gates the PHAST-ordered bulk sweep: the canonical
-// replay pass is valid only when the shortest original edge dwarfs the
-// float error of the approximate distances (see chSSSP). Networks with
-// degenerate (near-zero) edges keep the plain Dijkstra sweep.
-const chSweepMinEdge = 1e-6
-
 // chState is the frozen hierarchy: contraction ranks plus the upward
-// arc CSR (each node's arcs lead to higher-ranked nodes only) and its
-// reverse for the downward sweep scan. Immutable after buildCH; shared
-// without locks.
+// arc CSR (each node's arcs lead to higher-ranked nodes only).
+// Immutable after buildCH; shared without locks.
 type chState struct {
 	rank   []int32 // node → contraction order (0 = contracted first)
 	byRank []int32 // contraction order → node
@@ -59,10 +54,6 @@ type chState struct {
 	upLen  []float64
 	upMid  []int32 // −1 = original edge, else the bypassed middle node
 
-	downOff []int32 // reverse CSR: arcs into each node from lower rank
-	downTo  []int32
-	downLen []float64
-
 	// exp memoizes each shortcut arc's expansion: the original-edge
 	// lengths of the path it represents, in from→to order (nil for
 	// original edges — their length is upLen[g] itself). Built by one
@@ -70,7 +61,6 @@ type chState struct {
 	// chExpBudget, in which case queries expand recursively.
 	exp [][]float64
 
-	minEdge   float64
 	shortcuts int // shortcut arcs (upMid >= 0)
 }
 
@@ -500,79 +490,4 @@ func (ch *chState) expand(g int32, rev bool, lens []float64, stack *[]unpackFram
 	}
 	*stack = st
 	return lens
-}
-
-// chSSSP fills dist with the canonical single-source vector through
-// the hierarchy: a PHAST pass (upward Dijkstra from src, then one
-// downward scan in decreasing rank order) yields every node's distance
-// up to float rounding, and ascending order of those values is a
-// topological order of the canonical forward-relaxation dependency —
-// a canonical argmin predecessor is nearer by at least one original
-// edge (≥ minEdge), which dwarfs the PHAST rounding error whenever
-// chSweepMinEdge gates the sweep in. One relaxation replay over the
-// original adjacency in that order therefore reproduces sssp's
-// canonical labels byte for byte (TestCHSweepMatchesSSSP pins it).
-// order is a reusable buffer; the grown slice is returned.
-func (m *NetworkMetric) chSSSP(ch *chState, src int32, dist []float64, h *nheap, order []int32) []int32 {
-	n := len(m.nodes)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	h.clear()
-	dist[src] = 0
-	h.push(0, src)
-	for !h.empty() {
-		e := h.pop()
-		if e.key > dist[e.v] {
-			continue // stale entry from lazy decrease-key
-		}
-		for g := ch.upOff[e.v]; g < ch.upOff[e.v+1]; g++ {
-			if nd := e.key + ch.upLen[g]; nd < dist[ch.upTo[g]] {
-				dist[ch.upTo[g]] = nd
-				h.push(nd, ch.upTo[g])
-			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		v := ch.byRank[i]
-		dv := dist[v]
-		if math.IsInf(dv, 1) {
-			continue
-		}
-		for g := ch.downOff[v]; g < ch.downOff[v+1]; g++ {
-			if nd := dv + ch.downLen[g]; nd < dist[ch.downTo[g]] {
-				dist[ch.downTo[g]] = nd
-			}
-		}
-	}
-
-	order = order[:0]
-	for v := 0; v < n; v++ {
-		order = append(order, int32(v))
-	}
-	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(dist[x], dist[y]) })
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	for _, v := range order {
-		dv := dist[v]
-		for _, a := range m.adj[v] {
-			if nd := dv + a.length; nd < dist[a.to] {
-				dist[a.to] = nd
-			}
-		}
-	}
-	return order
-}
-
-// bulkSSSP dispatches one bulk single-source sweep: the hierarchy
-// sweep when it is built and safe (no degenerate edges), else the
-// plain Dijkstra sweep. Both fill the identical canonical vector.
-func (m *NetworkMetric) bulkSSSP(src int32, dist []float64, h *nheap, order *[]int32) {
-	if ch := m.hierarchy(); ch != nil && ch.minEdge > chSweepMinEdge {
-		*order = m.chSSSP(ch, src, dist, h, *order)
-		return
-	}
-	m.sssp(src, dist, h)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/geo"
 )
 
 // TestCHMatchesPlainDijkstra pins the canonical-float contract for the
@@ -65,39 +66,36 @@ func TestCHFallbackStaysExact(t *testing.T) {
 	}
 }
 
-// TestCHSweepMatchesSSSP pins the bulk side of the contract: the
-// PHAST-ordered canonical replay must fill the identical vector the
-// plain Dijkstra sweep fills, byte for byte, for every node.
-func TestCHSweepMatchesSSSP(t *testing.T) {
-	m := FromNetwork(datagen.NewNetwork(16, space, 2008))
-	m.SetCH(1)
-	ch := m.hierarchy()
-	if ch == nil {
-		t.Fatal("forced-on hierarchy did not build")
-	}
-	if ch.minEdge <= chSweepMinEdge {
-		t.Fatalf("jittered grid should clear the sweep gate (minEdge %g)", ch.minEdge)
-	}
-	n := m.NumNodes()
-	want := make([]float64, n)
-	got := make([]float64, n)
-	var h nheap
-	var order []int32
-	for _, src := range []int32{0, 7, int32(n / 2), int32(n - 1)} {
-		m.sssp(src, want, &h)
-		order = m.chSSSP(ch, src, got, &h, order)
-		for v := 0; v < n; v++ {
-			if got[v] != want[v] {
-				t.Fatalf("src %d: chSSSP[%d] = %v, sssp = %v (must be byte-identical)",
-					src, v, got[v], want[v])
-			}
+// chain returns a metric over an n-node path graph, sized to probe the
+// automatic-mode threshold exactly.
+func chain(t *testing.T, n int) *NetworkMetric {
+	t.Helper()
+	nodes := make([]geo.Point, n)
+	edges := make([][2]int32, n-1)
+	for i := range nodes {
+		nodes[i] = geo.Point{X: float64(i), Y: 0}
+		if i > 0 {
+			edges[i-1] = [2]int32{int32(i - 1), int32(i)}
 		}
 	}
+	m, err := New(nodes, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestCHModes pins the knob semantics: automatic mode keys on
-// DefaultCHMinNodes, and SetCH forces either way.
+// DefaultCHMinNodes (on at exactly 1,024 nodes, off one below), and
+// SetCH forces either way.
 func TestCHModes(t *testing.T) {
+	if below := chain(t, 1023); below.CH() {
+		t.Fatal("auto mode enabled CH on 1023 nodes")
+	}
+	if at := chain(t, 1024); !at.CH() {
+		t.Fatal("auto mode left CH off at 1024 nodes")
+	}
+
 	small := FromNetwork(datagen.NewNetwork(8, space, 2008))
 	if small.CH() {
 		t.Fatalf("auto mode enabled CH on %d nodes (< %d)", small.NumNodes(), DefaultCHMinNodes)
@@ -120,8 +118,8 @@ func TestCHModes(t *testing.T) {
 }
 
 // TestAllocsCHPointQuery pins the zero-allocation budget of warm
-// hierarchy queries, like TestAllocsPointQuery does for the other
-// search backends.
+// hierarchy queries, like TestAllocsPointQuery does for the plain
+// Dijkstra.
 func TestAllocsCHPointQuery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool reuse is defeated under -race")

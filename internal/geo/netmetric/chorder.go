@@ -20,7 +20,6 @@ package netmetric
 
 import (
 	"cmp"
-	"math"
 	"slices"
 )
 
@@ -228,8 +227,8 @@ func (b *chBuilder) priority(v int32) float64 {
 }
 
 // buildCH runs the full contraction and freezes the result into the
-// CSR hierarchy chDist and chSSSP query. Deterministic: iteration
-// orders are fixed and the priority heap is seeded in node order.
+// CSR hierarchy chDist queries. Deterministic: iteration orders are
+// fixed and the priority heap is seeded in node order.
 func (m *NetworkMetric) buildCH() *chState {
 	n := len(m.nodes)
 	b := &chBuilder{
@@ -240,21 +239,16 @@ func (m *NetworkMetric) buildCH() *chState {
 		hops:    make([]int32, n),
 		seenAt:  make([]int64, n),
 	}
-	minEdge := math.Inf(1)
 	for i, e := range m.edges {
 		if e[0] == e[1] {
 			continue // self-loops never carry a shortest path
 		}
 		b.addArc(e[0], e[1], m.lengths[i], -1)
-		if m.lengths[i] < minEdge {
-			minEdge = m.lengths[i]
-		}
 	}
 
 	ch := &chState{
-		rank:    make([]int32, n),
-		byRank:  make([]int32, n),
-		minEdge: minEdge,
+		rank:   make([]int32, n),
+		byRank: make([]int32, n),
 	}
 	upArcs := make([][]coreArc, n)
 
@@ -304,8 +298,7 @@ func (m *NetworkMetric) buildCH() *chState {
 		b.adj[v] = nil
 	}
 
-	// Flatten the per-node snapshots into the up-CSR and its reverse
-	// (the down-CSR the PHAST sweep scans).
+	// Flatten the per-node snapshots into the up-CSR.
 	arcs := 0
 	for _, ua := range upArcs {
 		arcs += len(ua)
@@ -340,23 +333,6 @@ func (m *NetworkMetric) buildCH() *chState {
 	}
 	ch.upOff[n] = g
 
-	deg := make([]int32, n+1)
-	for i := int32(0); i < g; i++ {
-		deg[ch.upTo[i]+1]++
-	}
-	ch.downOff = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		ch.downOff[v+1] = ch.downOff[v] + deg[v+1]
-	}
-	ch.downTo = make([]int32, arcs)
-	ch.downLen = make([]float64, arcs)
-	fill := append([]int32(nil), ch.downOff[:n]...)
-	for i := int32(0); i < g; i++ {
-		w := ch.upTo[i]
-		ch.downTo[fill[w]] = ch.upFrom[i]
-		ch.downLen[fill[w]] = ch.upLen[i]
-		fill[w]++
-	}
 	ch.buildExpansions()
 	return ch
 }

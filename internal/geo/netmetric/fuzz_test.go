@@ -74,3 +74,48 @@ func FuzzMetricContract(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLandmarkBound fuzzes the ALT bound's contract: admissibility
+// against both the point metric and the node distances, symmetry, and
+// agreement with the Euclidean floor.
+func FuzzLandmarkBound(f *testing.F) {
+	f.Add(0.0, 0.0, 1000.0, 1000.0)
+	f.Add(13.5, 900.25, 800.0, 17.75)
+	f.Add(500.0, 500.0, 500.0, 500.0)
+	f.Fuzz(func(t *testing.T, x1, y1, x2, y2 float64) {
+		coords := [4]float64{x1, y1, x2, y2}
+		for i, v := range coords {
+			c, ok := clampToSpace(v)
+			if !ok {
+				t.Skip("non-finite input")
+			}
+			coords[i] = c
+		}
+		p := geo.Point{X: coords[0], Y: coords[1]}
+		q := geo.Point{X: coords[2], Y: coords[3]}
+		m := fuzzMetric()
+		lm := m.landmarks()
+
+		lb := m.LowerBound(p, q)
+		d := m.Dist(p, q)
+		if lb > d {
+			t.Fatalf("landmark bound not admissible: lb=%v > Dist=%v for %v -> %v", lb, d, p, q)
+		}
+		if euclid := p.Dist(q); lb < euclid {
+			t.Fatalf("bound below Euclidean floor: lb=%v < %v", lb, euclid)
+		}
+		if rev := m.LowerBound(q, p); math.Abs(lb-rev) > 1e-9*(1+lb) {
+			t.Fatalf("bound asymmetric: %v vs %v", lb, rev)
+		}
+		// Node-level admissibility and exact symmetry, consistent with
+		// the node triangle contract in FuzzMetricContract.
+		a, b := m.SnapNode(p), m.SnapNode(q)
+		nb := lm.lbNodes(a, b)
+		if rev := lm.lbNodes(b, a); rev != nb {
+			t.Fatalf("lbNodes asymmetric: %v vs %v", nb, rev)
+		}
+		if nd := m.NodeDist(a, b); nb > nd+1e-9*(1+nd) {
+			t.Fatalf("lbNodes(%d,%d)=%v exceeds NodeDist=%v", a, b, nb, nd)
+		}
+	})
+}

@@ -7,9 +7,13 @@ import (
 	"repro/internal/geo"
 )
 
+// Landmarks serve one purpose: LowerBound, the admissible bound
+// rtree.RefinedNN orders its exact NN refinement by. Point queries never
+// read them (they run the hierarchy or plain Dijkstra, see searchDist).
+
 // DefaultLandmarks is the landmark count automatic mode selects for
 // mid-sized networks. Eight farthest-point landmarks are the classic
-// ALT sweet spot for planar road networks: enough directional coverage
+// sweet spot for planar road networks: enough directional coverage
 // that the triangle lower bound is tight along most query axes, cheap
 // enough that preprocessing stays a handful of single-source sweeps.
 const DefaultLandmarks = 8
@@ -17,8 +21,8 @@ const DefaultLandmarks = 8
 // AutoLandmarks returns the landmark count automatic mode (the
 // default, or SetLandmarks with a negative count) selects for a
 // network of n nodes. Small networks need little directional coverage
-// — each sweep is cheap but so are the queries it prunes — while
-// large ones amortize more landmarks over far more expensive searches.
+// — each sweep is cheap but so is the refinement it tightens — while
+// large ones amortize more landmarks over far more NN refinement.
 // The middle band keeps DefaultLandmarks, so the benchmarked 128-grid
 // workloads are unchanged by auto-tuning.
 func AutoLandmarks(n int) int {
@@ -32,9 +36,9 @@ func AutoLandmarks(n int) int {
 	}
 }
 
-// landmarkState holds the ALT preprocessing output: the chosen landmark
-// nodes and, for every network node, its shortest-path distance to each
-// landmark. Vectors are stored node-major (byNode[v*k+l] = d(L_l, v)),
+// landmarkState holds the landmark preprocessing output: the chosen
+// landmark nodes and, for every network node, its shortest-path
+// distance to each landmark. Vectors are stored node-major (byNode[v*k+l] = d(L_l, v)),
 // so one lower-bound evaluation scans two contiguous k-strides.
 // Immutable after construction; shared without locks.
 type landmarkState struct {
@@ -43,10 +47,10 @@ type landmarkState struct {
 	byNode []float64
 }
 
-// lbNodes returns the ALT lower bound on the shortest-path distance
-// between nodes a and b: max over landmarks L of |d(L,a) − d(L,b)|.
-// Admissible and consistent by the triangle inequality on node
-// distances (FuzzLandmarkBound pins both properties).
+// lbNodes returns the landmark (ALT) lower bound on the shortest-path
+// distance between nodes a and b: max over landmarks L of
+// |d(L,a) − d(L,b)|. Admissible and consistent by the triangle
+// inequality on node distances (FuzzLandmarkBound pins both).
 func (ls *landmarkState) lbNodes(a, b int32) float64 {
 	if a == b {
 		return 0
@@ -67,10 +71,11 @@ func (ls *landmarkState) lbNodes(a, b int32) float64 {
 	return lb
 }
 
-// SetLandmarks configures the ALT landmark count: 0 disables landmark
-// pruning entirely (plain forward Dijkstra), positive counts override,
-// negative values restore automatic selection (AutoLandmarks by node
-// count, the default). Like SetCacheCapacity it must run during setup,
+// SetLandmarks configures the landmark count behind LowerBound: 0 keeps
+// the bound Euclidean, positive counts override, negative values
+// restore automatic selection (AutoLandmarks by node count, the
+// default). Landmarks only tighten the NN-refinement lower bound; they
+// never change a distance or the point-query search. Like SetCacheCapacity it must run during setup,
 // before the metric is shared across goroutines: it drops any built
 // landmark state without synchronization. Counts larger than the node
 // count are clamped at build time.
@@ -141,29 +146,6 @@ func (m *NetworkMetric) buildLandmarks(k int) *landmarkState {
 		next = argmaxIndex(minDist)
 	}
 	return ls
-}
-
-// sssp fills dist with single-source shortest-path distances from src
-// over the full routing graph (real edges plus bridges).
-func (m *NetworkMetric) sssp(src int32, dist []float64, h *nheap) {
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	h.clear()
-	dist[src] = 0
-	h.push(0, src)
-	for !h.empty() {
-		e := h.pop()
-		if e.key > dist[e.v] {
-			continue // stale entry from lazy decrease-key
-		}
-		for _, a := range m.adj[e.v] {
-			if nd := e.key + a.length; nd < dist[a.to] {
-				dist[a.to] = nd
-				h.push(nd, a.to)
-			}
-		}
-	}
 }
 
 // argmaxIndex returns the index of the largest finite value,

@@ -82,12 +82,12 @@ const (
 const cacheShards = 32
 
 // CacheStats reports the metric's cache activity. The node-pair numbers
-// are the interesting ones: a hit avoids a bidirectional Dijkstra, and
-// sustained evictions mean the working set outgrew the cache — size it
-// up with SetCacheCapacity.
+// are the interesting ones: a hit avoids a cold point search (a
+// hierarchy query or a plain Dijkstra), and sustained evictions mean
+// the working set outgrew the cache — size it up with SetCacheCapacity.
 type CacheStats struct {
 	NodeHits      uint64 // node-pair distances served from the cache
-	NodeMisses    uint64 // node-pair distances computed by Dijkstra
+	NodeMisses    uint64 // node-pair distances computed by a point search
 	NodeEvictions uint64 // node-pair entries displaced by the LRU bound
 	SnapHits      uint64 // snap positions served from the cache
 	SnapMisses    uint64 // snap positions computed against the edge grid
@@ -121,15 +121,12 @@ type NetworkMetric struct {
 
 	grid snapGrid
 
-	// ALT landmark state, built lazily on first shortest-path query
-	// (see landmarks.go). lmCount is the configured landmark count;
-	// 0 disables ALT pruning, negative selects AutoLandmarks by node
-	// count. legacyBidi reroutes point queries to the pre-ALT
-	// bidirectional Dijkstra (benchmark baseline only).
-	lmCount    int
-	lmOnce     *sync.Once
-	lm         *landmarkState
-	legacyBidi bool
+	// Landmark state behind LowerBound, built lazily on first use (see
+	// landmarks.go). lmCount is the configured landmark count; 0 keeps
+	// the bound Euclidean, negative selects AutoLandmarks by node count.
+	lmCount int
+	lmOnce  *sync.Once
+	lm      *landmarkState
 
 	// Contraction-hierarchy state, built lazily like the landmarks
 	// (see ch.go). chMode: −1 auto by network size, 0 off, 1 on.
@@ -295,8 +292,8 @@ func (m *NetworkMetric) SnapNode(p geo.Point) int32 {
 // triangle-inequality consistent up to float rounding. The returned
 // float is canonical per *ordered* pair — the fixed point of forward
 // relaxation from a (see search.go) — so NodeDist(a,b) and NodeDist(b,a)
-// may differ in the last ulps; every backend (plain, ALT, bulk table)
-// agrees byte-for-byte on the oriented value, which is what the
+// may differ in the last ulps; every backend (plain, hierarchy, bulk
+// table) agrees byte-for-byte on the oriented value, which is what the
 // conformance suite pins.
 func (m *NetworkMetric) NodeDist(a, b int32) float64 {
 	if a < 0 || int(a) >= len(m.nodes) || b < 0 || int(b) >= len(m.nodes) {
@@ -362,20 +359,12 @@ func (m *NetworkMetric) nodeDist(a, b int32) float64 {
 	return d
 }
 
-// searchDist runs one cold point query a→b with the configured backend:
-// the contraction hierarchy when enabled (large networks by default),
-// ALT A* when landmarks are enabled, plain forward Dijkstra when both
-// are disabled, or the legacy bidirectional baseline when benchmarking.
-// All but the baseline return the identical canonical float.
+// searchDist runs one cold point query a→b: through the contraction
+// hierarchy when it is enabled (large networks by default), else plain
+// forward Dijkstra. Both return the identical canonical float.
 func (m *NetworkMetric) searchDist(a, b int32) float64 {
-	if m.legacyBidi {
-		return m.bidiDijkstra(a, b)
-	}
 	if ch := m.hierarchy(); ch != nil {
 		return m.chDist(ch, a, b)
-	}
-	if lm := m.landmarks(); lm != nil {
-		return m.astar(a, b, lm)
 	}
 	return m.forwardDijkstra(a, b)
 }

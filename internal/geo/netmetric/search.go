@@ -5,20 +5,20 @@ import (
 	"sync"
 )
 
-// Canonical float semantics. Every shortest-path backend in this package
-// — the plain forward Dijkstra, the ALT-pruned A*, and the bulk
-// many-to-many sweeps — returns the *same* float64 for a node pair:
-// the minimum over all src→dst paths of the left-associated float sum of
-// edge lengths (the fixed point of forward relaxation from src). That
-// value is well defined in float arithmetic because float addition of a
-// non-negative length is monotone (x+l >= x), so Dijkstra's settle order
-// cannot change it. Pinning one canonical semantics is what lets the
-// conformance suite assert byte-identical solves whether distances come
-// from plain Dijkstra, ALT, or a precomputed table — the three would
-// otherwise differ in the last ulps (float addition is not associative,
-// so e.g. a bidirectional search, which adds a forward and a backward
-// partial, rounds differently). The pre-ALT bidirectional search is kept
-// in bidijkstra.go as the benchmark baseline only.
+// Canonical float semantics. Every shortest-path computation in this
+// package — the plain forward Dijkstra below, the contraction-hierarchy
+// point query (ch.go) and the bulk single-source sweeps behind tables
+// (table.go) — returns the *same* float64 for a node pair: the minimum
+// over all src→dst paths of the left-associated float sum of edge
+// lengths (the fixed point of forward relaxation from src). That value
+// is well defined in float arithmetic because float addition of a
+// non-negative length is monotone (x+l >= x), so Dijkstra's settle
+// order cannot change it. Pinning one canonical semantics is what lets
+// the conformance suite assert byte-identical solves whether distances
+// come from plain Dijkstra, the hierarchy, or a precomputed table —
+// they would otherwise differ in the last ulps (float addition is not
+// associative, so e.g. a bidirectional search, which adds a forward and
+// a backward partial, rounds differently).
 
 // searchScratch is the pooled label state of one single-sided search:
 // distance labels epoch-stamped so reuse pays no O(V) re-initialization,
@@ -55,9 +55,11 @@ func (s *searchScratch) improve(v int32, d float64) {
 }
 
 // forwardDijkstra returns the canonical src→dst distance with plain
-// forward Dijkstra. The early exit at dst's settle is exact, not
-// heuristic: every later relaxation starts from a label >= dist[dst]
-// and adds a non-negative length, so no improvement can follow.
+// forward Dijkstra: the reference point query, which SetCH(0) selects
+// and the hierarchy query falls back to on near-ties. The early exit at
+// dst's settle is exact, not heuristic: every later relaxation starts
+// from a label >= dist[dst] and adds a non-negative length, so no
+// improvement can follow.
 func (m *NetworkMetric) forwardDijkstra(src, dst int32) float64 {
 	s := searchPool.Get().(*searchScratch)
 	defer searchPool.Put(s)
@@ -83,52 +85,26 @@ func (m *NetworkMetric) forwardDijkstra(src, dst int32) float64 {
 	return math.Inf(1) // unreachable: bridges keep the graph connected
 }
 
-// altSlack is the termination margin of the ALT search. The landmark
-// potential is consistent in real arithmetic but can violate consistency
-// by a few ulps in float64, so an expanded node's label may still
-// improve later; stopping only once the frontier minimum exceeds the
-// best dst label by this margin (vastly larger than any accumulated
-// rounding error at the workloads' coordinate scale, vanishingly small
-// against real distances) guarantees the returned label is the same
-// canonical fixed point forwardDijkstra computes — byte-identical, as
-// TestALTMatchesPlainDijkstra asserts.
-const altSlack = 1e-6
-
-// astar returns the canonical src→dst distance with an ALT-pruned A*:
-// heap keys carry the goal-directed potential π(v) = lb(v,dst), turning
-// the search into Dijkstra over reduced weights aimed at dst. Distance
-// labels always hold true (unshifted) distances; only heap order moves.
-// Nodes are never marked settled — a label improved after its first
-// expansion (possible only through ulp-level potential inconsistency)
-// is simply re-expanded, and the altSlack termination bound makes the
-// result exact.
-func (m *NetworkMetric) astar(src, dst int32, lm *landmarkState) float64 {
-	s := searchPool.Get().(*searchScratch)
-	defer searchPool.Put(s)
-	s.reset(len(m.nodes))
-
-	s.improve(src, 0)
-	s.heap.push(lm.lbNodes(src, dst), src)
-	best := math.Inf(1) // dist[dst]; π(dst) = 0, so its key is its label
-	for !s.heap.empty() {
-		e := s.heap.pop()
-		if e.key >= best+altSlack {
-			break // no remaining entry can improve dst's label
-		}
-		dv := s.dist[e.v]
-		if e.key > dv+lm.lbNodes(e.v, dst) {
+// sssp fills dist with the canonical single-source vector from src over
+// the full routing graph (real edges plus bridges): the one bulk sweep,
+// behind both table rows (table.go) and landmark vectors.
+func (m *NetworkMetric) sssp(src int32, dist []float64, h *nheap) {
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	h.clear()
+	dist[src] = 0
+	h.push(0, src)
+	for !h.empty() {
+		e := h.pop()
+		if e.key > dist[e.v] {
 			continue // stale entry from lazy decrease-key
 		}
 		for _, a := range m.adj[e.v] {
-			nd := dv + a.length
-			if nd < s.label(a.to) {
-				s.improve(a.to, nd)
-				if a.to == dst {
-					best = nd
-				}
-				s.heap.push(nd+lm.lbNodes(a.to, dst), a.to)
+			if nd := e.key + a.length; nd < dist[a.to] {
+				dist[a.to] = nd
+				h.push(nd, a.to)
 			}
 		}
 	}
-	return best
 }

@@ -15,8 +15,8 @@ import (
 const DefaultTableBudget = 1 << 23
 
 // Table is a NetworkMetric with a provider-sourced bulk distance table:
-// one single-source sweep per distinct snap-edge endpoint of the source
-// points, stored as dense node vectors. Dist(p, q) where p is a source
+// one plain single-source Dijkstra sweep (sssp) per distinct snap-edge
+// endpoint of the source points, stored as dense node vectors. Dist(p, q) where p is a source
 // (or shares a snap edge with one) assembles the answer from the
 // vectors in O(1) — byte-identical to the point-query value, because
 // the sweeps compute the same canonical forward labels the point
@@ -36,7 +36,9 @@ type Table struct {
 // of sources. budget caps the materialized float64 cells (values < 1
 // select DefaultTableBudget); BuildTable returns nil when the source
 // set's endpoint count would exceed it, and callers should then keep
-// using point queries. The sweeps run on the calling goroutine; for the
+// using point queries. The sweeps never build the contraction
+// hierarchy, which only point queries use. They run on the calling
+// goroutine; for the
 // solver integration that places the build cost inside the solve's
 // measured CPU time, where it belongs.
 func (m *NetworkMetric) BuildTable(sources []geo.Point, budget int) *Table {
@@ -46,7 +48,6 @@ func (m *NetworkMetric) BuildTable(sources []geo.Point, budget int) *Table {
 	n := len(m.nodes)
 	t := &Table{NetworkMetric: m, vecIdx: make(map[int32]int32, 2*len(sources))}
 	var h nheap
-	var order []int32
 	for _, p := range sources {
 		sp := m.snap(p)
 		for _, v := range m.edges[sp.edge] {
@@ -58,7 +59,7 @@ func (m *NetworkMetric) BuildTable(sources []geo.Point, budget int) *Table {
 			}
 			t.vecIdx[v] = int32(len(t.vecIdx))
 			t.vecs = append(t.vecs, make([]float64, n)...)
-			m.bulkSSSP(v, t.vecs[len(t.vecs)-n:], &h, &order)
+			m.sssp(v, t.vecs[len(t.vecs)-n:], &h)
 		}
 	}
 	return t
@@ -118,7 +119,6 @@ type m2mScratch struct {
 	vecIdx map[int32]int32
 	vecs   []float64
 	heap   nheap
-	order  []int32 // chSSSP replay-order buffer
 }
 
 var m2mPool = sync.Pool{New: func() any { return &m2mScratch{vecIdx: make(map[int32]int32)} }}
@@ -166,7 +166,7 @@ func (m *NetworkMetric) ManyToManyInto(sources, targets []geo.Point, out []float
 					s.vecs = append(s.vecs[:cap(s.vecs)], 0)
 				}
 				s.vecs = s.vecs[:int(r+1)*n]
-				m.bulkSSSP(v, s.vecs[int(r)*n:int(r+1)*n], &s.heap, &s.order)
+				m.sssp(v, s.vecs[int(r)*n:int(r+1)*n], &s.heap)
 			}
 			ri[k] = r
 		}

@@ -464,7 +464,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return nets[i].key.ch < nets[j].key.ch
 	})
-	p.header("ccad_netmetric_node_cache_hits_total", "Node-pair distances served from a network metric's cache (a hit avoids a bidirectional Dijkstra).", "counter")
+	p.header("ccad_netmetric_node_cache_hits_total", "Node-pair distances served from a network metric's cache (a hit avoids a cold point search: a contraction-hierarchy query or a plain Dijkstra).", "counter")
 	p.header("ccad_netmetric_node_cache_misses_total", "Node-pair distances computed by Dijkstra.", "counter")
 	p.header("ccad_netmetric_node_cache_evictions_total", "Node-pair entries displaced by the LRU bound.", "counter")
 	p.header("ccad_netmetric_snap_cache_hits_total", "Point snap positions served from cache.", "counter")

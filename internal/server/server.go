@@ -150,15 +150,15 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// netKey identifies a synthetic road network and its ALT landmark /
-// contraction-hierarchy configuration. Landmark and hierarchy
+// netKey identifies a synthetic road network and its lower-bound
+// landmark / contraction-hierarchy configuration. Landmark and hierarchy
 // preprocessing mutate the metric (per-landmark distance vectors, the
 // up/down graphs), so two requests with different counts or modes
 // cannot share one instance; both are part of the identity.
 type netKey struct {
 	grid      int
 	seed      int64
-	landmarks int // resolved count: 0 = landmark pruning disabled
+	landmarks int // resolved count: 0 = Euclidean lower bound
 	ch        int // resolved mode: 0 = hierarchy off, 1 = on
 }
 
@@ -352,9 +352,10 @@ const (
 // same cold network share one build, and the build never blocks the map
 // lock (so other networks' requests and /metrics scrapes proceed
 // meanwhile). landmarks carries the wire encoding: 0 selects the
-// default count, -1 disables landmark pruning, positive values pick an
-// explicit count (each landmark costs one SSSP at build plus one O(V)
-// distance vector for the life of the process, hence the bound).
+// default count, -1 disables landmarks (a Euclidean NN-refinement
+// lower bound), positive values pick an explicit count (each landmark
+// costs one SSSP at build plus one O(V) distance vector for the life of
+// the process, hence the bound).
 // ch likewise: 0 = automatic (hierarchy on at DefaultCHMinNodes), 1 =
 // forced on, -1 = off; the mode is resolved against the grid's node
 // count here so "auto" and its resolution share one memo entry.
