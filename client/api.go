@@ -43,7 +43,7 @@ type Options struct {
 	DisableTheorem2 bool `json:"disable_theorem2,omitempty"`
 	DisableANN      bool `json:"disable_ann,omitempty"`
 	ANNGroupSize    int  `json:"ann_group_size,omitempty"`
-	// DistTable gates the bulk distance-table precompute for network-
+	// DistTable gates the provider-sourced distance table for network-
 	// metric solves: 0 (default) sizes it automatically, -1 disables it,
 	// positive values set the memory budget in float64 cells. Purely a
 	// performance knob — results are byte-identical either way.

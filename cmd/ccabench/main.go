@@ -45,8 +45,8 @@ e.g. -algos ida,sharded:ida -shards 8`)
 	landmarks := flag.Int("landmarks", -1, `landmark count for -metric network workloads: -1 = automatic by
 network size, 0 = none (Euclidean bound); landmarks only tighten the
 NN-refinement lower bound, never a distance`)
-	table := flag.String("table", "auto", `bulk distance-table precompute threaded into every sweep's
-options: "auto" (size-gated), "off", or a float64-cell memory budget`)
+	table := flag.String("table", "auto", `provider-sourced distance table (on-demand sweeps) threaded into
+every sweep's options: "auto" (size-gated), "off", or a float64-cell memory budget`)
 	ch := flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network
 workloads: "auto" (on at `+fmt.Sprint(netmetric.DefaultCHMinNodes)+`+ nodes), "off", or "on"`)
 	jsonOut := flag.String("json", "", `append the run's rows to this JSON trajectory file

@@ -44,7 +44,8 @@ func main() {
 0 = none (Euclidean bound); landmarks only tighten the NN-refinement lower bound, never a distance`)
 		ch = flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network:
 "auto" (on at `+fmt.Sprint(netmetric.DefaultCHMinNodes)+`+ nodes), "off", or "on"`)
-		distTable = flag.String("disttable", "auto", `bulk distance-table precompute for -metric network:
+		distTable = flag.String("disttable", "auto", `provider-sourced distance table for -metric network (one
+on-demand sweep per provider snap-edge endpoint, advanced only as far as the solve's queries):
 "auto" (size-gated), "off", or a float64-cell memory budget (e.g. 16000000)`)
 		timeout = flag.Duration("timeout", 0, `abort the solve after this long (e.g. 30s, 2m; 0 = no limit);
 the solvers observe the deadline between augmenting iterations`)

@@ -131,15 +131,16 @@ type Options struct {
 	// It changes wall-clock time only, never results: the sharded merge
 	// is deterministic by construction.
 	ShardWorkers int
-	// DistTable controls the bulk distance-table precompute the solver
-	// registry runs for network metrics (netmetric.BuildTable): 0 (auto)
-	// builds a provider-sourced table when the instance is large enough
-	// and the sweep memory fits netmetric.DefaultTableBudget; -1
-	// disables the precompute; a positive value overrides the memory
-	// budget (in float64 cells). Like ShardWorkers it never changes
-	// results — table lookups are byte-identical to point queries (the
-	// conformance suite pins this) — so it is excluded from the
-	// engine's result-cache digest.
+	// DistTable controls the distance table the solver registry puts in
+	// front of network metrics (netmetric.BuildTable): one row per
+	// provider snap-edge endpoint, each a single-source sweep that the
+	// solve advances only as far as its queries reach. 0 (auto) builds
+	// the table when the instance is large enough and the rows' label
+	// vectors fit netmetric.DefaultTableBudget; -1 disables it; a
+	// positive value overrides the memory budget (in float64 cells).
+	// Like ShardWorkers it never changes results — table lookups are
+	// byte-identical to point queries (the conformance suite pins
+	// this) — so it is excluded from the engine's result-cache digest.
 	DistTable int
 
 	// customCaps records whether the caller provided CustomerCap, so

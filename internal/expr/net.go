@@ -16,7 +16,8 @@ import (
 // plus the Euclidean baseline for context. Each network row rebuilds a
 // fresh metric, so nothing is amortized across rows — the CPU column is
 // the full cold cost including landmark/hierarchy/table preprocessing
-// (the solver charges table builds to CPUTime).
+// (the solver charges table builds to CPUTime; the sweeps run inside
+// the solve's Dist calls).
 //
 // Rows:
 //
@@ -26,8 +27,9 @@ import (
 //	          against
 //	ch        contraction-hierarchy point queries (table disabled, so
 //	          the row isolates the cold point-query win)
-//	table     the bulk many-to-many distance table, plain Dijkstra for
-//	          any point query it does not cover
+//	table     the provider-sourced distance table (one on-demand sweep
+//	          per provider snap-edge endpoint), plain Dijkstra for any
+//	          point query it does not cover
 //
 // dijkstra, ch and table return byte-identical matchings (the root
 // conformance suite pins this). dijkstra and table pin SetCH(0) so

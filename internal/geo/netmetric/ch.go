@@ -132,7 +132,7 @@ type unpackFrame struct {
 
 // chLabelBudget caps the total entries the cone (hub-label) cache may
 // hold across all nodes — 1<<22 entries ≈ 64 MB, the same ceiling
-// DefaultTableBudget puts on bulk distance tables. When an insert would
+// DefaultTableBudget puts on distance tables. When an insert would
 // exceed it the whole cache is dropped and regrows from the current
 // working set — a generation reset, not an LRU, because cones are tiny
 // and rebuilt in ~100µs.

@@ -119,3 +119,53 @@ func FuzzLandmarkBound(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTableMatchesSSSP drives a table over a small random network with
+// an arbitrary interleaving of queries: each pair of order bytes picks
+// a (source, target) query, so rows are advanced in whatever order and
+// by whatever amounts the input dictates. Every Table.Dist must match
+// the value assembled from completed sssp sweeps, and after a final
+// settle-all every row must be byte-identical to sssp.
+func FuzzTableMatchesSSSP(f *testing.F) {
+	f.Add(int64(2008), uint8(3), []byte{0, 0, 1, 5, 2, 9, 0, 3})
+	f.Add(int64(7), uint8(1), []byte{0, 11, 0, 0})
+	f.Add(int64(-3), uint8(6), []byte{5, 1, 4, 2, 3, 3, 2, 4, 1, 5, 0, 6})
+	f.Fuzz(func(t *testing.T, seed int64, nsrc uint8, order []byte) {
+		if len(order) > 256 {
+			order = order[:256]
+		}
+		net := datagen.NewNetwork(4+int(uint64(seed)%5), space, seed)
+		m := FromNetwork(net)
+		sources := net.Points(datagen.Config{N: 1 + int(nsrc%6), Dist: datagen.Uniform, Seed: seed + 1})
+		targets := net.Points(datagen.Config{N: 12, Dist: datagen.Clustered, Seed: seed + 2})
+		tab := m.BuildTable(sources, 0)
+		if tab == nil {
+			t.Fatal("BuildTable declined within default budget")
+		}
+
+		full := make(map[int32]*sweep, tab.Coverage())
+		for v := range tab.rowIdx {
+			full[v] = new(sweep)
+			m.sssp(full[v], v)
+		}
+		for k := 0; k+1 < len(order); k += 2 {
+			p := sources[int(order[k])%len(sources)]
+			q := targets[int(order[k+1])%len(targets)]
+			sp := m.snap(p)
+			ep := m.edges[sp.edge]
+			want := sweepAssembly(m, full[ep[0]], full[ep[1]], sp, m.snap(q))
+			if got := tab.Dist(p, q); got != want {
+				t.Fatalf("query %d: Table.Dist = %v, sssp assembly = %v", k/2, got, want)
+			}
+		}
+		for v, r := range tab.rowIdx {
+			row := &tab.rows[r].sweep
+			m.settle(row, -1)
+			for u, d := range full[v].dist {
+				if row.dist[u] != d {
+					t.Fatalf("row %d[%d] = %v after settle-all, sssp = %v", v, u, row.dist[u], d)
+				}
+			}
+		}
+	})
+}

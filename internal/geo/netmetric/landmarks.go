@@ -126,21 +126,20 @@ func (m *NetworkMetric) buildLandmarks(k int) *landmarkState {
 		nodes:  make([]int32, 0, k),
 		byNode: make([]float64, k*n),
 	}
-	var h nheap
-	dist := make([]float64, n)
+	var sw sweep
 	minDist := make([]float64, n)
 	for i := range minDist {
 		minDist[i] = math.Inf(1)
 	}
-	m.sssp(0, dist, &h)
-	next := argmaxIndex(dist)
+	m.sssp(&sw, 0)
+	next := argmaxIndex(sw.dist)
 	for li := 0; li < k; li++ {
 		ls.nodes = append(ls.nodes, next)
-		m.sssp(next, dist, &h)
-		for v := 0; v < n; v++ {
-			ls.byNode[v*k+li] = dist[v]
-			if dist[v] < minDist[v] {
-				minDist[v] = dist[v]
+		m.sssp(&sw, next)
+		for v, d := range sw.dist {
+			ls.byNode[v*k+li] = d
+			if d < minDist[v] {
+				minDist[v] = d
 			}
 		}
 		next = argmaxIndex(minDist)

@@ -15,7 +15,7 @@ import (
 // non-negative length is monotone (x+l >= x), so Dijkstra's settle
 // order cannot change it. Pinning one canonical semantics is what lets
 // the conformance suite assert byte-identical solves whether distances
-// come from plain Dijkstra, the hierarchy, or a precomputed table —
+// come from plain Dijkstra, the hierarchy, or a table row —
 // they would otherwise differ in the last ulps (float addition is not
 // associative, so e.g. a bidirectional search, which adds a forward and
 // a backward partial, rounds differently).
@@ -85,26 +85,70 @@ func (m *NetworkMetric) forwardDijkstra(src, dst int32) float64 {
 	return math.Inf(1) // unreachable: bridges keep the graph connected
 }
 
-// sssp fills dist with the canonical single-source vector from src over
-// the full routing graph (real edges plus bridges): the one bulk sweep,
-// behind both table rows (table.go) and landmark vectors.
-func (m *NetworkMetric) sssp(src int32, dist []float64, h *nheap) {
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// sweep is one single-source Dijkstra that can be suspended and
+// resumed: its label vector plus its heap frontier. Advancing it pops
+// and relaxes exactly as a run-to-completion Dijkstra would, only
+// paused between pops, so every label it finalizes is the canonical
+// forward value. A label at or below the frontier's smallest key is
+// final — stale entries included — because every later relaxation
+// starts from a popped key >= that minimum and adds a non-negative
+// length. This is the package's one bulk relax loop: table rows
+// (table.go) advance it on demand, landmark vectors run it to the end.
+type sweep struct {
+	dist    []float64
+	heap    nheap
+	settled int // labels finalized by a pop
+}
+
+// start resets s to a fresh sweep from src over n nodes, reusing its
+// label and heap storage: only src is labelled and on the frontier.
+func (s *sweep) start(src int32, n int) {
+	if cap(s.dist) < n {
+		s.dist = make([]float64, n)
 	}
-	h.clear()
-	dist[src] = 0
-	h.push(0, src)
-	for !h.empty() {
-		e := h.pop()
-		if e.key > dist[e.v] {
+	s.dist = s.dist[:n]
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
+	}
+	s.heap.clear()
+	s.settled = 0
+	s.dist[src] = 0
+	s.heap.push(0, src)
+}
+
+// settle advances s until v's label is final, or to completion when
+// v < 0.
+func (m *NetworkMetric) settle(s *sweep, v int32) {
+	for !s.heap.empty() {
+		if v >= 0 && s.dist[v] <= s.heap.top().key {
+			return
+		}
+		e := s.heap.pop()
+		if e.key > s.dist[e.v] {
 			continue // stale entry from lazy decrease-key
 		}
+		s.settled++
 		for _, a := range m.adj[e.v] {
-			if nd := e.key + a.length; nd < dist[a.to] {
-				dist[a.to] = nd
-				h.push(nd, a.to)
+			if nd := e.key + a.length; nd < s.dist[a.to] {
+				s.dist[a.to] = nd
+				s.heap.push(nd, a.to)
 			}
 		}
 	}
+}
+
+// labels settles both of a snap edge's endpoints on s and returns
+// their final labels.
+func (m *NetworkMetric) labels(s *sweep, e [2]int32) [2]float64 {
+	m.settle(s, e[0])
+	m.settle(s, e[1])
+	return [2]float64{s.dist[e[0]], s.dist[e[1]]}
+}
+
+// sssp runs a fresh sweep from src to completion: the canonical
+// single-source vector over the full routing graph (real edges plus
+// bridges) ends up in s.dist.
+func (m *NetworkMetric) sssp(s *sweep, src int32) {
+	s.start(src, len(m.nodes))
+	m.settle(s, -1)
 }

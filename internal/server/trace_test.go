@@ -202,6 +202,34 @@ func TestTraceStructureDeterministic(t *testing.T) {
 	}
 }
 
+// TestTraceTableSettled: a network solve large enough for the engine's
+// distance table reports on its solve span how far the table's sweeps
+// ran — some labels settled, never more than the rows could hold.
+func TestTraceTableSettled(t *testing.T) {
+	h := testServer(t, server.Config{})
+	req := client.SolveRequest{Instances: []client.Instance{{
+		Solver:    "ida",
+		Providers: []client.Provider{{X: 200, Y: 200, Cap: 100}, {X: 800, Y: 300, Cap: 100}, {X: 500, Y: 800, Cap: 100}},
+		Customers: wireCustomers(testPoints(1500, 98)),
+		Metric:    "network",
+		NetGrid:   16,
+		NetSeed:   3,
+	}}}
+	out, _ := tracedSolve(t, h.url, req)
+	solve := findSpan(out.Trace, "solve")
+	if solve == nil {
+		t.Fatal("trace carries no solve span")
+	}
+	settled, ok1 := solve.Attrs["table_settled"].(float64)
+	total, ok2 := solve.Attrs["table_nodes"].(float64)
+	if !ok1 || !ok2 {
+		t.Fatalf("solve span missing table_settled/table_nodes: %v", solve.Attrs)
+	}
+	if settled <= 0 || settled > total {
+		t.Errorf("table settled %v of %v labels; want 1..%v", settled, total, total)
+	}
+}
+
 // TestTraceSelfTimeAcceptance: the span tree accounts for the request —
 // summed self-times across all spans must land within 20% of the
 // client-observed wall time, so the trace cannot silently omit a

@@ -182,9 +182,9 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	if opts.Core.Ctx == nil || span != nil {
 		opts.Core.Ctx = ctx
 	}
-	// Bulk distance precompute: every solver evaluates P×C metric
-	// distances, so for network metrics the registry pre-resolves a
-	// provider-sourced table here — once, at the choke point all
+	// Distance table: every solver evaluates provider–customer metric
+	// distances, so for network metrics the registry wraps the metric
+	// in a provider-sourced table here — once, at the choke point all
 	// callers (CLIs, expr, cca.Engine, the sharded meta-solver's outer
 	// solve) pass through. Inner sharded sub-solves arrive with the
 	// *netmetric.Table already in place and skip the rewrap.
@@ -224,8 +224,9 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	if err != nil {
 		return nil, err
 	}
-	// The table build ran outside the algorithm's own timers; charge it
-	// to the solve's CPU time so the precompute cannot hide from the
+	// The table's sweeps run inside the algorithm's Dist calls and so
+	// inside its own timers; only the row allocation ran before them.
+	// Charge that too, so no part of the table hides from the
 	// benchmarks it is supposed to win.
 	res.Metrics.CPUTime += buildWall
 	if span != nil {
@@ -237,20 +238,24 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	return res, nil
 }
 
-// DistTableMinPairs gates the bulk precompute: below this many
+// DistTableMinPairs gates the distance table: below this many
 // provider×customer pairs the point-query path (with its warm caches)
-// wins, and the sweeps would dominate the solve. Exported so the batch
-// engine's shared-table memo applies the identical gate — an instance
-// small enough to skip the precompute here also skips the memo there.
+// wins, since a table row pays for every node it settles on the way
+// to a customer while a cached point query pays for none. Exported so
+// the batch engine's shared-table memo applies the identical gate — an
+// instance small enough to skip the table here also skips the memo
+// there.
 const DistTableMinPairs = 1 << 12
 
-// withDistTable swaps opts' metric for a provider-sourced bulk distance
-// table (netmetric.Table) when the metric is a road network, the
-// precompute is enabled (core.Options.DistTable >= 0) and the instance
-// is large enough to amortize the sweeps. Results are byte-identical
-// either way — the table returns the same canonical floats as point
-// queries — so this is purely a performance decision. Returns the wall
-// time the build consumed (0 when skipped or declined over budget).
+// withDistTable swaps opts' metric for a provider-sourced distance
+// table (netmetric.Table) when the metric is a road network, the table
+// is enabled (core.Options.DistTable >= 0) and the instance is large
+// enough to amortize the sweeps. The build only allocates the rows;
+// each row's sweep advances during the solve, as far as its queries
+// reach. Results are byte-identical either way — the table returns the
+// same canonical floats as point queries — so this is purely a
+// performance decision. Returns the wall time the build consumed (0
+// when skipped or declined over budget).
 func withDistTable(providers []core.Provider, data Dataset, opts *Options) time.Duration {
 	nm, ok := opts.Core.Metric.(*netmetric.NetworkMetric)
 	if !ok || opts.Core.DistTable < 0 || len(providers) == 0 ||

@@ -157,12 +157,21 @@ func (e *Engine) runOne(ctx context.Context, idx int, in Instance) (out Instance
 	}
 	span.SetInt("cached", 0)
 
-	// Inject the engine's shared bulk distance table, after the cache key
-	// is fixed (the key must identify the underlying network metric, not
-	// the table wrapping it). The solver registry sees a *netmetric.Table
+	// Inject the engine's shared distance table, after the cache key is
+	// fixed (the key must identify the underlying network metric, not the
+	// table wrapping it). The solver registry sees a *netmetric.Table
 	// already in place and skips its own per-solve build.
 	if t := e.sharedTable(in); t != nil {
 		in.Options.Core.Metric = t
+		if span != nil {
+			// How far the table's sweeps have run, after this solve
+			// (shared rows include what earlier solves settled).
+			defer func() {
+				settled, total := t.Settled()
+				span.SetInt("table_settled", int64(settled))
+				span.SetInt("table_nodes", int64(total))
+			}()
+		}
 	}
 
 	handle, err := in.Customers.Clone()
@@ -253,7 +262,7 @@ func (e *Engine) resultKeyFor(canonical string, in Instance) (resultKey, bool) {
 	// on purpose: it only alters wall-clock time (the sharded merge is
 	// deterministic across worker counts — pinned by the determinism
 	// suite), so instances differing only in it share a cache entry.
-	// DistTable is omitted for the same reason: the bulk distance table
+	// DistTable is omitted for the same reason: the distance table
 	// returns byte-identical values to point queries (pinned by the
 	// network-backend conformance suite), so it never changes results.
 	put64(uint64(int64(o.Core.Shards)))

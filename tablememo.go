@@ -17,7 +17,7 @@ import (
 // set, budget) triple; batches rarely carry more than a handful.
 const tableMemoSize = 32
 
-// tableKey identifies one provider-sourced bulk distance table: the
+// tableKey identifies one provider-sourced distance table: the
 // network-metric instance (pointer identity — two metrics over the same
 // grid/seed still have independent caches and must not share tables)
 // plus a digest of the provider points and the table budget.
@@ -26,28 +26,31 @@ type tableKey struct {
 	digest [32]byte
 }
 
-// tableEntry is one memoized table, built at most once. Concurrent
-// instances that race to the same key block on the first build instead
-// of sweeping the network once each.
+// tableEntry is one memoized table, built at most once; concurrent
+// instances that race to the same key block on the first build and
+// then share its rows.
 type tableEntry struct {
 	once sync.Once
 	t    *netmetric.Table
 }
 
-// sharedTable returns the memoized bulk distance table for in's
-// (metric, providers, budget), building it on first use, or nil when
-// the instance does not qualify: not a network metric, the precompute
-// disabled (DistTable < 0), or too few provider×customer pairs to
-// amortize the sweeps (the same gate the solver registry applies, so
-// memo and per-solve behavior agree).
+// sharedTable returns the memoized distance table for in's (metric,
+// providers, budget), building it on first use, or nil when the
+// instance does not qualify: not a network metric, the table disabled
+// (DistTable < 0), or too few provider×customer pairs to amortize the
+// sweeps (the same gate the solver registry applies, so memo and
+// per-solve behavior agree).
 //
 // Without the memo, a batch that repeats one provider set across
 // instances — the same workload under every solver, or one dataset
-// swept over θ — rebuilds an identical table per instance; each build
-// is |Q| full-graph sweeps. The memo makes it one build per distinct
-// table. Safe because a table is immutable once built and returns
-// byte-identical distances to point queries (pinned by the network
-// backend conformance suite), so sharing never changes results.
+// swept over θ — starts an identical table per instance, and each
+// instance re-runs the sweeps the previous one already advanced. The
+// memo makes it one table per distinct provider set, whose rows keep
+// what every instance settled. Safe because rows only ever advance,
+// each under its own lock, and a table returns byte-identical
+// distances to point queries whatever state its rows are in (pinned by
+// the network backend conformance suite and FuzzTableMatchesSSSP), so
+// sharing never changes results.
 func (e *Engine) sharedTable(in Instance) *netmetric.Table {
 	nm, ok := in.Options.Core.Metric.(*netmetric.NetworkMetric)
 	if !ok || in.Options.Core.DistTable < 0 || len(in.Providers) == 0 ||
@@ -84,8 +87,9 @@ func (e *Engine) sharedTable(in Instance) *netmetric.Table {
 	}
 	e.mu.Unlock()
 
-	// Build outside the engine lock: a sweep over a big network takes
-	// long enough that holding mu would serialize unrelated submissions.
+	// Build outside the engine lock: allocating a big network's rows
+	// takes long enough that holding mu would serialize unrelated
+	// submissions.
 	ent.once.Do(func() {
 		pts := make([]geo.Point, len(in.Providers))
 		for i := range in.Providers {
