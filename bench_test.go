@@ -26,7 +26,7 @@ const benchScale = 0.01
 // included (Figure 8: SSPA is orders of magnitude slower).
 func BenchmarkFig08(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig8(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig8(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func BenchmarkFig08(b *testing.B) {
 // BenchmarkFig09 — |Esub| and time vs capacity k (Figure 9).
 func BenchmarkFig09(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig9(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig9(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +44,7 @@ func BenchmarkFig09(b *testing.B) {
 // BenchmarkFig10 — performance vs |Q| (Figure 10).
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig10(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig10(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 — performance vs |P| (Figure 11).
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig11(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig11(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkFig11(b *testing.B) {
 // BenchmarkFig12 — mixed capacities (Figure 12).
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig12(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig12(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func BenchmarkFig12(b *testing.B) {
 // BenchmarkFig13 — distribution combinations (Figure 13).
 func BenchmarkFig13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig13(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig13(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func BenchmarkFig13(b *testing.B) {
 // BenchmarkFig14 — approximation quality/time vs δ (Figure 14).
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig14(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig14(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkFig14(b *testing.B) {
 // BenchmarkFig15 — approximation vs k (Figure 15).
 func BenchmarkFig15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig15(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig15(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func BenchmarkFig15(b *testing.B) {
 // BenchmarkFig16 — approximation vs |Q| (Figure 16).
 func BenchmarkFig16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig16(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig16(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkFig16(b *testing.B) {
 // BenchmarkFig17 — approximation vs |P| (Figure 17).
 func BenchmarkFig17(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig17(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig17(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func BenchmarkFig17(b *testing.B) {
 // BenchmarkFig18 — approximation across distributions (Figure 18).
 func BenchmarkFig18(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig18(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Fig18(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func BenchmarkFig18(b *testing.B) {
 // BenchmarkAblation — the §3.3–§3.4 optimization ablations.
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Ablation(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().Ablation(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func BenchmarkAblation(b *testing.B) {
 // BenchmarkBaselineScaling — §2.1's Hungarian/SSPA/IDA scaling claim.
 func BenchmarkBaselineScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.BaselineScaling(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().BaselineScaling(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkBaselineScaling(b *testing.B) {
 // BenchmarkIndexPolicy — STR vs quadratic vs R* index construction.
 func BenchmarkIndexPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.IndexPolicy(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().IndexPolicy(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func BenchmarkIndexPolicy(b *testing.B) {
 // BenchmarkThetaSensitivity — RIA's θ trade-off (§3.2 motivation).
 func BenchmarkThetaSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.ThetaSensitivity(benchScale, nil); err != nil {
+		if _, err := expr.NewConfig().ThetaSensitivity(benchScale, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func BenchmarkAssignIDA(b *testing.B) {
 	providers, customers := benchWorkload(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Assign(providers, customers, nil); err != nil {
+		if _, err := Solve("ida", providers, customers, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func BenchmarkAssignNIA(b *testing.B) {
 	providers, customers := benchWorkload(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AssignNIA(providers, customers, nil); err != nil {
+		if _, err := Solve("nia", providers, customers, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func BenchmarkAssignApproxCA(b *testing.B) {
 	providers, customers := benchWorkload(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AssignApproxCA(providers, customers, ApproxOptions{Delta: 10}); err != nil {
+		if _, err := Solve("ca", providers, customers, &SolverOptions{Delta: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func BenchmarkGreedyAssign(b *testing.B) {
 	providers, customers := benchWorkload(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GreedyAssign(providers, customers, nil); err != nil {
+		if _, err := Solve("greedy", providers, customers, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,11 +11,15 @@
 //
 // The package exposes:
 //
-//   - exact solvers: Assign (IDA, the paper's best), AssignRIA,
-//     AssignNIA, AssignSSPA (the classical main-memory baseline), and
-//     GreedyAssign (the spatial-matching join of the related work);
-//   - approximate solvers with theoretical error bounds:
-//     AssignApproxSA and AssignApproxCA (Theorems 3 and 4);
+//   - one solve entry point, Solve (and SolveContext), that runs any
+//     registered solver by name: the exact algorithms "ida" (the
+//     paper's best), "nia", "ria", the classical baselines "sspa" and
+//     "hungarian", the greedy spatial-matching join "greedy", and the
+//     approximate "sa" and "ca", whose results carry their Theorem 3/4
+//     error bound (Solvers lists them all);
+//   - Engine, which runs many solves concurrently through the same
+//     registry, and DynamicMatcher, which keeps a matching optimal under
+//     customer arrivals, departures and capacity resizes;
 //   - a Customers dataset type wrapping the paged, LRU-buffered R-tree,
 //     with in-memory and on-disk backends and I/O accounting under the
 //     paper's 10 ms/page-fault cost model.
@@ -24,7 +28,7 @@
 //
 //	customers, _ := cca.IndexCustomers(points)
 //	providers := []cca.Provider{{Pt: cca.Point{X: 10, Y: 20}, Cap: 3}}
-//	result, _ := cca.Assign(providers, customers, nil)
+//	result, _ := cca.Solve("ida", providers, customers, nil)
 //	for _, pair := range result.Pairs { ... }
 package cca
 
@@ -262,7 +266,8 @@ func (c *Customers) Close() error {
 
 // Validate checks a result against the problem definition: every
 // provider within capacity, every customer at most once, pair distances
-// consistent, and |M| = min(|P|, Σ q.k). It returns nil for a valid
+// consistent, the reported size equal to the number of pairs, and
+// |M| = min(|P|, Σ q.k). It returns nil for a valid
 // optimal-size matching.
 func Validate(providers []Provider, customers *Customers, res *Result) error {
 	used := make([]int, len(providers))
@@ -290,6 +295,9 @@ func Validate(providers []Provider, customers *Customers, res *Result) error {
 	}
 	if n := customers.Len(); n < gamma {
 		gamma = n
+	}
+	if res.Size != len(res.Pairs) {
+		return fmt.Errorf("cca: matching size %d, but %d pairs listed", res.Size, len(res.Pairs))
 	}
 	if res.Size != gamma {
 		return fmt.Errorf("cca: matching size %d, want γ = %d", res.Size, gamma)

@@ -30,26 +30,33 @@ func core_DefaultSpace() Rect {
 	return Rect{Min: Point{X: 0, Y: 0}, Max: Point{X: 1000, Y: 1000}}
 }
 
-// All exact entry points must agree on cost and validate.
-func TestPublicExactAgreement(t *testing.T) {
-	providers, customers := testWorkload(t, 6, 200, 10, 77)
-	ida, err := Assign(providers, customers, nil)
+// solveIDA runs the paper's best exact solver through the registry.
+func solveIDA(t *testing.T, providers []Provider, customers *Customers) *Result {
+	t.Helper()
+	res, err := Solve("ida", providers, customers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return &res.Result
+}
+
+// All exact solvers must agree on cost and validate.
+func TestPublicExactAgreement(t *testing.T) {
+	providers, customers := testWorkload(t, 6, 200, 10, 77)
+	ida := solveIDA(t, providers, customers)
 	if err := Validate(providers, customers, ida); err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func() (*Result, error){
-		"RIA":  func() (*Result, error) { return AssignRIA(providers, customers, &Options{Theta: 25}) },
-		"NIA":  func() (*Result, error) { return AssignNIA(providers, customers, nil) },
-		"SSPA": func() (*Result, error) { return AssignSSPA(providers, customers, nil) },
+	for name, opts := range map[string]*SolverOptions{
+		"ria":  {Core: Options{Theta: 25}},
+		"nia":  nil,
+		"sspa": nil,
 	} {
-		res, err := run()
+		res, err := Solve(name, providers, customers, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := Validate(providers, customers, res); err != nil {
+		if err := Validate(providers, customers, &res.Result); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if math.Abs(res.Cost-ida.Cost) > 1e-6*(1+ida.Cost) {
@@ -61,15 +68,12 @@ func TestPublicExactAgreement(t *testing.T) {
 // Greedy is valid but never better than optimal.
 func TestPublicGreedy(t *testing.T) {
 	providers, customers := testWorkload(t, 5, 150, 10, 33)
-	opt, err := Assign(providers, customers, nil)
+	opt := solveIDA(t, providers, customers)
+	greedy, err := Solve("greedy", providers, customers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := GreedyAssign(providers, customers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(providers, customers, greedy); err != nil {
+	if err := Validate(providers, customers, &greedy.Result); err != nil {
 		t.Fatal(err)
 	}
 	if greedy.Cost < opt.Cost-1e-6 {
@@ -80,24 +84,28 @@ func TestPublicGreedy(t *testing.T) {
 // Approximations respect their bounds through the public API.
 func TestPublicApprox(t *testing.T) {
 	providers, customers := testWorkload(t, 6, 250, 10, 55)
-	opt, err := Assign(providers, customers, nil)
+	opt := solveIDA(t, providers, customers)
+	sa, err := Solve("sa", providers, customers, &SolverOptions{Delta: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := AssignApproxSA(providers, customers, ApproxOptions{Delta: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, err := AssignApproxCA(providers, customers, ApproxOptions{Delta: 10})
+	ca, err := Solve("ca", providers, customers, &SolverOptions{Delta: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gamma := opt.Size
-	if sa.Cost > opt.Cost+SAErrorBound(gamma, 40)+1e-6 {
-		t.Fatalf("SA violates Theorem 3: err %v > %v", sa.Cost-opt.Cost, SAErrorBound(gamma, 40))
+	// Theorem 3: SA errs by at most 2·γ·δ; Theorem 4: CA by at most γ·δ.
+	if want := 2 * float64(gamma) * 40; sa.ErrorBound != want {
+		t.Fatalf("SA error bound %v, want 2·γ·δ = %v", sa.ErrorBound, want)
 	}
-	if ca.Cost > opt.Cost+CAErrorBound(gamma, 10)+1e-6 {
-		t.Fatalf("CA violates Theorem 4: err %v > %v", ca.Cost-opt.Cost, CAErrorBound(gamma, 10))
+	if want := float64(gamma) * 10; ca.ErrorBound != want {
+		t.Fatalf("CA error bound %v, want γ·δ = %v", ca.ErrorBound, want)
+	}
+	if sa.Cost > opt.Cost+sa.ErrorBound+1e-6 {
+		t.Fatalf("SA violates Theorem 3: err %v > %v", sa.Cost-opt.Cost, sa.ErrorBound)
+	}
+	if ca.Cost > opt.Cost+ca.ErrorBound+1e-6 {
+		t.Fatalf("CA violates Theorem 4: err %v > %v", ca.Cost-opt.Cost, ca.ErrorBound)
 	}
 	if sa.Size != gamma || ca.Size != gamma {
 		t.Fatalf("approximate matchings not full size: SA %d CA %d want %d", sa.Size, ca.Size, gamma)
@@ -120,10 +128,7 @@ func TestPublicDiskBackedRoundTrip(t *testing.T) {
 		{Pt: Point{X: 250, Y: 250}, Cap: 40},
 		{Pt: Point{X: 750, Y: 750}, Cap: 40},
 	}
-	res1, err := Assign(providers, customers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res1 := solveIDA(t, providers, customers)
 	if err := customers.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +141,7 @@ func TestPublicDiskBackedRoundTrip(t *testing.T) {
 	if reopened.Len() != 3000 {
 		t.Fatalf("reopened Len = %d", reopened.Len())
 	}
-	res2, err := Assign(providers, reopened, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := solveIDA(t, providers, reopened)
 	if math.Abs(res1.Cost-res2.Cost) > 1e-9 {
 		t.Fatalf("cost changed across reopen: %v vs %v", res1.Cost, res2.Cost)
 	}
@@ -151,10 +153,7 @@ func TestPublicDiskBackedRoundTrip(t *testing.T) {
 // Validate must reject broken matchings.
 func TestValidateRejects(t *testing.T) {
 	providers, customers := testWorkload(t, 3, 50, 5, 21)
-	res, err := Assign(providers, customers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveIDA(t, providers, customers)
 	good := *res
 	if err := Validate(providers, customers, &good); err != nil {
 		t.Fatal(err)
@@ -174,6 +173,15 @@ func TestValidateRejects(t *testing.T) {
 		t.Fatal("undersized matching not rejected")
 	}
 
+	// A result that claims γ while listing fewer pairs, with its cost
+	// restated to match the pairs it does list.
+	missing := *res
+	missing.Pairs = res.Pairs[:len(res.Pairs)-1]
+	missing.Cost -= res.Pairs[len(res.Pairs)-1].Dist
+	if err := Validate(providers, customers, &missing); err == nil {
+		t.Fatal("size inconsistent with the listed pairs not rejected")
+	}
+
 	badCost := *res
 	badCost.Cost += 5
 	if err := Validate(providers, customers, &badCost); err == nil {
@@ -186,9 +194,7 @@ func TestPublicIOAccounting(t *testing.T) {
 	providers, customers := testWorkload(t, 4, 2000, 20, 13)
 	customers.DropCache()
 	customers.ResetIOStats()
-	if _, err := Assign(providers, customers, nil); err != nil {
-		t.Fatal(err)
-	}
+	solveIDA(t, providers, customers)
 	st := customers.IOStats()
 	if st.Faults == 0 {
 		t.Fatal("expected faults on cold cache")
@@ -205,18 +211,15 @@ func TestPublicIOAccounting(t *testing.T) {
 // The Hungarian baseline must agree with IDA through the public API.
 func TestPublicHungarian(t *testing.T) {
 	providers, customers := testWorkload(t, 3, 40, 5, 91)
-	ida, err := Assign(providers, customers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hung, err := AssignHungarian(providers, customers, nil)
+	ida := solveIDA(t, providers, customers)
+	hung, err := Solve("hungarian", providers, customers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(hung.Cost-ida.Cost) > 1e-6*(1+ida.Cost) {
 		t.Fatalf("Hungarian cost %v != IDA cost %v", hung.Cost, ida.Cost)
 	}
-	if err := Validate(providers, customers, hung); err != nil {
+	if err := Validate(providers, customers, &hung.Result); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -242,10 +245,7 @@ func TestPublicDynamicMatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer customers.Close()
-	batch, err := Assign(providers, customers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := solveIDA(t, providers, customers)
 	if math.Abs(m.Cost()-batch.Cost) > 1e-6*(1+batch.Cost) {
 		t.Fatalf("dynamic cost %v != batch cost %v", m.Cost(), batch.Cost)
 	}
@@ -332,12 +332,12 @@ func TestConcurrentIndependentSolvers(t *testing.T) {
 				{Pt: Point{X: 250, Y: 250}, Cap: 30},
 				{Pt: Point{X: 750, Y: 750}, Cap: 30},
 			}
-			res, err := Assign(providers, customers, nil)
+			res, err := Solve("ida", providers, customers, nil)
 			if err != nil {
 				done <- err
 				return
 			}
-			done <- Validate(providers, customers, res)
+			done <- Validate(providers, customers, &res.Result)
 		}(int64(g))
 	}
 	for g := 0; g < 4; g++ {

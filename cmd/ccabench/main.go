@@ -19,12 +19,13 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/geo/netmetric"
+	"repro/internal/sched"
 	"repro/internal/solver"
 )
 
@@ -32,7 +33,7 @@ func main() {
 	fig := flag.String("fig", "all", `figure to regenerate: 8..18, "ablation", "theta", "baselines", "index", "shard", "net", "churn", or "all"`)
 	scale := flag.Float64("scale", 0.05, "cardinality scale factor (1.0 = paper size)")
 	algos := flag.String("algos", "", "comma-separated solver names swept by the exact figures\n(default "+
-		strings.Join(expr.ExactAlgos(), ",")+"; registered: "+strings.Join(solver.Names(), ",")+")")
+		strings.Join(expr.NewConfig().ExactAlgos, ",")+"; registered: "+strings.Join(solver.Names(), ",")+")")
 	metric := flag.String("metric", "euclidean", `distance backend: "euclidean" (the paper's setting) or
 "network" (shortest-path distance on the generated road network)`)
 	stream := flag.Int("stream", 1, `scheduler workers for the figure sweeps: 1 (default) runs
@@ -70,53 +71,39 @@ figure tables (-fig is ignored)`)
 		return
 	}
 
-	if err := expr.SetMetric(*metric); err != nil {
+	cfg := expr.NewConfig()
+	cfg.Shards = *shards
+	cfg.Landmarks = *landmarks
+	var err error
+	if cfg.Metric, err = expr.ParseMetric(*metric); err != nil {
 		fmt.Fprintf(os.Stderr, "ccabench: %v\n", err)
 		os.Exit(2)
 	}
-	expr.SetShards(*shards)
-	expr.SetLandmarks(*landmarks)
-	switch strings.ToLower(*table) {
-	case "", "auto":
-	case "off":
-		expr.SetDistTable(-1)
-	default:
-		budget, err := strconv.Atoi(*table)
-		if err != nil || budget < 1 {
-			fmt.Fprintf(os.Stderr, "ccabench: -table must be auto, off, or a positive cell budget (got %q)\n", *table)
-			os.Exit(2)
-		}
-		expr.SetDistTable(budget)
-	}
-	switch strings.ToLower(*ch) {
-	case "", "auto":
-	case "off":
-		expr.SetCH(0)
-	case "on":
-		expr.SetCH(1)
-	default:
-		fmt.Fprintf(os.Stderr, "ccabench: -ch must be auto, off, or on (got %q)\n", *ch)
+	if cfg.DistTable, err = core.ParseDistTable(*table); err != nil {
+		fmt.Fprintf(os.Stderr, "ccabench: -table %v\n", err)
 		os.Exit(2)
 	}
-
-	streaming := false
-	if *stream == 0 {
-		*stream = runtime.GOMAXPROCS(0)
+	if cfg.CH, err = netmetric.ParseCHMode(*ch); err != nil {
+		fmt.Fprintf(os.Stderr, "ccabench: -ch %v\n", err)
+		os.Exit(2)
 	}
-	if *stream > 1 {
-		expr.SetStreamWorkers(*stream)
-		streaming = true
-	}
-
 	if *algos != "" {
 		names := strings.Split(*algos, ",")
 		for i := range names {
 			names[i] = strings.TrimSpace(names[i])
+			if _, err := solver.Get(names[i]); err != nil {
+				fmt.Fprintf(os.Stderr, "ccabench: %v\n", err)
+				os.Exit(2)
+			}
 		}
-		if err := expr.SetExactAlgos(names); err != nil {
-			fmt.Fprintf(os.Stderr, "ccabench: %v\n", err)
-			os.Exit(2)
-		}
+		cfg.ExactAlgos = names
+	}
+	if *stream == 0 {
+		*stream = runtime.GOMAXPROCS(0)
+	}
+	if *stream > 1 {
+		cfg.Pool = sched.New(sched.Config{Workers: *stream})
+		defer cfg.Pool.Close()
 	}
 
 	trajectory := map[string][]expr.Row{}
@@ -130,23 +117,23 @@ figure tables (-fig is ignored)`)
 		}
 	}
 	runners := map[string]func(float64) error{
-		"8":         wrap("8", expr.Fig8),
-		"9":         wrap("9", expr.Fig9),
-		"10":        wrap("10", expr.Fig10),
-		"11":        wrap("11", expr.Fig11),
-		"12":        wrap("12", expr.Fig12),
-		"13":        wrap("13", expr.Fig13),
-		"14":        wrap("14", expr.Fig14),
-		"15":        wrap("15", expr.Fig15),
-		"16":        wrap("16", expr.Fig16),
-		"17":        wrap("17", expr.Fig17),
-		"18":        wrap("18", expr.Fig18),
-		"ablation":  wrap("ablation", expr.Ablation),
-		"theta":     wrap("theta", expr.ThetaSensitivity),
-		"baselines": wrap("baselines", expr.BaselineScaling),
-		"index":     wrap("index", expr.IndexPolicy),
-		"shard":     wrap("shard", expr.ShardScaling),
-		"net":       wrap("net", expr.NetBackends),
+		"8":         wrap("8", cfg.Fig8),
+		"9":         wrap("9", cfg.Fig9),
+		"10":        wrap("10", cfg.Fig10),
+		"11":        wrap("11", cfg.Fig11),
+		"12":        wrap("12", cfg.Fig12),
+		"13":        wrap("13", cfg.Fig13),
+		"14":        wrap("14", cfg.Fig14),
+		"15":        wrap("15", cfg.Fig15),
+		"16":        wrap("16", cfg.Fig16),
+		"17":        wrap("17", cfg.Fig17),
+		"18":        wrap("18", cfg.Fig18),
+		"ablation":  wrap("ablation", cfg.Ablation),
+		"theta":     wrap("theta", cfg.ThetaSensitivity),
+		"baselines": wrap("baselines", cfg.BaselineScaling),
+		"index":     wrap("index", cfg.IndexPolicy),
+		"shard":     wrap("shard", cfg.ShardScaling),
+		"net":       wrap("net", cfg.NetBackends),
 		"churn":     wrap("churn", expr.ChurnDrift),
 	}
 	order := []string{"8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "ablation", "theta", "baselines", "index", "shard", "net", "churn"}
@@ -171,8 +158,8 @@ figure tables (-fig is ignored)`)
 		fmt.Printf("[figure %s done in %v]\n", f, time.Since(start).Round(time.Millisecond))
 	}
 
-	if streaming {
-		m := expr.StreamMetrics()
+	if cfg.Pool != nil {
+		m := cfg.Pool.Metrics()
 		fmt.Printf("\nscheduler: %d workers, %d points, Σ queue wait %v (max %v)\n",
 			m.Workers, m.Completed, m.QueueWait.Round(time.Millisecond), m.MaxQueueWait.Round(time.Millisecond))
 		for i, w := range m.PerWorker {
@@ -182,7 +169,7 @@ figure tables (-fig is ignored)`)
 	}
 
 	if *jsonOut != "" {
-		if err := writeTrajectory(*jsonOut, *scale, *shards, trajectory); err != nil {
+		if err := writeTrajectory(*jsonOut, *scale, cfg, trajectory); err != nil {
 			fmt.Fprintf(os.Stderr, "ccabench: %v\n", err)
 			os.Exit(1)
 		}
@@ -207,12 +194,12 @@ type trajectoryRun struct {
 // file holding a single run object (the format before trajectories
 // appended) is absorbed as the array's first element rather than
 // overwritten, so old baselines keep their history.
-func writeTrajectory(path string, scale float64, shards int, figures map[string][]expr.Row) error {
+func writeTrajectory(path string, scale float64, cfg expr.Config, figures map[string][]expr.Row) error {
 	doc := trajectoryRun{
 		Unix:    time.Now().Unix(),
 		Scale:   scale,
-		Metric:  expr.MetricName(),
-		Shards:  shards,
+		Metric:  cfg.Metric,
+		Shards:  cfg.Shards,
 		Workers: runtime.GOMAXPROCS(0),
 		Figures: figures,
 	}

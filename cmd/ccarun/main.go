@@ -17,11 +17,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	cca "repro"
+	"repro/internal/core"
 	"repro/internal/dataio"
 	"repro/internal/expr"
 	"repro/internal/geo/netmetric"
@@ -93,28 +93,16 @@ units (0 = 5% of the space diagonal); wider = closer to exact, slower`)
 		// shortest-path travel distances over it.
 		netMetric = cca.RoadNetworkMetric(*netGrid, expr.Space, *netSeed).(*netmetric.NetworkMetric)
 		netMetric.SetLandmarks(*landmarks)
-		switch strings.ToLower(*ch) {
-		case "", "auto":
-		case "off":
-			netMetric.SetCH(0)
-		case "on":
-			netMetric.SetCH(1)
-		default:
-			fmt.Fprintf(os.Stderr, "ccarun: -ch must be auto, off, or on (got %q)\n", *ch)
+		chMode, err := netmetric.ParseCHMode(*ch)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ccarun: -ch %v\n", err)
 			os.Exit(2)
 		}
+		netMetric.SetCH(chMode)
 		opts.Core.Metric = netMetric
-		switch strings.ToLower(*distTable) {
-		case "", "auto":
-		case "off":
-			opts.Core.DistTable = -1
-		default:
-			budget, err := strconv.Atoi(*distTable)
-			if err != nil || budget < 1 {
-				fmt.Fprintf(os.Stderr, "ccarun: -disttable must be auto, off, or a positive cell budget (got %q)\n", *distTable)
-				os.Exit(2)
-			}
-			opts.Core.DistTable = budget
+		if opts.Core.DistTable, err = core.ParseDistTable(*distTable); err != nil {
+			fmt.Fprintf(os.Stderr, "ccarun: -disttable %v\n", err)
+			os.Exit(2)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "ccarun: unknown metric %q (available: euclidean, network)\n", *metric)

@@ -1,9 +1,6 @@
 package cca
 
-import (
-	"repro/internal/core"
-	"repro/internal/geo"
-)
+import "repro/internal/core"
 
 // Sentinel errors of the dynamic event API, for errors.Is branching.
 // The ccad session endpoints map them to HTTP 409 and 404.
@@ -19,25 +16,7 @@ var (
 // DynamicOptions configures a DynamicMatcher beyond the zero-value
 // behavior (Euclidean metric, unlimited re-optimization, no periodic
 // oracle).
-type DynamicOptions struct {
-	// Metric is the distance backend (nil selects Euclidean).
-	Metric Metric
-	// ReoptBudget bounds the repair work amortized per event: after an
-	// event's mandatory fix-ups — the arrival's own augmenting path or
-	// swap, a departure's capacity release, a resize's evictions, and
-	// the augmentations that keep the matching maximum — at most this
-	// many negative residual cycles are canceled before the event
-	// returns; remaining debt carries to later events. 0 means
-	// unlimited: every event leaves a minimum-cost maximum matching.
-	// The matching stays feasible and maximum under any budget; only
-	// cost optimality drifts, which Stats tracks.
-	ReoptBudget int
-	// OracleEvery, when positive, re-solves the live instance from
-	// scratch every n events and records the cost drift in Stats. The
-	// oracle is a Bellman–Ford full solve — a measurement tool, not a
-	// production setting.
-	OracleEvery int
-}
+type DynamicOptions = core.DynamicOptions
 
 // ChurnStats counts a matcher's event history and the quality drift
 // its re-optimization budget allowed.
@@ -53,80 +32,19 @@ type ChurnStats = core.ChurnStats
 // drifts within the repair debt the budget deferred.
 //
 // It holds the bipartite graph in memory and is meant for online,
-// moderate-|Q| workloads; use Assign for the disk-resident batch
+// moderate-|Q| workloads; use Solve for the disk-resident batch
 // setting.
-type DynamicMatcher struct {
-	m *core.DynamicMatcher
-}
+type DynamicMatcher = core.DynamicMatcher
 
 // NewDynamicMatcher starts an empty matching over the given providers
 // with default options (Euclidean, unlimited re-optimization).
 func NewDynamicMatcher(providers []Provider) *DynamicMatcher {
-	return NewDynamicMatcherOpts(providers, DynamicOptions{})
+	return core.NewDynamicMatcher(providers)
 }
 
 // NewDynamicMatcherOpts starts an empty matching with explicit
 // options. The provider slice is copied: ResizeProvider mutates the
 // matcher's view, never the caller's.
 func NewDynamicMatcherOpts(providers []Provider, opts DynamicOptions) *DynamicMatcher {
-	return &DynamicMatcher{m: core.NewDynamicMatcherOpts(providers, core.DynamicOptions{
-		Metric:      opts.Metric,
-		ReoptBudget: opts.ReoptBudget,
-		OracleEvery: opts.OracleEvery,
-	})}
+	return core.NewDynamicMatcherOpts(providers, opts)
 }
-
-// Arrive adds a customer and restores optimality. It reports whether
-// the customer is matched right now (later events may re-route or
-// evict it). Ids must be unique across the session; re-arriving a
-// departed id is ErrDuplicateID.
-func (d *DynamicMatcher) Arrive(pt Point, id int64) (bool, error) {
-	return d.m.Arrive(geo.Point{X: pt.X, Y: pt.Y}, id)
-}
-
-// Depart removes a previously arrived customer, releasing any provider
-// capacity it held, and repairs the matching. It returns whether the
-// customer was matched at the moment it left. Departing an id that is
-// not currently present is ErrUnknownID.
-func (d *DynamicMatcher) Depart(id int64) (bool, error) {
-	return d.m.Depart(id)
-}
-
-// ResizeProvider changes provider i's capacity. Shrinking below the
-// provider's current usage evicts its costliest assignments (the
-// evicted customers stay in the pool and are re-routed by the repair);
-// growing opens augmenting opportunities for waiting customers. An
-// index out of range is ErrUnknownID.
-func (d *DynamicMatcher) ResizeProvider(i, newCap int) error {
-	return d.m.ResizeProvider(i, newCap)
-}
-
-// Stats returns the event and repair counters accumulated so far.
-func (d *DynamicMatcher) Stats() ChurnStats { return d.m.Stats() }
-
-// Exact reports whether the current matching is known minimum-cost
-// (no repair debt outstanding from budgeted events).
-func (d *DynamicMatcher) Exact() bool { return d.m.Exact() }
-
-// Live returns the number of customers currently present.
-func (d *DynamicMatcher) Live() int { return d.m.Live() }
-
-// Capacity returns the current total provider capacity.
-func (d *DynamicMatcher) Capacity() int { return d.m.Capacity() }
-
-// ProviderCap returns provider i's current capacity (after resizes).
-func (d *DynamicMatcher) ProviderCap(i int) int { return d.m.ProviderCap(i) }
-
-// OracleDrift re-solves the live instance from scratch and returns the
-// relative cost drift of the incremental matching, recording it in
-// Stats. Zero (to float noise) whenever Exact.
-func (d *DynamicMatcher) OracleDrift() float64 { return d.m.OracleDrift() }
-
-// Matching returns the current matching.
-func (d *DynamicMatcher) Matching() *Result { return d.m.Matching() }
-
-// Size returns the current matching size.
-func (d *DynamicMatcher) Size() int { return d.m.Size() }
-
-// Cost returns the current Ψ(M).
-func (d *DynamicMatcher) Cost() float64 { return d.m.Cost() }

@@ -28,7 +28,7 @@ func Example() {
 		{Pt: cca.Point{X: 10, Y: 0}, Cap: 3}, // has room to help
 	}
 
-	result, err := cca.Assign(providers, customers, nil)
+	result, err := cca.Solve("ida", providers, customers, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,9 +42,9 @@ func Example() {
 	// matched 5 customers, load [2 3], total distance 22.06
 }
 
-// ExampleAssignApproxCA shows the accuracy/time trade-off of the CA
+// ExampleSolve_approximate shows the accuracy/time trade-off of the CA
 // approximation: the error is bounded by γ·δ (Theorem 4).
-func ExampleAssignApproxCA() {
+func ExampleSolve_approximate() {
 	pts := make([]cca.Point, 0, 100)
 	for i := 0; i < 100; i++ {
 		pts = append(pts, cca.Point{X: float64(i % 10), Y: float64(i / 10)})
@@ -58,7 +58,7 @@ func ExampleAssignApproxCA() {
 		{Pt: cca.Point{X: 0, Y: 0}, Cap: 50},
 		{Pt: cca.Point{X: 9, Y: 9}, Cap: 50},
 	}
-	res, err := cca.AssignApproxCA(providers, customers, cca.ApproxOptions{Delta: 2})
+	res, err := cca.Solve("ca", providers, customers, &cca.SolverOptions{Delta: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func main() {
 
 	registry.ResetIOStats()
 	start := time.Now()
-	res, err := cca.Assign(clinics, registry, nil)
+	res, err := cca.Solve("ida", clinics, registry, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

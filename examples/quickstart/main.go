@@ -36,7 +36,7 @@ func main() {
 	}
 
 	// Exact optimal assignment (IDA under the hood).
-	result, err := cca.Assign(kiosks, customers, nil)
+	result, err := cca.Solve("ida", kiosks, customers, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// Sanity: the library can check the matching for you.
-	if err := cca.Validate(kiosks, customers, result); err != nil {
+	if err := cca.Validate(kiosks, customers, &result.Result); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nmatching validated: capacities respected, size = min(|P|, Σk)")

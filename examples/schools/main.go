@@ -42,7 +42,7 @@ func main() {
 
 	// Approximate assignment first: CA with the paper's tuned δ=10.
 	caStart := time.Now()
-	approxRes, err := cca.AssignApproxCA(schools, customers, cca.ApproxOptions{Delta: 10})
+	approxRes, err := cca.Solve("ca", schools, customers, &cca.SolverOptions{Delta: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func main() {
 
 	// Exact assignment for comparison.
 	exactStart := time.Now()
-	exact, err := cca.Assign(schools, customers, nil)
+	exact, err := cca.Solve("ida", schools, customers, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

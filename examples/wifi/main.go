@@ -44,14 +44,14 @@ func main() {
 	}
 
 	greedyStart := time.Now()
-	greedy, err := cca.GreedyAssign(aps, customers, nil)
+	greedy, err := cca.Solve("greedy", aps, customers, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	greedyTime := time.Since(greedyStart)
 
 	optStart := time.Now()
-	optimal, err := cca.Assign(aps, customers, nil)
+	optimal, err := cca.Solve("ida", aps, customers, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("APs over capacity under CCA: %d (guaranteed 0)\n", over)
 }
 
-func worst(r *cca.Result) float64 {
+func worst(r *cca.SolverResult) float64 {
 	w := 0.0
 	for _, p := range r.Pairs {
 		if p.Dist > w {

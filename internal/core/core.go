@@ -24,6 +24,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/flowgraph"
@@ -146,6 +149,23 @@ type Options struct {
 	// customCaps records whether the caller provided CustomerCap, so
 	// γ computation can skip the full scan for unit capacities.
 	customCaps bool
+}
+
+// ParseDistTable maps a command-line value to an Options.DistTable
+// setting: "auto" (or empty) is 0, "off" is -1, and a positive integer
+// is a memory budget in float64 cells.
+func ParseDistTable(s string) (int, error) {
+	switch strings.ToLower(s) {
+	case "", "auto":
+		return 0, nil
+	case "off":
+		return -1, nil
+	}
+	budget, err := strconv.Atoi(s)
+	if err != nil || budget < 1 {
+		return 0, fmt.Errorf("must be auto, off, or a positive cell budget (got %q)", s)
+	}
+	return budget, nil
 }
 
 // cancelled reports the context's error, if a context was supplied.

@@ -19,13 +19,13 @@ import (
 // Expected shape: every optimization reduces CPU time (T2, PUA) or I/O
 // (ANN) without changing the matching cost; SM is fast but measurably
 // more expensive in Ψ(M).
-func Ablation(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Ablation(s float64, out io.Writer) ([]Row, error) {
 	p := Default(s)
-	w, err := Build(p)
+	w, err := c.Build(p)
 	if err != nil {
 		return nil, err
 	}
-	base := coreOptions(p)
+	base := c.coreOptions(p)
 	configs := []struct {
 		label string
 		algo  string
@@ -46,7 +46,7 @@ func Ablation(s float64, out io.Writer) ([]Row, error) {
 	}
 	// One scheduled point: the configs share a single workload, so they
 	// must stay sequential on its buffer.
-	rows, err := runPoints(1, func(int) ([]Row, error) {
+	rows, err := c.runPoints(1, func(int) ([]Row, error) {
 		var rows []Row
 		for _, cfg := range configs {
 			row, err := runExact(cfg.algo, w, cfg.opts)
@@ -75,17 +75,17 @@ func with(o core.Options, f func(*core.Options)) core.Options {
 // ThetaSensitivity measures RIA's sensitivity to its θ parameter (§3.2
 // motivates NIA by how hard θ is to tune): small θ multiplies range
 // searches (I/O), large θ bloats Esub (CPU).
-func ThetaSensitivity(s float64, out io.Writer) ([]Row, error) {
+func (c Config) ThetaSensitivity(s float64, out io.Writer) ([]Row, error) {
 	p := Default(s)
-	w, err := Build(p)
+	w, err := c.Build(p)
 	if err != nil {
 		return nil, err
 	}
 	// One scheduled point: the θ settings share the workload's buffer.
-	rows, err := runPoints(1, func(int) ([]Row, error) {
+	rows, err := c.runPoints(1, func(int) ([]Row, error) {
 		var rows []Row
 		for _, theta := range []float64{0.2, 0.8, 3.2, 12.8, 51.2} {
-			opts := coreOptions(p)
+			opts := c.coreOptions(p)
 			opts.Theta = theta
 			row, err := runExact("RIA", w, opts)
 			if err != nil {

@@ -17,7 +17,7 @@ import (
 // Θ(n³) blows up first, SSPA's Θ(γ·|Q|·|P|) second, while IDA stays
 // comfortably ahead; eventually Hungarian refuses outright (matrix too
 // large), which is reported as a table note.
-func BaselineScaling(s float64, out io.Writer) ([]Row, error) {
+func (c Config) BaselineScaling(s float64, out io.Writer) ([]Row, error) {
 	sizes := []struct {
 		nq, np, k int
 	}{
@@ -26,18 +26,18 @@ func BaselineScaling(s float64, out io.Writer) ([]Row, error) {
 		{20, 4000, 16},
 		{40, 16000, 32},
 	}
-	rows, err := runPoints(len(sizes), func(i int) ([]Row, error) {
+	rows, err := c.runPoints(len(sizes), func(i int) ([]Row, error) {
 		p := Default(s)
 		p.NQ = max(1, int(float64(sizes[i].nq)*s*20)) // s=0.05 → the sizes above
 		p.NP = max(2, int(float64(sizes[i].np)*s*20))
 		p.K = sizes[i].k
-		w, err := Build(p)
+		w, err := c.Build(p)
 		if err != nil {
 			return nil, err
 		}
 		label := fmt.Sprintf("|Q|=%d,|P|=%d", p.NQ, p.NP)
 
-		hungRow, err := runExact("hungarian", w, coreOptions(p))
+		hungRow, err := runExact("hungarian", w, c.coreOptions(p))
 		if err != nil {
 			// The §2.1 blow-up: report as an unavailable point.
 			hungRow = Row{Algo: "Hungarian(refused)"}
@@ -47,14 +47,14 @@ func BaselineScaling(s float64, out io.Writer) ([]Row, error) {
 		hungRow.Label = label
 		rows := []Row{hungRow}
 
-		sspaRow, err := runExact("SSPA", w, coreOptions(p))
+		sspaRow, err := runExact("SSPA", w, c.coreOptions(p))
 		if err != nil {
 			return nil, err
 		}
 		sspaRow.Label = label
 		rows = append(rows, sspaRow)
 
-		idaRow, err := runExact("IDA", w, coreOptions(p))
+		idaRow, err := runExact("IDA", w, c.coreOptions(p))
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func BaselineScaling(s float64, out io.Writer) ([]Row, error) {
 // [2]. Expected shape: STR (packed, square MBRs) needs the least I/O;
 // R* beats quadratic on clustered data; the matching cost is identical
 // under all three (the index changes access paths, not the optimum).
-func IndexPolicy(s float64, out io.Writer) ([]Row, error) {
+func (c Config) IndexPolicy(s float64, out io.Writer) ([]Row, error) {
 	p := Default(s)
 	net := datagen.NewNetwork(32, Space, p.Seed)
 	qpts := net.Points(datagen.Config{N: p.NQ, Dist: p.DistQ, Seed: p.Seed + 1})
@@ -125,13 +125,13 @@ func IndexPolicy(s float64, out io.Writer) ([]Row, error) {
 	}
 
 	kinds := []string{"STR", "quadratic", "R*"}
-	rows, err := runPoints(len(kinds), func(i int) ([]Row, error) {
+	rows, err := c.runPoints(len(kinds), func(i int) ([]Row, error) {
 		tree, buf, err := build(kinds[i])
 		if err != nil {
 			return nil, err
 		}
 		w := &Workload{Providers: providers, Tree: tree, Buffer: buf, Items: items}
-		row, err := runExact("IDA", w, coreOptions(p))
+		row, err := runExact("IDA", w, c.coreOptions(p))
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,8 @@ import (
 // All three baselines must agree on the optimal cost at every size, and
 // Hungarian's CPU must grow faster than IDA's.
 func TestBaselineScalingAgreement(t *testing.T) {
-	rows, err := BaselineScaling(testScale, nil)
+	t.Parallel()
+	rows, err := NewConfig().BaselineScaling(testScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,8 @@ func TestBaselineScalingAgreement(t *testing.T) {
 // The three index construction policies must not change the matching
 // cost; STR (packed) must not lose to the dynamic builds on I/O.
 func TestIndexPolicyInvariants(t *testing.T) {
-	rows, err := IndexPolicy(testScale, nil)
+	t.Parallel()
+	rows, err := NewConfig().IndexPolicy(testScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

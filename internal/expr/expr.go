@@ -28,6 +28,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/geo/netmetric"
 	"repro/internal/rtree"
+	"repro/internal/sched"
 	"repro/internal/solver"
 	"repro/internal/storage"
 )
@@ -35,55 +36,67 @@ import (
 // Space is the normalized data space of §5.1.
 var Space = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 
-// metricName selects the distance backend every Build attaches to its
-// workload: "euclidean" (the paper's setting, default) or "network"
-// (shortest-path distance over the same road network the points are
-// generated on). ccabench's -metric flag sets it.
-var metricName = geo.Euclidean.Name()
-
-// SetMetric selects the distance backend by name.
-func SetMetric(name string) error {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", geo.Euclidean.Name():
-		metricName = geo.Euclidean.Name()
-	case netmetric.Name:
-		metricName = netmetric.Name
-	default:
-		return fmt.Errorf("expr: unknown metric %q (available: %s, %s)",
-			name, geo.Euclidean.Name(), netmetric.Name)
-	}
-	return nil
+// Config is one harness configuration: the distance backend every
+// workload is built for, the network-metric tuning, the options
+// threaded into every sweep, the solvers the exact figures compare and
+// the scheduler the figure points run on. Figures only read it, so
+// several configurations can sweep concurrently in one process.
+// NewConfig returns the defaults.
+type Config struct {
+	// Metric names the distance backend every Build attaches to its
+	// workload: "euclidean" (the paper's setting) or "network"
+	// (shortest-path distance over the same road network the points are
+	// generated on). Case-insensitive; see ParseMetric.
+	Metric string
+	// Landmarks is the landmark count of network workloads: -1 =
+	// automatic by network size, 0 = none (a Euclidean NN-refinement
+	// bound), positive = explicit count. Purely a performance knob —
+	// distances are byte-identical either way.
+	Landmarks int
+	// CH is the contraction-hierarchy mode of network workloads, in
+	// NetworkMetric.SetCH's encoding: -1 = automatic by network size,
+	// 0 = off, 1 = on. Also purely a performance knob.
+	CH int
+	// DistTable is threaded into every sweep's core.Options.DistTable
+	// (0 auto, -1 off, positive = budget in float64 cells).
+	DistTable int
+	// Shards is the region count threaded into every sweep's options
+	// (0 = the shard layer's data-derived automatic count). It only
+	// matters for sharded:* solvers named in ExactAlgos.
+	Shards int
+	// ExactAlgos are the registry solver names Figures 9–13 compare.
+	ExactAlgos []string
+	// Pool runs the figure points (see runPoints). Nil gives each
+	// figure a one-worker pool of its own: the sequential sweep, with
+	// CPU timings that parallel points would perturb.
+	Pool *sched.Pool
 }
 
-// MetricName returns the selected distance backend's name.
-func MetricName() string { return metricName }
+// NewConfig returns the default configuration: the Euclidean metric,
+// automatic landmarks, hierarchy, table and shard count, RIA/NIA/IDA
+// in the exact figures, and one worker.
+func NewConfig() Config {
+	return Config{
+		Metric:     geo.Euclidean.Name(),
+		Landmarks:  -1,
+		CH:         -1,
+		ExactAlgos: []string{"RIA", "NIA", "IDA"},
+	}
+}
 
-// netLandmarks carries ccabench's -landmarks flag into every network
-// workload: -1 = the package default, 0 = no landmarks (a Euclidean
-// NN-refinement bound), positive = explicit count. Purely a
-// performance knob — distances are byte-identical either way.
-var netLandmarks = -1
-
-// netDistTable carries ccabench's -table flag into every sweep's
-// options (core.Options.DistTable encoding: 0 auto, -1 off, positive =
-// budget in float64 cells).
-var netDistTable = 0
-
-// SetLandmarks sets the lower-bound landmark count for network workloads.
-func SetLandmarks(k int) { netLandmarks = k }
-
-// netCH carries ccabench's -ch flag into every network workload:
-// -1 = automatic by network size (the package default), 0 = hierarchy
-// disabled, 1 = forced on. Purely a performance knob — distances are
-// byte-identical either way.
-var netCH = -1
-
-// SetCH sets the contraction-hierarchy mode for network workloads.
-func SetCH(v int) { netCH = v }
-
-// SetDistTable sets the bulk distance-table gate threaded into every
-// sweep's options.
-func SetDistTable(v int) { netDistTable = v }
+// ParseMetric returns the canonical name of a distance backend
+// ("euclidean" or "network"), matched case-insensitively; empty
+// selects Euclidean.
+func ParseMetric(name string) (string, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", geo.Euclidean.Name():
+		return geo.Euclidean.Name(), nil
+	case netmetric.Name:
+		return netmetric.Name, nil
+	}
+	return "", fmt.Errorf("expr: unknown metric %q (available: %s, %s)",
+		name, geo.Euclidean.Name(), netmetric.Name)
+}
 
 // Params describes one experiment configuration (Table 2 plus
 // distribution selectors and a seed).
@@ -147,21 +160,25 @@ func (w *Workload) Dataset() solver.Dataset {
 
 // Build generates a workload: points on a synthetic road network
 // (§5.1's recipe), customers bulk-loaded into a 1 KB-page R-tree with a
-// 1% LRU buffer.
-func Build(p Params) (*Workload, error) {
-	return BuildOnGrid(p, 32)
+// 1% LRU buffer, measured with the configured metric.
+func (c Config) Build(p Params) (*Workload, error) {
+	return c.BuildOnGrid(p, 32)
 }
 
 // BuildOnGrid is Build with an explicit road-network grid size. The
 // figure sweeps all use the default 32 (1K nodes); the net-backend
 // sweep uses a finer grid, where shortest-path cost actually matters.
-func BuildOnGrid(p Params, grid int) (*Workload, error) {
+func (c Config) BuildOnGrid(p Params, grid int) (*Workload, error) {
+	name, err := ParseMetric(c.Metric)
+	if err != nil {
+		return nil, err
+	}
 	net := datagen.NewNetwork(grid, Space, p.Seed)
 	var metric geo.Metric
-	if metricName == netmetric.Name {
+	if name == netmetric.Name {
 		m := netmetric.FromNetwork(net)
-		m.SetLandmarks(netLandmarks)
-		m.SetCH(netCH)
+		m.SetLandmarks(c.Landmarks)
+		m.SetCH(c.CH)
 		metric = m
 	}
 	qpts := net.Points(datagen.Config{N: p.NQ, Dist: p.DistQ, Seed: p.Seed + 1})

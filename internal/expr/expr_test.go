@@ -12,8 +12,10 @@ import (
 const testScale = 0.01
 
 func TestBuildWorkload(t *testing.T) {
+	t.Parallel()
+	c := NewConfig()
 	p := Default(testScale)
-	w, err := Build(p)
+	w, err := c.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestBuildWorkload(t *testing.T) {
 		}
 	}
 	// Same params → same workload (determinism matters for comparisons).
-	w2, err := Build(p)
+	w2, err := c.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +42,11 @@ func TestBuildWorkload(t *testing.T) {
 }
 
 func TestBuildMixedCaps(t *testing.T) {
+	t.Parallel()
+	c := NewConfig()
 	p := Default(testScale)
 	p.KLo, p.KHi = 10, 30
-	w, err := Build(p)
+	w, err := c.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,8 @@ func TestBuildMixedCaps(t *testing.T) {
 // Every exact algorithm must produce identical cost within a figure
 // point — the harness depends on it when reporting.
 func TestFig9AgreesOnCost(t *testing.T) {
-	rows, err := Fig9(testScale, nil)
+	t.Parallel()
+	rows, err := NewConfig().Fig9(testScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +100,8 @@ func TestFig9AgreesOnCost(t *testing.T) {
 // Figure 8's headline claim: SSPA is far slower than the incremental
 // algorithms on the same instance.
 func TestFig8SSPASlower(t *testing.T) {
-	rows, err := Fig8(0.02, nil)
+	t.Parallel()
+	rows, err := NewConfig().Fig8(0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +128,8 @@ func TestFig8SSPASlower(t *testing.T) {
 // Figure 14's quality ratios must be >= 1 and finite, and CA must respect
 // Theorem 4 (quality bounded via γ·δ).
 func TestFig14Quality(t *testing.T) {
-	rows, err := Fig14(testScale, nil)
+	t.Parallel()
+	rows, err := NewConfig().Fig14(testScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +149,8 @@ func TestFig14Quality(t *testing.T) {
 // The ablation harness must keep the optimal cost invariant across
 // optimization toggles.
 func TestAblationCostInvariant(t *testing.T) {
-	rows, err := Ablation(testScale, nil)
+	t.Parallel()
+	rows, err := NewConfig().Ablation(testScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +186,8 @@ func TestAblationCostInvariant(t *testing.T) {
 }
 
 func TestThetaSensitivity(t *testing.T) {
-	rows, err := ThetaSensitivity(testScale, nil)
+	t.Parallel()
+	rows, err := NewConfig().ThetaSensitivity(testScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +209,7 @@ func TestThetaSensitivity(t *testing.T) {
 
 // PrintRows must render both table shapes without panicking.
 func TestPrintRows(t *testing.T) {
+	t.Parallel()
 	rows := []Row{{Label: "k=80", Algo: "IDA", Esub: 10, Full: 100, Quality: 1.02}}
 	var buf bytes.Buffer
 	PrintRows(&buf, "test", rows, false)
@@ -215,7 +225,8 @@ func TestPrintRows(t *testing.T) {
 
 // The distribution figures run end-to-end at tiny scale.
 func TestFig13And18Run(t *testing.T) {
-	rows, err := Fig13(testScale, nil)
+	t.Parallel()
+	rows, err := NewConfig().Fig13(testScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +239,7 @@ func TestFig13And18Run(t *testing.T) {
 			t.Fatalf("missing combination %s (have %v)", want, labels)
 		}
 	}
-	if _, err := Fig18(testScale, nil); err != nil {
+	if _, err := NewConfig().Fig18(testScale, nil); err != nil {
 		t.Fatal(err)
 	}
 }

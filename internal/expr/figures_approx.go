@@ -75,12 +75,12 @@ func deltaFor(v approxVariant) float64 {
 
 // approxPoint measures IDA (as both the exact reference and a series of
 // its own) plus all four approximate variants at one parameter point.
-func approxPoint(p Params, label string, deltas func(approxVariant) float64) ([]Row, error) {
-	w, err := Build(p)
+func (c Config) approxPoint(p Params, label string, deltas func(approxVariant) float64) ([]Row, error) {
+	w, err := c.Build(p)
 	if err != nil {
 		return nil, err
 	}
-	idaRow, err := runExact("IDA", w, coreOptions(p))
+	idaRow, err := runExact("IDA", w, c.coreOptions(p))
 	if err != nil {
 		return nil, err
 	}
@@ -102,11 +102,11 @@ func approxPoint(p Params, label string, deltas func(approxVariant) float64) ([]
 // a function of δ. Expected shape: quality degrades and time improves
 // as δ grows; CA dominates SA except at the smallest δ; CA at δ=10 is
 // near-optimal and much faster than IDA.
-func Fig14(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig14(s float64, out io.Writer) ([]Row, error) {
 	deltas := []float64{10, 20, 40, 80, 160}
-	rows, err := runPoints(len(deltas), func(i int) ([]Row, error) {
+	rows, err := c.runPoints(len(deltas), func(i int) ([]Row, error) {
 		d := deltas[i]
-		return approxPoint(Default(s), fmt.Sprintf("δ=%g", d),
+		return c.approxPoint(Default(s), fmt.Sprintf("δ=%g", d),
 			func(approxVariant) float64 { return d })
 	})
 	if err != nil {
@@ -122,12 +122,12 @@ func Fig14(s float64, out io.Writer) ([]Row, error) {
 // the tuned δ (SA: 40, CA: 10). Expected shape: quality improves with k;
 // CA stays within ~10–25% of optimal and is several times faster than
 // IDA.
-func Fig15(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig15(s float64, out io.Writer) ([]Row, error) {
 	ks := []int{20, 40, 80, 160, 320}
-	rows, err := runPoints(len(ks), func(i int) ([]Row, error) {
+	rows, err := c.runPoints(len(ks), func(i int) ([]Row, error) {
 		p := Default(s)
 		p.K = ks[i]
-		return approxPoint(p, fmt.Sprintf("k=%d", ks[i]), deltaFor)
+		return c.approxPoint(p, fmt.Sprintf("k=%d", ks[i]), deltaFor)
 	})
 	if err != nil {
 		return nil, err
@@ -142,12 +142,12 @@ func Fig15(s float64, out io.Writer) ([]Row, error) {
 // beats SA throughout; CA quality degrades mildly as |Q| grows (more
 // providers near each customer group mean more chances for a suboptimal
 // pair).
-func Fig16(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig16(s float64, out io.Writer) ([]Row, error) {
 	qs := []int{250, 500, 1000, 2500, 5000}
-	rows, err := runPoints(len(qs), func(i int) ([]Row, error) {
+	rows, err := c.runPoints(len(qs), func(i int) ([]Row, error) {
 		p := Default(s)
 		p.NQ = max(1, int(float64(qs[i])*s))
-		return approxPoint(p, fmt.Sprintf("|Q|=%g", float64(qs[i])/1000), deltaFor)
+		return c.approxPoint(p, fmt.Sprintf("|Q|=%g", float64(qs[i])/1000), deltaFor)
 	})
 	if err != nil {
 		return nil, err
@@ -161,12 +161,12 @@ func Fig16(s float64, out io.Writer) ([]Row, error) {
 // Fig17 reproduces Figure 17: approximation vs |P|. Expected shape: SA
 // quality degrades as |P| grows (denser customers around provider
 // groups); CA is much less affected.
-func Fig17(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig17(s float64, out io.Writer) ([]Row, error) {
 	ps := []int{25000, 50000, 100000, 150000, 200000}
-	rows, err := runPoints(len(ps), func(i int) ([]Row, error) {
+	rows, err := c.runPoints(len(ps), func(i int) ([]Row, error) {
 		p := Default(s)
 		p.NP = max(2, int(float64(ps[i])*s))
-		return approxPoint(p, fmt.Sprintf("|P|=%dK", ps[i]/1000), deltaFor)
+		return c.approxPoint(p, fmt.Sprintf("|P|=%dK", ps[i]/1000), deltaFor)
 	})
 	if err != nil {
 		return nil, err
@@ -181,7 +181,7 @@ func Fig17(s float64, out io.Writer) ([]Row, error) {
 // combinations. Expected shape: CA is fastest everywhere and more
 // accurate than SA when Q and P are distributed alike; with differing
 // distributions both are close to optimal.
-func Fig18(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig18(s float64, out io.Writer) ([]Row, error) {
 	combos := []struct {
 		q, p datagen.Distribution
 	}{
@@ -190,10 +190,10 @@ func Fig18(s float64, out io.Writer) ([]Row, error) {
 		{datagen.Clustered, datagen.Uniform},
 		{datagen.Clustered, datagen.Clustered},
 	}
-	rows, err := runPoints(len(combos), func(i int) ([]Row, error) {
+	rows, err := c.runPoints(len(combos), func(i int) ([]Row, error) {
 		p := Default(s)
 		p.DistQ, p.DistP = combos[i].q, combos[i].p
-		return approxPoint(p, fmt.Sprintf("%svs%s", combos[i].q, combos[i].p), deltaFor)
+		return c.approxPoint(p, fmt.Sprintf("%svs%s", combos[i].q, combos[i].p), deltaFor)
 	})
 	if err != nil {
 		return nil, err

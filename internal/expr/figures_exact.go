@@ -6,41 +6,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/solver"
 )
-
-// exactAlgos are the incremental methods compared in Figures 9–13,
-// resolved by name through the solver registry.
-var exactAlgos = []string{"RIA", "NIA", "IDA"}
-
-// SetExactAlgos overrides the solver set swept by Figures 9–13 after
-// validating every name against the registry (ccabench's -algos flag).
-func SetExactAlgos(names []string) error {
-	for _, n := range names {
-		if _, err := solver.Get(n); err != nil {
-			return err
-		}
-	}
-	exactAlgos = names
-	return nil
-}
-
-// ExactAlgos returns the solver names currently swept by Figures 9–13.
-func ExactAlgos() []string { return append([]string(nil), exactAlgos...) }
 
 // sweepExact runs the exact algorithms over a list of parameter points,
 // one scheduled task per point (see runPoints): the algorithms within a
 // point stay sequential on the point's own workload, points overlap
 // when the scheduler has more than one worker.
-func sweepExact(points []Params, labels []string, algos []string) ([]Row, error) {
-	return runPoints(len(points), func(i int) ([]Row, error) {
-		w, err := Build(points[i])
+func (c Config) sweepExact(points []Params, labels []string, algos []string) ([]Row, error) {
+	return c.runPoints(len(points), func(i int) ([]Row, error) {
+		w, err := c.Build(points[i])
 		if err != nil {
 			return nil, err
 		}
 		var rows []Row
 		for _, algo := range algos {
-			row, err := runExact(algo, w, coreOptions(points[i]))
+			row, err := runExact(algo, w, c.coreOptions(points[i]))
 			if err != nil {
 				return nil, err
 			}
@@ -51,15 +31,15 @@ func sweepExact(points []Params, labels []string, algos []string) ([]Row, error)
 	})
 }
 
-func coreOptions(p Params) core.Options {
-	return core.Options{Theta: p.Theta, Space: Space, Shards: shardCount, DistTable: netDistTable}
+func (c Config) coreOptions(p Params) core.Options {
+	return core.Options{Theta: p.Theta, Space: Space, Shards: c.Shards, DistTable: c.DistTable}
 }
 
 // Fig8 reproduces Figure 8: CPU time vs capacity k on the small instance
 // (|Q| = 250·s, |P| = 25000·s, memory R-tree) including the SSPA
 // baseline. Expected shape: SSPA is one to three orders of magnitude
 // slower than RIA/NIA/IDA across all k.
-func Fig8(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig8(s float64, out io.Writer) ([]Row, error) {
 	ks := []int{20, 40, 80, 160, 320}
 	points := make([]Params, len(ks))
 	labels := make([]string, len(ks))
@@ -71,7 +51,7 @@ func Fig8(s float64, out io.Writer) ([]Row, error) {
 		points[i] = p
 		labels[i] = fmt.Sprintf("k=%d", k)
 	}
-	rows, err := sweepExact(points, labels, []string{"SSPA", "RIA", "NIA", "IDA"})
+	rows, err := c.sweepExact(points, labels, []string{"SSPA", "RIA", "NIA", "IDA"})
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +65,7 @@ func Fig8(s float64, out io.Writer) ([]Row, error) {
 // default cardinalities. Expected shape: |Esub| ≪ FULL for all methods;
 // IDA explores the fewest edges while k·|Q| < |P|, and the advantage
 // disappears once k·|Q| > |P|.
-func Fig9(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig9(s float64, out io.Writer) ([]Row, error) {
 	ks := []int{20, 40, 80, 160, 320}
 	points := make([]Params, len(ks))
 	labels := make([]string, len(ks))
@@ -95,7 +75,7 @@ func Fig9(s float64, out io.Writer) ([]Row, error) {
 		points[i] = p
 		labels[i] = fmt.Sprintf("k=%d", k)
 	}
-	rows, err := sweepExact(points, labels, exactAlgos)
+	rows, err := c.sweepExact(points, labels, c.ExactAlgos)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +88,7 @@ func Fig9(s float64, out io.Writer) ([]Row, error) {
 // Fig10 reproduces Figure 10: performance vs |Q| ∈ {0.25, 0.5, 1, 2.5,
 // 5}K (scaled). Expected shape: cost grows with |Q| but saturates once
 // k·|Q| > |P|.
-func Fig10(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig10(s float64, out io.Writer) ([]Row, error) {
 	qs := []int{250, 500, 1000, 2500, 5000}
 	var points []Params
 	var labels []string
@@ -118,7 +98,7 @@ func Fig10(s float64, out io.Writer) ([]Row, error) {
 		points = append(points, p)
 		labels = append(labels, fmt.Sprintf("|Q|=%g", float64(nq)/1000))
 	}
-	rows, err := sweepExact(points, labels, exactAlgos)
+	rows, err := c.sweepExact(points, labels, c.ExactAlgos)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +112,7 @@ func Fig10(s float64, out io.Writer) ([]Row, error) {
 // 200}K (scaled). Expected shape: the subgraph *shrinks* as |P| grows
 // (denser customers mean closer NNs), modulo an I/O bump when the R-tree
 // gains a level.
-func Fig11(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig11(s float64, out io.Writer) ([]Row, error) {
 	ps := []int{25000, 50000, 100000, 150000, 200000}
 	var points []Params
 	var labels []string
@@ -142,7 +122,7 @@ func Fig11(s float64, out io.Writer) ([]Row, error) {
 		points = append(points, p)
 		labels = append(labels, fmt.Sprintf("|P|=%dK", np/1000))
 	}
-	rows, err := sweepExact(points, labels, exactAlgos)
+	rows, err := c.sweepExact(points, labels, c.ExactAlgos)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +135,7 @@ func Fig11(s float64, out io.Writer) ([]Row, error) {
 // Fig12 reproduces Figure 12: mixed capacities drawn uniformly from the
 // labelled ranges. Expected shape: same trends as Figure 9 — mixing does
 // not hurt the pruning.
-func Fig12(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig12(s float64, out io.Writer) ([]Row, error) {
 	ranges := [][2]int{{10, 30}, {20, 60}, {40, 120}, {80, 240}, {160, 480}}
 	var points []Params
 	var labels []string
@@ -165,7 +145,7 @@ func Fig12(s float64, out io.Writer) ([]Row, error) {
 		points = append(points, p)
 		labels = append(labels, fmt.Sprintf("%d~%d", r[0], r[1]))
 	}
-	rows, err := sweepExact(points, labels, exactAlgos)
+	rows, err := c.sweepExact(points, labels, c.ExactAlgos)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +159,7 @@ func Fig12(s float64, out io.Writer) ([]Row, error) {
 // and P. Expected shape: differently-distributed Q and P inflate |Esub|
 // and cost substantially, and NIA falls behind RIA there (one-by-one
 // edge retrieval is invoked too many times).
-func Fig13(s float64, out io.Writer) ([]Row, error) {
+func (c Config) Fig13(s float64, out io.Writer) ([]Row, error) {
 	combos := []struct {
 		q, p datagen.Distribution
 	}{
@@ -196,7 +176,7 @@ func Fig13(s float64, out io.Writer) ([]Row, error) {
 		points = append(points, p)
 		labels = append(labels, fmt.Sprintf("%svs%s", c.q, c.p))
 	}
-	rows, err := sweepExact(points, labels, exactAlgos)
+	rows, err := c.sweepExact(points, labels, c.ExactAlgos)
 	if err != nil {
 		return nil, err
 	}

@@ -3,32 +3,31 @@ package expr
 import (
 	"math"
 	"testing"
-
-	"repro/internal/geo"
 )
 
-// TestSetMetric: selection, validation, and the workload actually
-// carrying the backend. Restores the default so sibling tests keep
-// running under Euclidean.
-func TestSetMetric(t *testing.T) {
-	defer func() {
-		if err := SetMetric("euclidean"); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := SetMetric("no-such-metric"); err == nil {
+// TestConfigMetric: metric-name parsing and validation, and the
+// workload actually carrying the configured backend.
+func TestConfigMetric(t *testing.T) {
+	t.Parallel()
+	if _, err := ParseMetric("no-such-metric"); err == nil {
 		t.Fatal("bogus metric accepted")
 	}
-	if MetricName() != "euclidean" {
-		t.Fatalf("failed SetMetric changed the selection to %q", MetricName())
+	for in, want := range map[string]string{"": "euclidean", "Euclidean": "euclidean", " Network ": "network"} {
+		got, err := ParseMetric(in) // case-insensitive
+		if err != nil || got != want {
+			t.Fatalf("ParseMetric(%q) = %q, %v; want %q", in, got, err, want)
+		}
 	}
-	if err := SetMetric("Network"); err != nil { // case-insensitive
-		t.Fatal(err)
+	c := NewConfig()
+	if c.Metric != "euclidean" {
+		t.Fatalf("default metric %q, want euclidean", c.Metric)
 	}
-	if MetricName() != "network" {
-		t.Fatalf("MetricName = %q want network", MetricName())
+	c.Metric = "no-such-metric"
+	if _, err := c.Build(Default(testScale)); err == nil {
+		t.Fatal("Build accepted a bogus metric")
 	}
-	w, err := Build(Default(testScale))
+	c.Metric = "Network"
+	w, err := c.Build(Default(testScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,34 +40,33 @@ func TestSetMetric(t *testing.T) {
 // network backend: all exact algorithms must agree on cost, and that
 // cost must dominate the Euclidean one (network distance lower-bounds).
 func TestNetworkMetricFigurePoint(t *testing.T) {
+	t.Parallel()
 	p := Default(testScale)
-	euclid, err := Build(p)
+	c := NewConfig()
+	euclid, err := c.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRow, err := runExact("ida", euclid, coreOptions(p))
+	baseRow, err := runExact("ida", euclid, c.coreOptions(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := SetMetric("network"); err != nil {
-		t.Fatal(err)
-	}
-	defer SetMetric("euclidean")
-	w, err := Build(p)
+	c.Metric = "network"
+	w, err := c.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var costs []float64
 	for _, algo := range []string{"ida", "nia", "ria"} {
-		row, err := runExact(algo, w, coreOptions(p))
+		row, err := runExact(algo, w, c.coreOptions(p))
 		if err != nil {
 			t.Fatal(err)
 		}
 		costs = append(costs, row.Cost)
 	}
-	for _, c := range costs[1:] {
-		if math.Abs(c-costs[0]) > 1e-6*(1+costs[0]) {
+	for _, cost := range costs[1:] {
+		if math.Abs(cost-costs[0]) > 1e-6*(1+costs[0]) {
 			t.Fatalf("exact algorithms disagree under network metric: %v", costs)
 		}
 	}
@@ -76,5 +74,4 @@ func TestNetworkMetricFigurePoint(t *testing.T) {
 		t.Fatalf("network-metric cost %.3f below Euclidean optimum %.3f (violates the lower bound)",
 			costs[0], baseRow.Cost)
 	}
-	var _ geo.Metric = w.Metric // the workload exposes the backend to callers
 }

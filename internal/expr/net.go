@@ -43,7 +43,7 @@ import (
 // solver's share — while QueryNS answers "what does one uncached
 // distance cost", the figure the CH hierarchy exists to shrink and the
 // one benchgate's CH-vs-dijkstra floor gates on.
-func NetBackends(s float64, out io.Writer) ([]Row, error) {
+func (c Config) NetBackends(s float64, out io.Writer) ([]Row, error) {
 	p := Default(s)
 	// The figure sweeps run on the default 32×32 grid (1K nodes), where
 	// a point Dijkstra is microseconds and the solver itself dominates —
@@ -56,7 +56,7 @@ func NetBackends(s float64, out io.Writer) ([]Row, error) {
 
 	// The workload (points, tree, buffer) is metric-independent; build
 	// it once and swap a fresh metric in per row so every solve is cold.
-	w, err := BuildOnGrid(p, netGrid)
+	w, err := c.BuildOnGrid(p, netGrid)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func NetBackends(s float64, out io.Writer) ([]Row, error) {
 			b.setup(m)
 			w.Metric = m
 		}
-		opts := coreOptions(p)
+		opts := c.coreOptions(p)
 		opts.DistTable = b.table
 		row, err := runExact("ida", w, opts)
 		if err != nil {

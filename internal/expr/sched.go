@@ -7,81 +7,27 @@ import (
 	"repro/internal/sched"
 )
 
-// The harness runs every figure sweep through the shared scheduler
-// (internal/sched) instead of hand-rolled loops — the same execution
-// core that backs cca.Engine. One experiment *point* (one generated
-// workload plus the algorithms measured on it) is one scheduled task:
-// algorithms within a point stay sequential on a cold-dropped buffer,
-// preserving the paper's measurement protocol, while distinct points
-// can run concurrently when the caller raises the worker count
-// (ccabench -stream). The default of one worker reproduces the
-// historical sequential sweep exactly — including CPU-time fidelity,
-// which parallel points would perturb.
-var (
-	poolMu      sync.Mutex
-	pool        *sched.Pool
-	poolWorkers = 1
-)
-
-// SetStreamWorkers sizes the harness scheduler (values < 1 select 1,
-// the sequential, measurement-faithful default). Raising it overlaps
-// workload generation and solves across figure points — useful for
-// shape-only runs where wall-clock matters more than clean CPU timings.
-// Call it between sweeps, not during one: resizing closes the current
-// pool, and a sweep still submitting to it would see its remaining
-// points rejected. (An existing pool does finish its queued points
-// before the close returns.)
-func SetStreamWorkers(n int) {
-	if n < 1 {
-		n = 1
+// runPoints executes one job per experiment point on the configured
+// scheduler (internal/sched, the execution core behind cca.Engine) and
+// concatenates the returned rows in point order, so tables read
+// identically no matter how many workers ran the sweep. One point is
+// one generated workload plus the algorithms measured on it: those
+// algorithms stay sequential on a cold-dropped buffer, preserving the
+// paper's measurement protocol, while distinct points run concurrently
+// when the pool has more than one worker (ccabench -stream). A nil
+// Pool runs the points on a one-worker pool for this call only. The
+// first error wins; other points still run to completion.
+func (c Config) runPoints(n int, job func(i int) ([]Row, error)) ([]Row, error) {
+	p := c.Pool
+	if p == nil {
+		p = sched.New(sched.Config{Workers: 1})
+		defer p.Close()
 	}
-	poolMu.Lock()
-	var old *sched.Pool
-	if pool != nil && poolWorkers != n {
-		old = pool
-		pool = nil
-	}
-	poolWorkers = n
-	poolMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-}
-
-// StreamWorkers returns the current scheduler width.
-func StreamWorkers() int {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	return poolWorkers
-}
-
-// StreamMetrics snapshots the harness scheduler's telemetry (queue
-// waits, per-worker utilization); ccabench prints it after a -stream
-// run.
-func StreamMetrics() sched.Metrics {
-	return schedPool().Metrics()
-}
-
-func schedPool() *sched.Pool {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if pool == nil {
-		pool = sched.New(sched.Config{Workers: poolWorkers})
-	}
-	return pool
-}
-
-// runPoints executes one job per experiment point on the shared
-// scheduler and concatenates the returned rows in point order, so
-// tables read identically no matter how many workers ran the sweep.
-// The first error wins; other points still run to completion.
-func runPoints(n int, job func(i int) ([]Row, error)) ([]Row, error) {
 	type point struct {
 		rows []Row
 		err  error
 	}
 	outs := make([]point, n)
-	p := schedPool()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		i := i

@@ -6,15 +6,6 @@ import (
 	"runtime"
 )
 
-// shardCount is the region count ccabench's -shards flag applies to
-// every sweep (0 = the shard layer's data-derived automatic count). It
-// only matters for sharded:* solvers selected via -algos.
-var shardCount = 0
-
-// SetShards sets the shard count threaded into every sweep's options
-// (ccabench's -shards flag).
-func SetShards(k int) { shardCount = k }
-
 // ShardScaling is the sharded-solving trajectory behind
 // BENCH_shard.json: one large instance (the Table 2 default at the
 // given scale), solved serially by the base and then by sharded:<base>
@@ -22,23 +13,23 @@ func SetShards(k int) { shardCount = k }
 // serial/min(k, cores) while the cost column stays within the
 // documented gap of the serial optimum — the measured tradeoff the
 // README's "Sharded solving" section quotes.
-func ShardScaling(s float64, out io.Writer) ([]Row, error) {
+func (c Config) ShardScaling(s float64, out io.Writer) ([]Row, error) {
 	p := Default(s)
 	p.K = 8 // smaller capacities keep the serial baseline tractable at any scale
-	w, err := Build(p)
+	w, err := c.Build(p)
 	if err != nil {
 		return nil, err
 	}
 	base := "ida"
 	var rows []Row
-	serial, err := runExact(base, w, coreOptions(p))
+	serial, err := runExact(base, w, c.coreOptions(p))
 	if err != nil {
 		return nil, err
 	}
 	serial.Label = "serial"
 	rows = append(rows, serial)
 	for _, k := range []int{2, 4, 8} {
-		opts := coreOptions(p)
+		opts := c.coreOptions(p)
 		opts.Shards = k
 		row, err := runExact("sharded:"+base, w, opts)
 		if err != nil {

@@ -18,8 +18,10 @@ package netmetric
 // conformance suite pin this).
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -74,6 +76,20 @@ func (ch *chState) findUpArc(owner, target int32) int32 {
 		}
 	}
 	panic("netmetric: hierarchy unpack: missing middle arc")
+}
+
+// ParseCHMode maps a command-line value to a SetCH mode: "auto" (or
+// empty) is -1, "off" is 0 and "on" is 1, case-insensitively.
+func ParseCHMode(s string) (int, error) {
+	switch strings.ToLower(s) {
+	case "", "auto":
+		return -1, nil
+	case "off":
+		return 0, nil
+	case "on":
+		return 1, nil
+	}
+	return 0, fmt.Errorf("must be auto, off, or on (got %q)", s)
 }
 
 // SetCH configures the contraction-hierarchy backend: v > 0 forces it

@@ -8,6 +8,20 @@ import (
 	"repro/internal/geo"
 )
 
+// ParseCHMode accepts exactly the values the CLIs document.
+func TestParseCHMode(t *testing.T) {
+	for in, want := range map[string]int{"": -1, "auto": -1, "Auto": -1, "off": 0, "OFF": 0, "on": 1, "On": 1} {
+		if got, err := ParseCHMode(in); err != nil || got != want {
+			t.Errorf("ParseCHMode(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"1", "0", "yes", " on"} {
+		if _, err := ParseCHMode(in); err == nil {
+			t.Errorf("ParseCHMode(%q) accepted", in)
+		}
+	}
+}
+
 // TestCHMatchesPlainDijkstra pins the canonical-float contract for the
 // hierarchy backend: chDist must return the *same* float64 as the
 // plain forward Dijkstra for every oriented node pair — not merely

@@ -22,6 +22,16 @@ const (
 // solver's paper defaults.
 type SolverOptions = solver.Options
 
+// Refinement selects the approximate solvers' refinement heuristic
+// (§4.3); set it via SolverOptions.Refinement.
+type Refinement = solver.Refinement
+
+// Refinement heuristics for the approximate solvers.
+const (
+	RefineNN        = solver.RefineNN
+	RefineExclusive = solver.RefineExclusive
+)
+
 // SolverResult is the uniform result of a registry solve: the matching
 // plus solver name, kind, and (for approximate solvers) the Theorem 3/4
 // error bound and phase breakdown.
