@@ -34,6 +34,7 @@ package cca
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -302,7 +303,9 @@ func Validate(providers []Provider, customers *Customers, res *Result) error {
 	if res.Size != gamma {
 		return fmt.Errorf("cca: matching size %d, want γ = %d", res.Size, gamma)
 	}
-	if d := sum - res.Cost; d > 1e-6 || d < -1e-6 {
+	// Inverted so that NaN and ±Inf fail too: every comparison with NaN
+	// is false, and an infinite cost leaves d infinite or NaN.
+	if d := math.Abs(sum - res.Cost); !(d <= 1e-6) {
 		return fmt.Errorf("cca: cost %v does not match pair sum %v", res.Cost, sum)
 	}
 	return nil

@@ -187,6 +187,23 @@ func TestValidateRejects(t *testing.T) {
 	if err := Validate(providers, customers, &badCost); err == nil {
 		t.Fatal("inconsistent cost not rejected")
 	}
+
+	// Non-finite costs: a NaN or infinite pair distance carried into
+	// the total, and a NaN total over finite pairs.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		nonFinite := *res
+		nonFinite.Pairs = append([]Pair(nil), res.Pairs...)
+		nonFinite.Pairs[0].Dist = bad
+		nonFinite.Cost = bad
+		if err := Validate(providers, customers, &nonFinite); err == nil {
+			t.Fatalf("pair distance and cost %v not rejected", bad)
+		}
+	}
+	nanTotal := *res
+	nanTotal.Cost = math.NaN()
+	if err := Validate(providers, customers, &nanTotal); err == nil {
+		t.Fatal("NaN cost over finite pairs not rejected")
+	}
 }
 
 // IO accounting via the public API.

@@ -178,8 +178,7 @@ type InstanceResult struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Fleet aggregates one solve request's instances (the wire form of
-// cca.FleetMetrics).
+// Fleet aggregates one solve request's instances.
 type Fleet struct {
 	Instances   int     `json:"instances"`
 	Solved      int     `json:"solved"`

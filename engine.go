@@ -1,15 +1,12 @@
 package cca
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/lru"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -59,9 +56,6 @@ type Instance struct {
 
 // InstanceResult is one instance's outcome.
 type InstanceResult struct {
-	// Index is the instance's position in the submitted batch (0 for a
-	// direct Submit).
-	Index int
 	// Label echoes Instance.Label.
 	Label string
 	// Solver is the canonical name of the solver that ran (the
@@ -84,51 +78,6 @@ type InstanceResult struct {
 	Cached bool
 }
 
-// WorkerStats is one worker's share of a batch; see sched.WorkerStats.
-type WorkerStats = sched.WorkerStats
-
-// LatencyHistogram is a point-in-time latency distribution (bounds in
-// seconds); see obs.Snapshot.
-type LatencyHistogram = obs.Snapshot
-
-// FleetMetrics aggregates a batch run.
-type FleetMetrics struct {
-	Instances int           // instances submitted
-	Solved    int           // instances that produced a matching
-	Errors    int           // instances that failed
-	Workers   int           // effective parallelism for this batch
-	Wall      time.Duration // batch wall-clock time
-	SolveWall time.Duration // Σ per-instance wall time (≥ Wall when parallel)
-	// QueueWait is the mean time an instance waited for a worker — the
-	// mean of QueueWaitHist. (It was a Σ before the histogram existed;
-	// the sum is QueueWaitHist.Sum seconds.)
-	QueueWait time.Duration
-	// QueueWaitHist is the distribution of per-instance queue waits.
-	QueueWaitHist LatencyHistogram
-	// CPUTime, IOTime, and Faults count work this batch actually
-	// performed: instances served from the result cache contribute to
-	// Pairs/Cost but not to these.
-	CPUTime   time.Duration // Σ solver-reported CPU time
-	IOTime    time.Duration // Σ simulated I/O time (10 ms per fault)
-	Faults    int           // Σ page faults
-	Pairs     int           // Σ matching sizes
-	Cost      float64       // Σ matching costs Ψ(M)
-	CacheHits int           // results served from the cross-instance cache
-	// PerWorker aggregates this batch's instances by the worker that ran
-	// them (indexed by worker, length = highest worker index used + 1):
-	// task counts, busy time (Σ instance wall), and utilization against
-	// the batch wall. Derived from the batch's own results, so it stays
-	// exact when concurrent batches share the pool.
-	PerWorker []WorkerStats
-}
-
-// BatchResult is the outcome of Engine.Run: per-instance results in
-// submission order plus fleet-level aggregates.
-type BatchResult struct {
-	Results []InstanceResult
-	Fleet   FleetMetrics
-}
-
 // DefaultCacheSize is the result cache capacity an Engine with
 // CacheSize 0 uses.
 const DefaultCacheSize = 256
@@ -137,13 +86,13 @@ const DefaultCacheSize = 256
 // The zero value is ready to use:
 //
 //	var engine cca.Engine
-//	batch, err := engine.Run(instances)
+//	res := <-engine.Submit(ctx, cca.Instance{Providers: q, Customers: p})
 //
-// Beyond one-shot batches, the engine is a streaming scheduler service:
-// Submit enqueues a single instance and returns its result channel,
-// RunStream consumes a channel of instances, and both honor context
-// cancellation — a dead context stops instances before they are
-// scheduled and interrupts solves between augmenting iterations.
+// Submit is the engine's one entry point: it enqueues a single instance
+// and returns its result channel, so a batch is Submit in a loop
+// followed by one receive per channel. Submissions honor context
+// cancellation — a dead context stops an instance before it is
+// scheduled and interrupts its solve between augmenting iterations.
 // Identical instances (same dataset, providers, solver, and options)
 // are served from a digest-keyed LRU result cache; CacheStats reports
 // its hit rate.
@@ -170,7 +119,6 @@ type Engine struct {
 	mu     sync.Mutex
 	pool   *sched.Pool
 	cache  *lru.Cache[resultKey, *SolverResult]
-	tables *lru.Cache[tableKey, *tableEntry]
 	closed bool
 }
 
@@ -243,20 +191,12 @@ func (e *Engine) PoolMetrics() sched.Metrics {
 	return p.Metrics()
 }
 
-// workers returns the effective parallelism for n instances.
-func (e *Engine) workers(n int) int {
-	w := e.Workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// TableMemoStats always returns zero counters: the engine keeps no
+// distance-table memo, since the solver registry builds each solve's
+// table. It exists only so perfbench/, which reports it, still builds.
+//
+// Deprecated: always zero; do not use.
+func (e *Engine) TableMemoStats() lru.Stats { return lru.Stats{} }
 
 // solverFor resolves an instance's solver name.
 func (e *Engine) solverFor(in Instance) string {
@@ -267,98 +207,4 @@ func (e *Engine) solverFor(in Instance) string {
 		return e.DefaultSolver
 	}
 	return "ida"
-}
-
-// Run solves every instance and returns per-instance results (in input
-// order) plus fleet metrics. Solver failures are reported per instance
-// in InstanceResult.Err and counted in FleetMetrics.Errors; Run itself
-// only fails on malformed input (a nil Customers). It is a thin wrapper
-// over RunContext with a background context.
-func (e *Engine) Run(instances []Instance) (*BatchResult, error) {
-	return e.RunContext(context.Background(), instances)
-}
-
-// RunContext is Run with cancellation: when ctx dies mid-batch, no
-// further instance starts solving, in-flight solves return between
-// augmenting iterations, and every unfinished instance's result carries
-// ctx.Err(). The returned error is nil unless the input was malformed;
-// inspect per-instance Err (or ctx.Err()) for cancellation.
-func (e *Engine) RunContext(ctx context.Context, instances []Instance) (*BatchResult, error) {
-	for i, in := range instances {
-		if in.Customers == nil {
-			return nil, fmt.Errorf("cca: engine: instance %d has nil Customers", i)
-		}
-	}
-	out := &BatchResult{Results: make([]InstanceResult, len(instances))}
-	out.Fleet.Instances = len(instances)
-	out.Fleet.Workers = e.workers(len(instances))
-	if len(instances) == 0 {
-		return out, nil
-	}
-
-	start := time.Now()
-	chans := make([]<-chan InstanceResult, len(instances))
-	for i := range instances {
-		chans[i] = e.submit(ctx, instances[i], i)
-	}
-	for i, ch := range chans {
-		out.Results[i] = <-ch
-	}
-	out.Fleet.Wall = time.Since(start)
-	out.Fleet.PerWorker = perWorkerStats(out.Results, out.Fleet.Wall)
-
-	qh := obs.NewHistogram(obs.LatencyBounds)
-	for _, r := range out.Results {
-		out.Fleet.SolveWall += r.Wall
-		qh.ObserveDuration(r.QueueWait)
-		if r.Cached {
-			out.Fleet.CacheHits++
-		}
-		if r.Err != nil {
-			out.Fleet.Errors++
-			continue
-		}
-		out.Fleet.Solved++
-		out.Fleet.Pairs += r.Result.Size
-		out.Fleet.Cost += r.Result.Cost
-		if r.Cached {
-			// A cached result's Metrics describe the original solve; the
-			// work counters below report work *this batch* performed, so
-			// served-from-cache instances contribute nothing to them.
-			continue
-		}
-		out.Fleet.CPUTime += r.Result.Metrics.CPUTime
-		out.Fleet.IOTime += r.Result.Metrics.IOTime
-		out.Fleet.Faults += r.Result.Metrics.IO.Faults
-	}
-	out.Fleet.QueueWaitHist = qh.Snapshot()
-	out.Fleet.QueueWait = out.Fleet.QueueWaitHist.MeanDuration()
-	return out, nil
-}
-
-// perWorkerStats aggregates a batch's own results by the worker that
-// ran each instance, with utilization measured against the batch wall.
-// Built from the results — not pool snapshots — so it is exact even
-// when other batches share the pool concurrently.
-func perWorkerStats(results []InstanceResult, wall time.Duration) []WorkerStats {
-	workers := 0
-	for _, r := range results {
-		if r.Worker >= workers {
-			workers = r.Worker + 1
-		}
-	}
-	out := make([]WorkerStats, workers)
-	for _, r := range results {
-		if r.Worker < 0 {
-			continue // never reached a worker (rejected or pre-cancelled)
-		}
-		out[r.Worker].Tasks++
-		out[r.Worker].Busy += r.Wall
-	}
-	if wall > 0 {
-		for i := range out {
-			out[i].Utilization = float64(out[i].Busy) / float64(wall)
-		}
-	}
-	return out
 }

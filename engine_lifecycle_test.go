@@ -24,18 +24,14 @@ func TestEngineDoubleClose(t *testing.T) {
 	batch, customers := engineWorkload(t, 3, 120)
 	defer customers.Close()
 	used := &Engine{Workers: 2}
-	if _, err := used.Run(batch); err != nil {
-		t.Fatal(err)
-	}
+	solvedAll(t, submitAll(context.Background(), used, batch))
 	used.Close()
 	used.Close()
 
 	// Concurrent closers must all return (sched.Pool.Close waits for the
 	// workers) without panicking or deadlocking.
 	racy := &Engine{Workers: 2}
-	if _, err := racy.Run(batch[:1]); err != nil {
-		t.Fatal(err)
-	}
+	solvedAll(t, submitAll(context.Background(), racy, batch[:1]))
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -47,16 +43,14 @@ func TestEngineDoubleClose(t *testing.T) {
 	wg.Wait()
 }
 
-// Submit, Run, and RunStream after Close must report ErrEngineClosed
-// per instance instead of panicking or hanging.
+// Submissions after Close, singly or as a batch, must report
+// ErrEngineClosed per instance instead of panicking or hanging.
 func TestEngineSubmitAfterClose(t *testing.T) {
 	batch, customers := engineWorkload(t, 2, 120)
 	defer customers.Close()
 
 	e := &Engine{Workers: 2}
-	if _, err := e.Run(batch[:1]); err != nil {
-		t.Fatal(err)
-	}
+	solvedAll(t, submitAll(context.Background(), e, batch[:1]))
 	e.Close()
 
 	r := <-e.Submit(context.Background(), batch[0])
@@ -67,25 +61,9 @@ func TestEngineSubmitAfterClose(t *testing.T) {
 		t.Fatalf("rejected instance reports worker %d, want -1", r.Worker)
 	}
 
-	out, err := e.Run(batch)
-	if err != nil {
-		t.Fatalf("Run after Close returned a top-level error: %v", err)
-	}
-	if out.Fleet.Errors != len(batch) {
-		t.Fatalf("Run after Close: %d errors, want %d", out.Fleet.Errors, len(batch))
-	}
-	for _, r := range out.Results {
+	for i, r := range submitAll(context.Background(), e, batch) {
 		if !errors.Is(r.Err, ErrEngineClosed) {
-			t.Fatalf("instance %d: err = %v, want ErrEngineClosed", r.Index, r.Err)
-		}
-	}
-
-	in := make(chan Instance, 1)
-	in <- batch[0]
-	close(in)
-	for r := range e.RunStream(context.Background(), in) {
-		if !errors.Is(r.Err, ErrEngineClosed) {
-			t.Fatalf("RunStream after Close: err = %v, want ErrEngineClosed", r.Err)
+			t.Fatalf("instance %d: err = %v, want ErrEngineClosed", i, r.Err)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package cca
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -46,9 +47,9 @@ func networkBatch(t testing.TB, instances int) ([]Instance, *Customers, *netmetr
 }
 
 // TestEngineSharedTableMemo: a batch repeating one provider set across
-// solvers must build the bulk distance table once (engine memo) and
-// serve every other instance from it, with results byte-identical to
-// the table-disabled point-query path.
+// solvers, each instance large enough for the registry's per-solve
+// distance table, must be byte-identical through the engine to the
+// table-disabled point-query path.
 func TestEngineSharedTableMemo(t *testing.T) {
 	space := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 	net := datagen.NewNetwork(16, space, 2008)
@@ -62,7 +63,7 @@ func TestEngineSharedTableMemo(t *testing.T) {
 	defer customers.Close()
 
 	// 10 providers × 500 customers = 5000 pairs, over DistTableMinPairs,
-	// so every instance qualifies for the shared table.
+	// so every instance takes the table path.
 	qpts := net.Points(datagen.Config{N: 10, Dist: datagen.Uniform, Seed: 42})
 	caps := datagen.Capacities(len(qpts), 20, 60, 7)
 	providers := make([]Provider, len(qpts))
@@ -79,18 +80,8 @@ func TestEngineSharedTableMemo(t *testing.T) {
 
 	eng := &Engine{Workers: 4}
 	defer eng.Close()
-	got, err := eng.Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fleet.Solved != len(batch) {
-		t.Fatalf("solved %d of %d", got.Fleet.Solved, len(batch))
-	}
-	st := eng.TableMemoStats()
-	if st.Misses != 1 || st.Hits != uint64(len(batch)-1) {
-		t.Errorf("table memo: %d misses / %d hits, want 1 / %d (one build, shared by the rest)",
-			st.Misses, st.Hits, len(batch)-1)
-	}
+	got := submitAll(context.Background(), eng, batch)
+	solvedAll(t, got)
 
 	// Point-query reference: same batch with the precompute disabled.
 	ref := make([]Instance, len(batch))
@@ -100,17 +91,12 @@ func TestEngineSharedTableMemo(t *testing.T) {
 	}
 	refEng := &Engine{Workers: 1}
 	defer refEng.Close()
-	want, err := refEng.Run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := refEng.TableMemoStats(); s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("disabled precompute still touched the memo: %+v", s)
-	}
+	want := submitAll(context.Background(), refEng, ref)
+	solvedAll(t, want)
 	for i := range batch {
-		a, b := fingerprint(got.Results[i]), fingerprint(want.Results[i])
+		a, b := fingerprint(got[i]), fingerprint(want[i])
 		if a != b {
-			t.Errorf("solver %s: shared table diverged from point queries:\ntable: %s\npoint: %s", solvers[i], a, b)
+			t.Errorf("solver %s: table path diverged from point queries:\ntable: %s\npoint: %s", solvers[i], a, b)
 		}
 	}
 }
@@ -124,19 +110,12 @@ func TestEngineBatchNetworkMetric(t *testing.T) {
 	batch, customers, metric := networkBatch(t, 12)
 	defer customers.Close()
 
-	seq, err := (&Engine{Workers: 1}).Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := (&Engine{Workers: 8}).Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Fleet.Solved != len(batch) || par.Fleet.Solved != len(batch) {
-		t.Fatalf("solved %d/%d of %d", seq.Fleet.Solved, par.Fleet.Solved, len(batch))
-	}
+	seq := submitAll(context.Background(), &Engine{Workers: 1}, batch)
+	par := submitAll(context.Background(), &Engine{Workers: 8}, batch)
+	solvedAll(t, seq)
+	solvedAll(t, par)
 	for i := range batch {
-		a, b := fingerprint(seq.Results[i]), fingerprint(par.Results[i])
+		a, b := fingerprint(seq[i]), fingerprint(par[i])
 		if a != b {
 			t.Errorf("instance %d diverged under the shared metric:\nsequential: %s\nparallel:   %s", i, a, b)
 		}
@@ -148,7 +127,7 @@ func TestEngineBatchNetworkMetric(t *testing.T) {
 	// Exact instances must validate under the network metric too: the
 	// validator checks structure and cost-sum consistency, which are
 	// metric-independent.
-	for i, r := range par.Results {
+	for i, r := range par {
 		if batch[i].Solver == "greedy" {
 			continue
 		}

@@ -1,6 +1,7 @@
 package cca
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -60,21 +61,14 @@ func TestEngineShardedDeterminism(t *testing.T) {
 
 	serialEngine := &Engine{Workers: 1}
 	defer serialEngine.Close()
-	seq, err := serialEngine.Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := submitAll(context.Background(), serialEngine, batch)
 	parEngine := &Engine{Workers: 8}
 	defer parEngine.Close()
-	par, err := parEngine.Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Fleet.Solved != len(batch) || par.Fleet.Solved != len(batch) {
-		t.Fatalf("solved %d/%d of %d", seq.Fleet.Solved, par.Fleet.Solved, len(batch))
-	}
+	par := submitAll(context.Background(), parEngine, batch)
+	solvedAll(t, seq)
+	solvedAll(t, par)
 	for i := range batch {
-		a, b := fingerprint(seq.Results[i]), fingerprint(par.Results[i])
+		a, b := fingerprint(seq[i]), fingerprint(par[i])
 		if a != b {
 			t.Errorf("instance %d diverged under concurrent sharded solving:\nsequential: %s\nparallel:   %s", i, a, b)
 		}
@@ -82,7 +76,7 @@ func TestEngineShardedDeterminism(t *testing.T) {
 	if st := metric.Stats(); st.NodeHits == 0 {
 		t.Errorf("shared metric caches never hit across the sharded batch: %+v", st)
 	}
-	for i, r := range par.Results {
+	for i, r := range par {
 		if err := Validate(batch[i].Providers, customers, &r.Result.Result); err != nil {
 			t.Errorf("instance %d: %v", i, err)
 		}
@@ -93,9 +87,9 @@ func TestEngineShardedDeterminism(t *testing.T) {
 }
 
 // TestEngineShardedStress hammers one engine from many submitting
-// goroutines (Submit, not Run) so sharded region pools, the result
-// cache, and the shared metric all interleave — a pure -race target
-// with a cheap determinism check on repeated instances.
+// goroutines so sharded region pools, the result cache, and the shared
+// metric all interleave — a pure -race target with a cheap determinism
+// check on repeated instances.
 func TestEngineShardedStress(t *testing.T) {
 	batch, customers, _ := shardedBatch(t, 6)
 	defer customers.Close()
@@ -111,14 +105,8 @@ func TestEngineShardedStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[round] = make([]InstanceResult, len(batch))
-			chans := make([]<-chan InstanceResult, len(batch))
-			for i := range batch {
-				chans[i] = engine.Submit(nil, batch[i])
-			}
-			for i := range chans {
-				results[round][i] = <-chans[i]
-			}
+			// A nil context is accepted and means Background.
+			results[round] = submitAll(nil, engine, batch)
 		}()
 	}
 	wg.Wait()

@@ -9,37 +9,49 @@ import (
 	"time"
 )
 
-// TestEngineRunEmpty: an empty instance slice returns an empty
-// BatchResult, not a hang or a zero-division.
-func TestEngineRunEmpty(t *testing.T) {
-	engine := &Engine{}
-	defer engine.Close()
-	out, err := engine.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 0 || out.Fleet.Instances != 0 || out.Fleet.Solved != 0 {
-		t.Fatalf("empty batch produced %+v", out.Fleet)
-	}
-	out, err = engine.Run([]Instance{})
-	if err != nil || len(out.Results) != 0 {
-		t.Fatalf("empty non-nil batch: %v, %+v", err, out.Fleet)
+// TestEngineWorkersZero: zero and negative Workers select a usable
+// pool of GOMAXPROCS workers on first use.
+func TestEngineWorkersZero(t *testing.T) {
+	batch, customers := engineWorkload(t, 1, 60)
+	defer customers.Close()
+	for _, workers := range []int{0, -3} {
+		e := &Engine{Workers: workers}
+		solvedAll(t, submitAll(context.Background(), e, batch))
+		e.Close()
+		if got := e.PoolMetrics().Workers; got != runtime.GOMAXPROCS(0) {
+			t.Errorf("Workers %d: pool has %d workers, want GOMAXPROCS = %d", workers, got, runtime.GOMAXPROCS(0))
+		}
 	}
 }
 
-// TestEngineWorkersZero: the pool-sizing helper clamps degenerate
-// inputs — zero instances, zero workers — to a usable size.
-func TestEngineWorkersZero(t *testing.T) {
-	e := &Engine{}
-	if got := e.workers(0); got != 1 {
-		t.Errorf("workers(0) = %d, want 1", got)
+// TestEnginePoolMetrics: every result names the pool worker that ran
+// it, and once Close drains the pool its lifetime counters account for
+// the whole batch.
+func TestEnginePoolMetrics(t *testing.T) {
+	batch, customers := engineWorkload(t, 8, 500)
+	defer customers.Close()
+	engine := &Engine{Workers: 2, CacheSize: -1}
+	defer engine.Close()
+	out := submitAll(context.Background(), engine, batch)
+	solvedAll(t, out)
+	for i, r := range out {
+		if r.Worker < 0 || r.Worker >= 2 || r.QueueWait < 0 {
+			t.Errorf("instance %d: worker %d, queue wait %v", i, r.Worker, r.QueueWait)
+		}
 	}
-	if got := e.workers(5); got < 1 || got > runtime.GOMAXPROCS(0) {
-		t.Errorf("workers(5) = %d, want in [1, GOMAXPROCS]", got)
+	// Close drains the pool, making the lifetime counters final (a
+	// snapshot racing the last delivery may trail by a task).
+	engine.Close()
+	pm := engine.PoolMetrics()
+	if pm.Completed != len(batch) || pm.Workers != 2 {
+		t.Errorf("pool metrics %+v, want %d completed on 2 workers", pm, len(batch))
 	}
-	neg := &Engine{Workers: -3}
-	if got := neg.workers(2); got < 1 || got > 2 {
-		t.Errorf("negative Workers: workers(2) = %d, want in [1,2]", got)
+	tasks := 0
+	for _, w := range pm.PerWorker {
+		tasks += w.Tasks
+	}
+	if tasks != len(batch) {
+		t.Errorf("per-worker tasks sum to %d, want %d", tasks, len(batch))
 	}
 }
 
@@ -84,12 +96,8 @@ func TestRunContextMidBatchCancel(t *testing.T) {
 		<-first
 		cancel()
 	}()
-	out, err := engine.RunContext(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cancelled := 0
-	for i, r := range out.Results {
+	for i, r := range submitAll(ctx, engine, batch) {
 		if r.Err == nil {
 			continue
 		}
@@ -104,54 +112,6 @@ func TestRunContextMidBatchCancel(t *testing.T) {
 	if cancelled == 0 {
 		t.Skip("batch finished before cancellation landed (fast machine, tiny batch)")
 	}
-	if out.Fleet.Errors != cancelled {
-		t.Errorf("fleet errors %d != cancelled %d", out.Fleet.Errors, cancelled)
-	}
-}
-
-// TestRunStreamMatchesRun: streaming submission of a batch yields
-// byte-identical per-instance results to Engine.Run on the same
-// instances (the golden-determinism guarantee extended to the
-// streaming path). Caching is disabled so both paths genuinely solve.
-func TestRunStreamMatchesRun(t *testing.T) {
-	batch, customers := engineWorkload(t, 9, 600)
-	defer customers.Close()
-
-	run := &Engine{Workers: 4, CacheSize: -1}
-	defer run.Close()
-	ref, err := run.Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stream := &Engine{Workers: 4, CacheSize: -1}
-	defer stream.Close()
-	feed := make(chan Instance)
-	go func() {
-		defer close(feed)
-		for _, in := range batch {
-			feed <- in
-		}
-	}()
-	got := make([]*InstanceResult, len(batch))
-	n := 0
-	for res := range stream.RunStream(context.Background(), feed) {
-		res := res
-		if res.Index < 0 || res.Index >= len(batch) || got[res.Index] != nil {
-			t.Fatalf("bad or duplicate stream index %d", res.Index)
-		}
-		got[res.Index] = &res
-		n++
-	}
-	if n != len(batch) {
-		t.Fatalf("stream delivered %d of %d results", n, len(batch))
-	}
-	for i := range batch {
-		a, b := fingerprint(ref.Results[i]), fingerprint(*got[i])
-		if a != b {
-			t.Errorf("instance %d diverged between Run and RunStream:\nrun:    %s\nstream: %s", i, a, b)
-		}
-	}
 }
 
 // TestResultCacheHits: repeated identical instances are served from the
@@ -163,25 +123,17 @@ func TestResultCacheHits(t *testing.T) {
 	engine := &Engine{Workers: 2}
 	defer engine.Close()
 
-	first, err := engine.Run(batch)
-	if err != nil {
-		t.Fatal(err)
+	first := submitAll(context.Background(), engine, batch)
+	solvedAll(t, first)
+	if n := cacheHits(first); n != 0 {
+		t.Fatalf("distinct instances produced %d cache hits", n)
 	}
-	if first.Fleet.CacheHits != 0 {
-		t.Fatalf("distinct instances produced %d cache hits", first.Fleet.CacheHits)
-	}
-	second, err := engine.Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Fleet.CacheHits != len(batch) {
-		t.Fatalf("second run hit cache %d times, want %d", second.Fleet.CacheHits, len(batch))
+	second := submitAll(context.Background(), engine, batch)
+	if n := cacheHits(second); n != len(batch) {
+		t.Fatalf("second run hit cache %d times, want %d", n, len(batch))
 	}
 	for i := range batch {
-		if !second.Results[i].Cached {
-			t.Errorf("instance %d not served from cache", i)
-		}
-		if fingerprint(first.Results[i]) != fingerprint(second.Results[i]) {
+		if fingerprint(first[i]) != fingerprint(second[i]) {
 			t.Errorf("instance %d: cached result differs from computed", i)
 		}
 	}
@@ -194,6 +146,17 @@ func TestResultCacheHits(t *testing.T) {
 	}
 }
 
+// cacheHits counts the results served from the result cache.
+func cacheHits(results []InstanceResult) int {
+	n := 0
+	for _, r := range results {
+		if r.Cached {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCacheKeySensitivity: any observable change — providers, solver,
 // options, dataset — must miss the cache.
 func TestCacheKeySensitivity(t *testing.T) {
@@ -202,9 +165,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	engine := &Engine{}
 	defer engine.Close()
 	base := batch[0]
-	if _, err := engine.Run([]Instance{base}); err != nil {
-		t.Fatal(err)
-	}
+	solvedAll(t, submitAll(context.Background(), engine, []Instance{base}))
 
 	providers := append([]Provider(nil), base.Providers...)
 	providers[0].Cap++
@@ -212,80 +173,16 @@ func TestCacheKeySensitivity(t *testing.T) {
 	variants[0].Providers = providers
 	variants[1].Solver = "nia"
 	variants[2].Options.Core.Theta = 2.5
-	out, err := engine.Run(variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Fleet.CacheHits != 0 {
-		t.Fatalf("perturbed instances hit the cache %d times", out.Fleet.CacheHits)
+	out := submitAll(context.Background(), engine, variants)
+	solvedAll(t, out)
+	if n := cacheHits(out); n != 0 {
+		t.Fatalf("perturbed instances hit the cache %d times", n)
 	}
 
 	// The identical instance, resubmitted via Submit, does hit.
 	res := <-engine.Submit(context.Background(), base)
 	if res.Err != nil || !res.Cached {
 		t.Fatalf("identical resubmission missed the cache: %+v", res.Err)
-	}
-}
-
-// TestFleetTelemetry: FleetMetrics reports per-worker utilization and
-// queue-wait for the batch, and the scheduler's lifetime metrics add up.
-func TestFleetTelemetry(t *testing.T) {
-	batch, customers := engineWorkload(t, 8, 500)
-	defer customers.Close()
-	engine := &Engine{Workers: 2, CacheSize: -1}
-	defer engine.Close()
-	out, err := engine.Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(out.Fleet.PerWorker); n < 1 || n > 2 {
-		t.Fatalf("PerWorker has %d entries, want 1..2 for a 2-worker pool", n)
-	}
-	tasks, busy := 0, time.Duration(0)
-	for _, w := range out.Fleet.PerWorker {
-		if w.Utilization < 0 || w.Utilization > 1.5 { // small timing slack
-			t.Errorf("utilization %g out of range", w.Utilization)
-		}
-		tasks += w.Tasks
-		busy += w.Busy
-	}
-	if tasks != len(batch) {
-		t.Errorf("per-worker tasks sum to %d, want %d", tasks, len(batch))
-	}
-	if busy == 0 {
-		t.Error("no busy time recorded for a real batch")
-	}
-	if out.Fleet.QueueWait < 0 {
-		t.Errorf("negative queue wait %v", out.Fleet.QueueWait)
-	}
-	// QueueWait is the mean of the per-instance histogram: every
-	// instance is observed once, and the legacy field must equal the
-	// histogram's own mean exactly (it is computed from it).
-	qh := out.Fleet.QueueWaitHist
-	if got, want := qh.Count, uint64(len(batch)); got != want {
-		t.Errorf("QueueWaitHist.Count = %d, want %d", got, want)
-	}
-	if out.Fleet.QueueWait != qh.MeanDuration() {
-		t.Errorf("QueueWait %v != QueueWaitHist mean %v", out.Fleet.QueueWait, qh.MeanDuration())
-	}
-	var inBuckets uint64
-	for _, n := range qh.Counts {
-		inBuckets += n
-	}
-	if inBuckets != qh.Count {
-		t.Errorf("bucket counts sum to %d, want Count %d", inBuckets, qh.Count)
-	}
-	for i, r := range out.Results {
-		if r.Worker < 0 || r.Worker >= 2 {
-			t.Errorf("instance %d ran on worker %d", i, r.Worker)
-		}
-	}
-	// Close drains the pool, making the lifetime counters final (a
-	// snapshot racing the last delivery may trail by a task).
-	engine.Close()
-	pm := engine.PoolMetrics()
-	if pm.Completed != len(batch) || pm.Workers != 2 {
-		t.Errorf("pool metrics %+v, want %d completed on 2 workers", pm, len(batch))
 	}
 }
 
@@ -334,8 +231,9 @@ func TestSubmitTimeout(t *testing.T) {
 }
 
 // BenchmarkEngineStream measures the streaming path end to end: a batch
-// fed through RunStream on a warm engine, caching disabled. The CI
-// workflow runs it with -benchtime=1x as a scheduler smoke test.
+// submitted instance by instance on a warm engine and drained in
+// submission order, caching disabled. The CI workflow runs it with
+// -benchtime=1x as a scheduler smoke test.
 func BenchmarkEngineStream(b *testing.B) {
 	nWorkers := runtime.GOMAXPROCS(0)
 	if nWorkers < 2 {
@@ -351,23 +249,7 @@ func BenchmarkEngineStream(b *testing.B) {
 	defer engine.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		feed := make(chan Instance)
-		go func() {
-			defer close(feed)
-			for _, in := range batch {
-				feed <- in
-			}
-		}()
-		n := 0
-		for res := range engine.RunStream(context.Background(), feed) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			n++
-		}
-		if n != len(batch) {
-			b.Fatalf("stream delivered %d of %d", n, len(batch))
-		}
+		solvedAll(b, submitAll(context.Background(), engine, batch))
 	}
 	b.ReportMetric(float64(len(batch)), "instances/op")
 	if m := engine.PoolMetrics(); m.Completed > 0 {

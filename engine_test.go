@@ -1,6 +1,7 @@
 package cca
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -40,18 +41,42 @@ func engineWorkload(t testing.TB, instances, nc int) ([]Instance, *Customers) {
 	return batch, customers
 }
 
+// submitAll puts a batch on the engine through its one entry point —
+// Submit per instance — and returns the results in input order.
+func submitAll(ctx context.Context, e *Engine, batch []Instance) []InstanceResult {
+	chans := make([]<-chan InstanceResult, len(batch))
+	for i, in := range batch {
+		chans[i] = e.Submit(ctx, in)
+	}
+	out := make([]InstanceResult, len(batch))
+	for i, ch := range chans {
+		out[i] = <-ch
+	}
+	return out
+}
+
+// solvedAll fails the test unless every result carries a matching.
+func solvedAll(t testing.TB, results []InstanceResult) {
+	t.Helper()
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("instance %d: %v", i, r.Err)
+		}
+	}
+}
+
 // fingerprint renders the deterministic portion of a result: everything
 // except wall-clock timings (CPU time is the only nondeterministic
 // field; page-fault counts are exact because every solve starts cold).
 func fingerprint(r InstanceResult) string {
 	if r.Err != nil {
-		return fmt.Sprintf("%d/%s/err:%v", r.Index, r.Label, r.Err)
+		return fmt.Sprintf("%s/err:%v", r.Label, r.Err)
 	}
 	res := *r.Result
 	res.Metrics.CPUTime = 0
 	res.ConciseTime = 0
 	res.RefineTime = 0
-	return fmt.Sprintf("%d/%s/%s %+v", r.Index, r.Label, r.Solver, res)
+	return fmt.Sprintf("%s/%s %+v", r.Label, r.Solver, res)
 }
 
 // TestEngineMatchesSequential: a parallel batch run must produce
@@ -60,25 +85,15 @@ func TestEngineMatchesSequential(t *testing.T) {
 	batch, customers := engineWorkload(t, 9, 600)
 	defer customers.Close()
 
-	seq, err := (&Engine{Workers: 1}).Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := (&Engine{Workers: 4}).Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Fleet.Solved != len(batch) || par.Fleet.Solved != len(batch) {
-		t.Fatalf("solved %d/%d of %d", seq.Fleet.Solved, par.Fleet.Solved, len(batch))
-	}
+	seq := submitAll(context.Background(), &Engine{Workers: 1}, batch)
+	par := submitAll(context.Background(), &Engine{Workers: 4}, batch)
+	solvedAll(t, seq)
+	solvedAll(t, par)
 	for i := range batch {
-		a, b := fingerprint(seq.Results[i]), fingerprint(par.Results[i])
+		a, b := fingerprint(seq[i]), fingerprint(par[i])
 		if a != b {
 			t.Errorf("instance %d diverged:\nsequential: %s\nparallel:   %s", i, a, b)
 		}
-	}
-	if seq.Fleet.Cost != par.Fleet.Cost || seq.Fleet.Pairs != par.Fleet.Pairs || seq.Fleet.Faults != par.Fleet.Faults {
-		t.Errorf("fleet aggregates diverged: %+v vs %+v", seq.Fleet, par.Fleet)
 	}
 }
 
@@ -87,16 +102,11 @@ func TestEngineMatchesSequential(t *testing.T) {
 func TestEngineResultsValid(t *testing.T) {
 	batch, customers := engineWorkload(t, 6, 400)
 	defer customers.Close()
-	out, err := (&Engine{}).Run(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range out.Results {
-		if r.Err != nil {
-			t.Fatalf("instance %d: %v", i, r.Err)
-		}
-		if r.Label != batch[i].Label || r.Index != i {
-			t.Errorf("instance %d mislabeled: %q/%d", i, r.Label, r.Index)
+	out := submitAll(context.Background(), &Engine{}, batch)
+	solvedAll(t, out)
+	for i, r := range out {
+		if r.Label != batch[i].Label {
+			t.Errorf("instance %d mislabeled: %q", i, r.Label)
 		}
 		if batch[i].Solver == "ca" {
 			if r.Result.Kind != SolverApproximate || r.Result.ErrorBound <= 0 {
@@ -110,28 +120,22 @@ func TestEngineResultsValid(t *testing.T) {
 	}
 }
 
-// TestEngineErrors: per-instance failures are isolated; malformed
-// batches are rejected up front.
+// TestEngineErrors: per-instance failures are isolated; a malformed
+// instance is rejected without reaching a worker.
 func TestEngineErrors(t *testing.T) {
 	batch, customers := engineWorkload(t, 3, 200)
 	defer customers.Close()
 	batch[1].Solver = "no-such-solver"
-	out, err := (&Engine{}).Run(batch)
-	if err != nil {
-		t.Fatal(err)
+	out := submitAll(context.Background(), &Engine{}, batch)
+	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "no-such-solver") {
+		t.Errorf("instance 1 error = %v", out[1].Err)
 	}
-	if out.Fleet.Errors != 1 || out.Fleet.Solved != 2 {
-		t.Fatalf("fleet = %+v, want 1 error and 2 solved", out.Fleet)
-	}
-	if out.Results[1].Err == nil || !strings.Contains(out.Results[1].Err.Error(), "no-such-solver") {
-		t.Errorf("instance 1 error = %v", out.Results[1].Err)
-	}
-	if out.Results[0].Err != nil || out.Results[2].Err != nil {
-		t.Errorf("healthy instances failed: %v, %v", out.Results[0].Err, out.Results[2].Err)
+	if out[0].Err != nil || out[2].Err != nil {
+		t.Errorf("healthy instances failed: %v, %v", out[0].Err, out[2].Err)
 	}
 
-	if _, err := (&Engine{}).Run([]Instance{{Providers: nil, Customers: nil}}); err == nil {
-		t.Error("nil Customers not rejected")
+	if r := <-(&Engine{}).Submit(context.Background(), Instance{}); r.Err == nil || r.Worker != -1 {
+		t.Errorf("nil Customers not rejected: err %v, worker %d", r.Err, r.Worker)
 	}
 }
 
@@ -210,13 +214,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 			engine := &Engine{Workers: cfg.workers, CacheSize: -1}
 			defer engine.Close()
 			for i := 0; i < b.N; i++ {
-				out, err := engine.Run(batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Fleet.Errors != 0 {
-					b.Fatalf("batch errors: %+v", out.Fleet)
-				}
+				solvedAll(b, submitAll(context.Background(), engine, batch))
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -134,8 +135,15 @@ func ReadCustomersFile(path string) ([]rtree.Item, error) {
 	return out, nil
 }
 
+// parseFloat parses a coordinate. NaN and ±Inf parse as floats but
+// are rejected: a non-finite point has no distance to anything.
 func parseFloat(s string) (float64, error) {
-	return strconv.ParseFloat(strings.TrimSpace(s), 64)
+	s = strings.TrimSpace(s)
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("non-finite coordinate %q", s)
+	}
+	return v, err
 }
 
 // eachRecord scans CSV-ish lines, skipping blanks and '#' comments.

@@ -87,6 +87,21 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteCoordinatesRejected: NaN and ±Inf parse as floats, but
+// both readers must refuse them and name the offending line.
+func TestNonFiniteCoordinatesRejected(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity"} {
+		prov := "1,2,3\n" + v + ",2,3\n"
+		if _, err := ReadProviders(strings.NewReader(prov)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("ReadProviders(%q) = %v; want a line 2 error", prov, err)
+		}
+		cust := "0,1,1\n1,5," + v + "\n"
+		if _, err := ReadCustomers(strings.NewReader(cust)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("ReadCustomers(%q) = %v; want a line 2 error", cust, err)
+		}
+	}
+}
+
 func TestWriteMatching(t *testing.T) {
 	pairs := []core.Pair{
 		{Provider: 0, CustomerID: 5, Dist: 1.25},

@@ -141,78 +141,3 @@ func (m *NetworkMetric) assembleDist(sp, sq snapPos, d [2][2]float64) float64 {
 	}
 	return sp.offset + best + sq.offset
 }
-
-// m2mScratch is the pooled working state of one ManyToManyInto call:
-// the endpoint→row map and the rows reuse their backing storage, so a
-// steady-state call allocates nothing (asserted by
-// TestAllocsManyToMany). Rows are pointers so that growing the slice
-// never moves a sweep another variable still refers to.
-type m2mScratch struct {
-	rowIdx map[int32]int32
-	rows   []*sweep
-}
-
-var m2mPool = sync.Pool{New: func() any { return &m2mScratch{rowIdx: make(map[int32]int32)} }}
-
-// row returns v's sweep, starting a fresh one from a pooled row on
-// first use.
-func (s *m2mScratch) row(v int32, n int) *sweep {
-	if r, ok := s.rowIdx[v]; ok {
-		return s.rows[r]
-	}
-	r := len(s.rows)
-	s.rowIdx[v] = int32(r)
-	if r < cap(s.rows) {
-		s.rows = s.rows[:r+1]
-	} else {
-		s.rows = append(s.rows, nil)
-	}
-	if s.rows[r] == nil {
-		s.rows[r] = new(sweep)
-	}
-	s.rows[r].start(v, n)
-	return s.rows[r]
-}
-
-// ManyToMany returns the full sources×targets distance matrix with one
-// sweep per distinct source snap-edge endpoint — the bulk counterpart
-// of len(sources)·len(targets) Dist calls, with identical
-// (byte-for-byte) results.
-func (m *NetworkMetric) ManyToMany(sources, targets []geo.Point) [][]float64 {
-	flat := m.ManyToManyInto(sources, targets, make([]float64, len(sources)*len(targets)))
-	out := make([][]float64, len(sources))
-	for i := range out {
-		out[i] = flat[i*len(targets) : (i+1)*len(targets)]
-	}
-	return out
-}
-
-// ManyToManyInto is ManyToMany into a caller-provided flat buffer
-// (row-major, len(sources)·len(targets) cells; reallocated only if too
-// small). Each sweep settles only as far as the targets' snap-edge
-// endpoints. Scratch is pooled, so repeated calls at steady state
-// perform zero allocations beyond the caller's buffer.
-func (m *NetworkMetric) ManyToManyInto(sources, targets []geo.Point, out []float64) []float64 {
-	need := len(sources) * len(targets)
-	if cap(out) < need {
-		out = make([]float64, need)
-	}
-	out = out[:need]
-	n := len(m.nodes)
-	s := m2mPool.Get().(*m2mScratch)
-	defer m2mPool.Put(s)
-	clear(s.rowIdx)
-	s.rows = s.rows[:0]
-	for si, p := range sources {
-		sp := m.snap(p)
-		ep := m.edges[sp.edge]
-		r0, r1 := s.row(ep[0], n), s.row(ep[1], n)
-		row := out[si*len(targets) : (si+1)*len(targets)]
-		for ti, q := range targets {
-			sq := m.snap(q)
-			eq := m.edges[sq.edge]
-			row[ti] = m.assembleDist(sp, sq, [2][2]float64{m.labels(r0, eq), m.labels(r1, eq)})
-		}
-	}
-	return out
-}

@@ -24,8 +24,8 @@ func testPairs(m *NetworkMetric, n int, seed int64) [][2]int32 {
 }
 
 // TestManyToManyMatchesPointQueries pins byte-identity of the bulk
-// path: ManyToMany, Table.Dist and point-query Dist must agree
-// exactly, with landmarks on and off.
+// path: every sources×targets Table.Dist must equal the point-query
+// Dist exactly, with landmarks on and off.
 func TestManyToManyMatchesPointQueries(t *testing.T) {
 	net := datagen.NewNetwork(12, space, 2008)
 	sources := net.Points(datagen.Config{N: 24, Dist: datagen.Uniform, Seed: 4})
@@ -33,7 +33,6 @@ func TestManyToManyMatchesPointQueries(t *testing.T) {
 	for _, lmk := range []int{DefaultLandmarks, 0} {
 		bulk := FromNetwork(net)
 		bulk.SetLandmarks(lmk)
-		mat := bulk.ManyToMany(sources, targets)
 		tab := bulk.BuildTable(sources, 0)
 		if tab == nil {
 			t.Fatal("BuildTable declined within default budget")
@@ -43,9 +42,6 @@ func TestManyToManyMatchesPointQueries(t *testing.T) {
 		for i, s := range sources {
 			for j, q := range targets {
 				want := point.Dist(s, q)
-				if mat[i][j] != want {
-					t.Fatalf("landmarks=%d ManyToMany[%d][%d]=%v != Dist=%v", lmk, i, j, mat[i][j], want)
-				}
 				if got := tab.Dist(s, q); got != want {
 					t.Fatalf("landmarks=%d Table.Dist[%d][%d]=%v != Dist=%v", lmk, i, j, got, want)
 				}
@@ -63,9 +59,11 @@ func TestManyToManyMatchesPointQueries(t *testing.T) {
 
 // TestTableSweepsSkipHierarchy pins that table rows run the plain
 // canonical sweep even when the contraction hierarchy is on: BuildTable,
-// Table.Dist and ManyToManyInto must leave the hierarchy unbuilt (only
-// point queries pay for the contraction), and every row, once settled
-// to the end, must hold exactly what sssp produces, byte for byte.
+// and a sources×targets fill of Table.Dist must leave the hierarchy
+// unbuilt (only point queries pay for the contraction), every filled
+// cell must equal the assembly from full sssp sweeps, and every row,
+// once settled to the end, must hold exactly what sssp produces, byte
+// for byte.
 func TestTableSweepsSkipHierarchy(t *testing.T) {
 	net := datagen.NewNetwork(16, space, 2008)
 	sources := net.Points(datagen.Config{N: 12, Dist: datagen.Uniform, Seed: 14})
@@ -77,10 +75,12 @@ func TestTableSweepsSkipHierarchy(t *testing.T) {
 	if tab == nil {
 		t.Fatal("BuildTable declined within default budget")
 	}
-	for _, q := range targets {
-		tab.Dist(sources[0], q)
+	out := make([]float64, 0, len(sources)*len(targets))
+	for _, p := range sources {
+		for _, q := range targets {
+			out = append(out, tab.Dist(p, q))
+		}
 	}
-	out := m.ManyToManyInto(sources, targets, nil)
 	for i := range tab.rows {
 		m.settle(&tab.rows[i].sweep, -1)
 	}
@@ -108,7 +108,7 @@ func TestTableSweepsSkipHierarchy(t *testing.T) {
 		m.sssp(&row1, m.edges[sp.edge][1])
 		for j, q := range targets {
 			if got, want := out[i*len(targets)+j], sweepAssembly(m, &row0, &row1, sp, m.snap(q)); got != want {
-				t.Fatalf("ManyToManyInto[%d][%d] = %v, sssp assembly = %v (must be byte-identical)", i, j, got, want)
+				t.Fatalf("Table.Dist[%d][%d] = %v, sssp assembly = %v (must be byte-identical)", i, j, got, want)
 			}
 		}
 	}
@@ -156,7 +156,7 @@ func TestTableRowsStartSuspended(t *testing.T) {
 }
 
 // TestTableConcurrentQueries shares one Table among goroutines that
-// query it in different orders, as the engine's table memo does: every
+// query it in different orders, as a sharded solve's region workers do: every
 // answer must equal the point query bit for bit (run under -race to
 // check the per-row locking).
 func TestTableConcurrentQueries(t *testing.T) {
@@ -226,25 +226,5 @@ func TestAllocsPointQuery(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Errorf("forwardDijkstra allocates %.1f per query; want 0", avg)
-	}
-}
-
-// TestAllocsManyToMany pins the bulk sweep's budget: with a warm snap
-// cache and pooled scratch, a ManyToManyInto call into a caller buffer
-// must not allocate.
-func TestAllocsManyToMany(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets don't hold under the race detector")
-	}
-	net := datagen.NewNetwork(12, space, 2008)
-	m := FromNetwork(net)
-	sources := net.Points(datagen.Config{N: 16, Dist: datagen.Uniform, Seed: 8})
-	targets := net.Points(datagen.Config{N: 128, Dist: datagen.Clustered, Seed: 9})
-	out := make([]float64, len(sources)*len(targets))
-	m.ManyToManyInto(sources, targets, out) // warm snap cache + scratch pool
-	if avg := testing.AllocsPerRun(20, func() {
-		m.ManyToManyInto(sources, targets, out)
-	}); avg != 0 {
-		t.Errorf("ManyToManyInto allocates %.1f per sweep; want 0", avg)
 	}
 }

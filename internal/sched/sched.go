@@ -17,8 +17,7 @@
 // Telemetry. The pool records per-worker busy time and task counts,
 // plus queue-wait (submit → execution start) aggregates. Callers can
 // snapshot Metrics around a batch and diff the two snapshots to get
-// batch-scoped utilization (cca.Engine does exactly that for its
-// FleetMetrics).
+// batch-scoped utilization.
 package sched
 
 import (

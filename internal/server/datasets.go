@@ -16,6 +16,7 @@ import (
 	cca "repro"
 	"repro/client"
 	"repro/internal/dataio"
+	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -126,11 +127,7 @@ func (d *datasetStore) acquire(name string) (*dsEntry, error) {
 				}
 				return
 			}
-			cfg := cca.IndexConfig{}
-			if d.pagesDir != "" {
-				cfg.Path = filepath.Join(d.pagesDir, name+".pages")
-			}
-			c, err := cca.IndexItems(items, cfg)
+			c, err := d.index(name, items)
 			if err != nil {
 				e.err = fmt.Errorf("dataset %q: index: %w", name, err)
 				return
@@ -156,6 +153,33 @@ func (d *datasetStore) acquire(name string) (*dsEntry, error) {
 		e.mu.Unlock()
 		return e, nil
 	}
+}
+
+// index bulk-loads items into a page store: in memory, or under a
+// state directory as <name>.pages. The file is written under a fresh
+// temporary name and renamed into place, because an evicted entry's
+// in-flight solves still read the <name>.pages they opened, and
+// truncating it in place would cut their pages from under them.
+func (d *datasetStore) index(name string, items []rtree.Item) (*cca.Customers, error) {
+	if d.pagesDir == "" {
+		return cca.IndexItems(items, cca.IndexConfig{})
+	}
+	tmp, err := os.CreateTemp(d.pagesDir, name+".pages.tmp*")
+	if err != nil {
+		return nil, err
+	}
+	tmp.Close()
+	c, err := cca.IndexItems(items, cca.IndexConfig{Path: tmp.Name()})
+	if err == nil {
+		if err = os.Rename(tmp.Name(), filepath.Join(d.pagesDir, name+".pages")); err != nil {
+			c.Close()
+		}
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return nil, err
+	}
+	return c, nil
 }
 
 // release drops one in-flight reference; the last release after an

@@ -31,6 +31,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -439,12 +440,20 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return true
 }
 
-// writeJSON writes v as a JSON response.
+// writeJSON writes v as a JSON response. v is marshalled before the
+// status goes out, so a value that cannot be encoded (a NaN or ±Inf
+// float) answers 500 with an error body instead of code with an empty
+// one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		body.Reset()
+		json.NewEncoder(&body).Encode(client.ErrorResponse{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	w.Write(body.Bytes())
 }
 
 // writeError writes the uniform error body.

@@ -378,6 +378,40 @@ func TestSolveInstanceErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputs: an uploaded dataset with a NaN coordinate
+// answers 400 naming the line and stores nothing, and an inline solve
+// whose finite but huge coordinates overflow a distance to +Inf answers
+// a decodable 200 carrying that instance's error beside a healthy
+// instance's matching.
+func TestNonFiniteInputs(t *testing.T) {
+	dir := t.TempDir()
+	h := testServer(t, server.Config{DataDir: dir})
+	ctx := context.Background()
+
+	_, err := h.c.UploadDataset(ctx, "bad", strings.NewReader("0,1,1\n1,NaN,5\n"))
+	if statusOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("NaN upload: %v, want 400 naming line 2", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "bad.csv")); !os.IsNotExist(err) {
+		t.Fatalf("rejected upload left bad.csv behind: %v", err)
+	}
+
+	good := client.Instance{Providers: []client.Provider{{X: 1, Y: 1, Cap: 20}}, Customers: wireCustomers(testPoints(10, 43))}
+	huge := good
+	huge.Customers = append([]client.Customer(nil), good.Customers...)
+	huge.Customers[0].X = 1e200
+	resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{huge, good}})
+	if err != nil {
+		t.Fatalf("overflowing solve: %v, want a decodable 200", err)
+	}
+	if r := resp.Results[0]; !strings.Contains(r.Error, "non-finite") {
+		t.Errorf("overflowing instance: error %q, size %d; want a non-finite cost error", r.Error, r.Size)
+	}
+	if r := resp.Results[1]; r.Error != "" || r.Size != 10 {
+		t.Errorf("healthy instance: %+v", r)
+	}
+}
+
 // TestSolveInstanceCap: admission counts requests, so the per-request
 // instance bound must stop one admitted request from flooding the
 // engine queue.

@@ -324,17 +324,14 @@ func (s *Server) prepare(ctx context.Context, idx int, wi client.Instance) *prep
 	return p
 }
 
-// collect receives instance i's result (or synthesizes one for a
+// collect receives an instance's result (or synthesizes one for a
 // conversion failure) and releases its per-instance resources.
-func collect(p *prepared, ch <-chan cca.InstanceResult, i int) cca.InstanceResult {
+func collect(p *prepared, ch <-chan cca.InstanceResult) cca.InstanceResult {
 	if p.err != nil {
-		return cca.InstanceResult{Index: i, Label: p.label, Solver: p.solver, Worker: -1, Err: p.err}
+		return cca.InstanceResult{Label: p.label, Solver: p.solver, Worker: -1, Err: p.err}
 	}
 	r := <-ch
 	p.span.End()
-	// Submit stamps every direct submission with index 0; results are
-	// identified request-relative here.
-	r.Index = i
 	if p.cancel != nil {
 		p.cancel()
 		p.cancel = nil
@@ -358,13 +355,14 @@ func (s *Server) recordDatasetIO(p *prepared, r cca.InstanceResult) {
 }
 
 // noteSlow logs a structured warning for any solve whose wall time
-// crossed the -slow-solve-threshold (0 disables).
-func (s *Server) noteSlow(r cca.InstanceResult) {
+// crossed the -slow-solve-threshold (0 disables); i is the instance's
+// index in its request.
+func (s *Server) noteSlow(i int, r cca.InstanceResult) {
 	if s.cfg.SlowSolveThreshold <= 0 || r.Wall < s.cfg.SlowSolveThreshold {
 		return
 	}
 	args := []any{
-		"index", r.Index,
+		"index", i,
 		"solver", r.Solver,
 		"wall", r.Wall,
 		"queue_wait", r.QueueWait,
@@ -388,10 +386,10 @@ func (s *Server) solveBuffered(w http.ResponseWriter, preps []*prepared, chans [
 	results := make([]client.InstanceResult, len(preps))
 	raw := make([]cca.InstanceResult, len(preps))
 	for i, p := range preps {
-		raw[i] = collect(p, chans[i], i)
+		raw[i] = collect(p, chans[i])
 		s.recordDatasetIO(p, raw[i])
-		s.noteSlow(raw[i])
-		results[i] = wireResult(raw[i])
+		s.noteSlow(i, raw[i])
+		results[i] = wireResult(i, raw[i])
 	}
 	fleet := fleetOf(raw, time.Since(start))
 	s.stats.recordSolve(fleet, raw)
@@ -429,17 +427,21 @@ func (s *Server) solveStreamed(w http.ResponseWriter, mode string, preps []*prep
 		}
 	}
 
-	// Fan the per-instance channels into completion order.
-	merged := make(chan cca.InstanceResult)
+	// Fan the per-instance channels into completion order. Each
+	// goroutine owns raw[i]; the merged channel's close orders those
+	// writes before the fleet aggregation below reads them.
+	merged := make(chan client.InstanceResult)
+	raw := make([]cca.InstanceResult, len(preps))
 	var wg sync.WaitGroup
 	for i, p := range preps {
 		wg.Add(1)
 		go func(i int, p *prepared) {
 			defer wg.Done()
-			r := collect(p, chans[i], i)
+			r := collect(p, chans[i])
 			s.recordDatasetIO(p, r)
-			s.noteSlow(r)
-			merged <- r
+			s.noteSlow(i, r)
+			raw[i] = r
+			merged <- wireResult(i, r)
 		}(i, p)
 	}
 	go func() {
@@ -447,10 +449,7 @@ func (s *Server) solveStreamed(w http.ResponseWriter, mode string, preps []*prep
 		close(merged)
 	}()
 
-	raw := make([]cca.InstanceResult, 0, len(preps))
-	for r := range merged {
-		raw = append(raw, r)
-		wr := wireResult(r)
+	for wr := range merged {
 		emit(client.StreamEnvelope{Result: &wr}, "result")
 	}
 	fleet := fleetOf(raw, time.Since(start))
@@ -463,10 +462,11 @@ func (s *Server) solveStreamed(w http.ResponseWriter, mode string, preps []*prep
 	emit(env, "fleet")
 }
 
-// wireResult converts an engine result to the wire form.
-func wireResult(r cca.InstanceResult) client.InstanceResult {
+// wireResult converts the result of a request's instance i to the wire
+// form.
+func wireResult(i int, r cca.InstanceResult) client.InstanceResult {
 	out := client.InstanceResult{
-		Index:       r.Index,
+		Index:       i,
 		Label:       r.Label,
 		Solver:      r.Solver,
 		Cached:      r.Cached,
@@ -516,8 +516,7 @@ func wireTrace(n *obs.TraceNode) *client.TraceSpan {
 	return out
 }
 
-// fleetOf aggregates a request's raw results (the server-side analogue
-// of Engine.RunContext's fleet accounting).
+// fleetOf aggregates a request's raw results into its fleet metrics.
 func fleetOf(raw []cca.InstanceResult, wall time.Duration) client.Fleet {
 	f := client.Fleet{Instances: len(raw), WallNS: int64(wall)}
 	qh := obs.NewHistogram(obs.LatencyBounds)

@@ -202,8 +202,8 @@ func TestTraceStructureDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceTableSettled: a network solve large enough for the engine's
-// distance table reports on its solve span how far the table's sweeps
+// TestTraceTableSettled: a network solve large enough for the registry's
+// distance table reports on its solver span how far the table's sweeps
 // ran — some labels settled, never more than the rows could hold.
 func TestTraceTableSettled(t *testing.T) {
 	h := testServer(t, server.Config{})
@@ -216,14 +216,17 @@ func TestTraceTableSettled(t *testing.T) {
 		NetSeed:   3,
 	}}}
 	out, _ := tracedSolve(t, h.url, req)
-	solve := findSpan(out.Trace, "solve")
-	if solve == nil {
-		t.Fatal("trace carries no solve span")
+	sv := findSpan(out.Trace, "solver")
+	if sv == nil {
+		t.Fatal("trace carries no solver span")
 	}
-	settled, ok1 := solve.Attrs["table_settled"].(float64)
-	total, ok2 := solve.Attrs["table_nodes"].(float64)
+	if findSpan(sv, "table-build") == nil {
+		t.Fatal("solver span has no table-build child")
+	}
+	settled, ok1 := sv.Attrs["table_settled"].(float64)
+	total, ok2 := sv.Attrs["table_nodes"].(float64)
 	if !ok1 || !ok2 {
-		t.Fatalf("solve span missing table_settled/table_nodes: %v", solve.Attrs)
+		t.Fatalf("solver span missing table_settled/table_nodes: %v", sv.Attrs)
 	}
 	if settled <= 0 || settled > total {
 		t.Errorf("table settled %v of %v labels; want 1..%v", settled, total, total)

@@ -4,12 +4,14 @@
 // and heuristic (the greedy SM join) — registers itself under a stable
 // name, and callers resolve solvers with Get instead of switching on
 // algorithm strings. The CLIs (ccarun, ccabench), the experiment
-// harness (internal/expr) and the public batch engine (cca.Engine) all
+// harness (internal/expr) and the public engine (cca.Engine) all
 // go through this registry, so adding a solver is one Register call.
 package solver
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -188,7 +190,7 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	// callers (CLIs, expr, cca.Engine, the sharded meta-solver's outer
 	// solve) pass through. Inner sharded sub-solves arrive with the
 	// *netmetric.Table already in place and skip the rewrap.
-	buildWall := withDistTable(providers, data, &opts)
+	table, buildWall := withDistTable(providers, data, &opts)
 	if buildWall > 0 {
 		span.AddTimed("table-build", buildWall)
 	}
@@ -224,6 +226,11 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	if err != nil {
 		return nil, err
 	}
+	// A distance that overflowed float64 (coordinates near its range)
+	// makes Ψ(M) meaningless; report it rather than return the matching.
+	if math.IsNaN(res.Cost) || math.IsInf(res.Cost, 0) {
+		return nil, fmt.Errorf("non-finite matching cost %v", res.Cost)
+	}
 	// The table's sweeps run inside the algorithm's Dist calls and so
 	// inside its own timers; only the row allocation ran before them.
 	// Charge that too, so no part of the table hides from the
@@ -232,6 +239,12 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	if span != nil {
 		span.SetInt("faults", int64(res.Metrics.IO.Faults))
 		span.SetInt("io_ns", int64(res.Metrics.IOTime))
+		if table != nil {
+			// How far this solve ran the table's sweeps.
+			settled, total := table.Settled()
+			span.SetInt("table_settled", int64(settled))
+			span.SetInt("table_nodes", int64(total))
+		}
 	}
 	res.Solver = s.name
 	res.Kind = s.kind
@@ -241,10 +254,7 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 // DistTableMinPairs gates the distance table: below this many
 // provider×customer pairs the point-query path (with its warm caches)
 // wins, since a table row pays for every node it settles on the way
-// to a customer while a cached point query pays for none. Exported so
-// the batch engine's shared-table memo applies the identical gate — an
-// instance small enough to skip the table here also skips the memo
-// there.
+// to a customer while a cached point query pays for none.
 const DistTableMinPairs = 1 << 12
 
 // withDistTable swaps opts' metric for a provider-sourced distance
@@ -254,23 +264,25 @@ const DistTableMinPairs = 1 << 12
 // each row's sweep advances during the solve, as far as its queries
 // reach. Results are byte-identical either way — the table returns the
 // same canonical floats as point queries — so this is purely a
-// performance decision. Returns the wall time the build consumed (0
-// when skipped or declined over budget).
-func withDistTable(providers []core.Provider, data Dataset, opts *Options) time.Duration {
+// performance decision. Returns the table (nil when skipped or
+// declined over budget) and the wall time the build consumed (0 when
+// skipped).
+func withDistTable(providers []core.Provider, data Dataset, opts *Options) (*netmetric.Table, time.Duration) {
 	nm, ok := opts.Core.Metric.(*netmetric.NetworkMetric)
 	if !ok || opts.Core.DistTable < 0 || len(providers) == 0 ||
 		len(providers)*data.Len() < DistTableMinPairs {
-		return 0
+		return nil, 0
 	}
 	start := time.Now()
 	pts := make([]geo.Point, len(providers))
 	for i := range providers {
 		pts[i] = providers[i].Pt
 	}
-	if t := nm.BuildTable(pts, opts.Core.DistTable); t != nil {
+	t := nm.BuildTable(pts, opts.Core.DistTable)
+	if t != nil {
 		opts.Core.Metric = t
 	}
-	return time.Since(start)
+	return t, time.Since(start)
 }
 
 // New builds a Solver from a function; doc is a one-line description

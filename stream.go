@@ -4,10 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -27,52 +27,6 @@ import (
 //	ch := engine.Submit(ctx, cca.Instance{Providers: q, Customers: p})
 //	res := <-ch
 func (e *Engine) Submit(ctx context.Context, in Instance) <-chan InstanceResult {
-	return e.submit(ctx, in, 0)
-}
-
-// RunStream feeds a channel of instances through the scheduler and
-// streams results back in completion order. Instances are indexed in
-// arrival order (InstanceResult.Index). The result channel closes once
-// every accepted instance has reported; the consumer must drain it.
-// When ctx dies, RunStream stops accepting new instances (the producer
-// should stop sending), already-queued instances report ctx.Err()
-// without solving, and in-flight solves return between augmenting
-// iterations.
-func (e *Engine) RunStream(ctx context.Context, instances <-chan Instance) <-chan InstanceResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make(chan InstanceResult)
-	go func() {
-		defer close(out)
-		var wg sync.WaitGroup
-		idx := 0
-	feed:
-		for {
-			select {
-			case <-ctx.Done():
-				break feed // stop scheduling new instances
-			case in, ok := <-instances:
-				if !ok {
-					break feed
-				}
-				ch := e.submit(ctx, in, idx)
-				idx++
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					out <- <-ch
-				}()
-			}
-		}
-		wg.Wait()
-	}()
-	return out
-}
-
-// submit is the engine's single enqueue path: Run, RunStream, and
-// Submit all funnel through it.
-func (e *Engine) submit(ctx context.Context, in Instance, idx int) <-chan InstanceResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -81,9 +35,9 @@ func (e *Engine) submit(ctx context.Context, in Instance, idx int) <-chan Instan
 		ch <- r
 		close(ch)
 	}
-	base := InstanceResult{Index: idx, Label: in.Label, Solver: e.solverFor(in), Worker: -1}
+	base := InstanceResult{Label: in.Label, Solver: e.solverFor(in), Worker: -1}
 	if in.Customers == nil {
-		base.Err = fmt.Errorf("cca: engine: instance %d has nil Customers", idx)
+		base.Err = errors.New("cca: engine: instance has nil Customers")
 		deliver(base)
 		return ch
 	}
@@ -108,7 +62,7 @@ func (e *Engine) submit(ctx context.Context, in Instance, idx int) <-chan Instan
 		qspan.SetStr("lane", info.Lane.String())
 		qspan.SetInt("worker", int64(info.Worker))
 		qspan.End()
-		r := e.runOne(ctx, idx, in)
+		r := e.runOne(ctx, in)
 		r.Worker = info.Worker
 		r.QueueWait = info.QueueWait
 		deliver(r)
@@ -124,8 +78,8 @@ func (e *Engine) submit(ctx context.Context, in Instance, idx int) <-chan Instan
 // runOne executes a single instance on its own dataset handle, serving
 // repeats from the result cache. The named return matters: the deferred
 // Wall stamp must land on the value the caller receives.
-func (e *Engine) runOne(ctx context.Context, idx int, in Instance) (out InstanceResult) {
-	out = InstanceResult{Index: idx, Label: in.Label, Solver: e.solverFor(in)}
+func (e *Engine) runOne(ctx context.Context, in Instance) (out InstanceResult) {
+	out = InstanceResult{Label: in.Label, Solver: e.solverFor(in)}
 	begin := time.Now()
 	defer func() { out.Wall = time.Since(begin) }()
 
@@ -140,7 +94,7 @@ func (e *Engine) runOne(ctx context.Context, idx int, in Instance) (out Instance
 	}
 	s, err := solver.Get(out.Solver)
 	if err != nil {
-		out.Err = fmt.Errorf("cca: engine: instance %d (%s): %w", idx, out.Solver, err)
+		out.Err = fmt.Errorf("cca: engine: %s: %w", out.Solver, err)
 		return out
 	}
 	out.Solver = s.Name() // canonicalize aliases/casing ("SM" → "greedy")
@@ -157,33 +111,16 @@ func (e *Engine) runOne(ctx context.Context, idx int, in Instance) (out Instance
 	}
 	span.SetInt("cached", 0)
 
-	// Inject the engine's shared distance table, after the cache key is
-	// fixed (the key must identify the underlying network metric, not the
-	// table wrapping it). The solver registry sees a *netmetric.Table
-	// already in place and skips its own per-solve build.
-	if t := e.sharedTable(in); t != nil {
-		in.Options.Core.Metric = t
-		if span != nil {
-			// How far the table's sweeps have run, after this solve
-			// (shared rows include what earlier solves settled).
-			defer func() {
-				settled, total := t.Settled()
-				span.SetInt("table_settled", int64(settled))
-				span.SetInt("table_nodes", int64(total))
-			}()
-		}
-	}
-
 	handle, err := in.Customers.Clone()
 	if err != nil {
-		out.Err = fmt.Errorf("cca: engine: instance %d: clone dataset: %w", idx, err)
+		out.Err = fmt.Errorf("cca: engine: clone dataset: %w", err)
 		return out
 	}
 	defer handle.Close()
 
 	res, err := s.Solve(ctx, in.Providers, handle, in.Options)
 	if err != nil {
-		out.Err = fmt.Errorf("cca: engine: instance %d (%s): %w", idx, out.Solver, err)
+		out.Err = fmt.Errorf("cca: engine: %s: %w", out.Solver, err)
 		return out
 	}
 	out.Result = res
