@@ -160,8 +160,8 @@ func BenchmarkThetaSensitivity(b *testing.B) {
 
 // --- solver micro-benchmarks through the public API ---
 
-func benchWorkload(b *testing.B, nc int) ([]Provider, *Customers) {
-	b.Helper()
+func benchWorkload(tb testing.TB, nc int) ([]Provider, *Customers) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]Point, nc)
 	for i := range pts {
@@ -169,9 +169,9 @@ func benchWorkload(b *testing.B, nc int) ([]Provider, *Customers) {
 	}
 	customers, err := IndexCustomers(pts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { customers.Close() })
+	tb.Cleanup(func() { customers.Close() })
 	providers := make([]Provider, 10)
 	for i := range providers {
 		providers[i] = Provider{
@@ -186,6 +186,7 @@ func benchWorkload(b *testing.B, nc int) ([]Provider, *Customers) {
 // end (10 providers, 2000 customers, half the customers assignable).
 func BenchmarkAssignIDA(b *testing.B) {
 	providers, customers := benchWorkload(b, 2000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve("ida", providers, customers, nil); err != nil {
@@ -197,6 +198,7 @@ func BenchmarkAssignIDA(b *testing.B) {
 // BenchmarkAssignNIA measures NIA on the same workload.
 func BenchmarkAssignNIA(b *testing.B) {
 	providers, customers := benchWorkload(b, 2000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve("nia", providers, customers, nil); err != nil {

@@ -12,7 +12,8 @@ import (
 )
 
 // edgeEntry is a candidate edge e(q, p) held in the NIA/IDA heap H.
-// Exactly one entry per provider is in the heap at any time (§3.2).
+// At most one entry per provider is in the heap at any time (§3.2), so
+// H's handle is the provider index.
 type edgeEntry struct {
 	q    int32
 	item rtree.Item
@@ -25,8 +26,8 @@ type incRunner struct {
 	g       *flowgraph.Graph
 	tree    *rtree.Tree
 	nn      rtree.NNSource
-	heap    pqueue.Heap[edgeEntry]
-	handles []*pqueue.Item[edgeEntry] // per-provider heap handle
+	heap    pqueue.Heap // H, indexed by provider
+	entries []edgeEntry // provider q's current candidate edge
 	custIdx map[int64]int32
 	opts    Options
 	metrics *Metrics
@@ -58,7 +59,8 @@ func newIncRunner(providers []Provider, tree *rtree.Tree, opts Options, m *Metri
 		g:       g,
 		tree:    tree,
 		nn:      nn,
-		handles: make([]*pqueue.Item[edgeEntry], len(providers)),
+		heap:    pqueue.NewIndexed(),
+		entries: make([]edgeEntry, len(providers)),
 		custIdx: make(map[int64]int32),
 		opts:    opts,
 		metrics: m,
@@ -90,23 +92,21 @@ func (r *incRunner) enqueueNext(q int32) error {
 		return err
 	}
 	if !ok {
-		r.handles[q] = nil // P exhausted for q
-		return nil
+		return nil // P exhausted for q
 	}
 	r.metrics.NNRetrievals++
 	e := edgeEntry{q: q, item: item, dist: d}
-	r.handles[q] = r.heap.Push(e, r.key(e))
+	r.entries[q] = e
+	r.heap.Push(q, r.key(e))
 	return nil
 }
 
 // pop removes the top edge from H and replenishes its provider's entry.
 func (r *incRunner) pop() (edgeEntry, bool, error) {
-	top := r.heap.Pop()
-	if top == nil {
+	if r.heap.Len() == 0 {
 		return edgeEntry{}, false, nil
 	}
-	e := top.Value
-	r.handles[e.q] = nil
+	e := r.entries[r.heap.Pop().H]
 	if err := r.enqueueNext(e.q); err != nil {
 		return edgeEntry{}, false, err
 	}
@@ -116,8 +116,8 @@ func (r *incRunner) pop() (edgeEntry, bool, error) {
 // topKey returns Φ(E−Esub): the least possible cost through any
 // undiscovered edge (∞ when every edge has been discovered).
 func (r *incRunner) topKey() float64 {
-	if top := r.heap.Peek(); top != nil {
-		return top.Key()
+	if r.heap.Len() > 0 {
+		return r.heap.Peek().Key
 	}
 	return math.Inf(1)
 }
@@ -128,14 +128,14 @@ func (r *incRunner) refreshKeys() {
 	if !r.idaKeys {
 		return
 	}
-	for _, h := range r.handles {
-		if h == nil || !h.InHeap() {
+	for q, e := range r.entries {
+		q := int32(q)
+		if !r.heap.Contains(q) {
 			continue
 		}
-		want := r.key(h.Value)
-		if want != h.Key() {
+		if want := r.key(e); want != r.heap.Key(q) {
 			r.metrics.KeyUpdates++
-			r.heap.Update(h, want)
+			r.heap.Update(q, want)
 		}
 	}
 }

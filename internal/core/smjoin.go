@@ -42,11 +42,10 @@ func SMJoin(providers []Provider, tree *rtree.Tree, opts Options) (*Result, erro
 		return nil, err
 	}
 
-	type cand struct {
-		q    int
-		item rtree.Item
-	}
-	var h pqueue.Heap[cand]
+	// Each provider has at most one candidate on the heap, so the heap's
+	// handle is the provider index and cands[q] its candidate.
+	var h pqueue.Heap
+	cands := make([]rtree.Item, len(providers))
 	push := func(q int) error {
 		item, d, ok, err := nn.Next(q)
 		if err != nil {
@@ -54,7 +53,8 @@ func SMJoin(providers []Provider, tree *rtree.Tree, opts Options) (*Result, erro
 		}
 		if ok {
 			m.NNRetrievals++
-			h.Push(cand{q: q, item: item}, d)
+			cands[q] = item
+			h.Push(int32(q), d)
 		}
 		return nil
 	}
@@ -76,23 +76,23 @@ func SMJoin(providers []Provider, tree *rtree.Tree, opts Options) (*Result, erro
 			return nil, err
 		}
 		top := h.Pop()
-		c := top.Value
-		if remaining[c.q] == 0 {
+		q, item := int(top.H), cands[top.H]
+		if remaining[q] == 0 {
 			continue // provider already full: drop its candidate stream
 		}
-		if assigned[c.item.ID] {
+		if assigned[item.ID] {
 			// Customer taken by a closer pair; advance this provider.
-			if err := push(c.q); err != nil {
+			if err := push(q); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		pairs = append(pairs, Pair{Provider: c.q, CustomerID: c.item.ID, CustomerPt: c.item.Pt, Dist: top.Key()})
-		cost += top.Key()
-		assigned[c.item.ID] = true
-		remaining[c.q]--
-		if remaining[c.q] > 0 {
-			if err := push(c.q); err != nil {
+		pairs = append(pairs, Pair{Provider: q, CustomerID: item.ID, CustomerPt: item.Pt, Dist: top.Key})
+		cost += top.Key
+		assigned[item.ID] = true
+		remaining[q]--
+		if remaining[q] > 0 {
+			if err := push(q); err != nil {
 				return nil, err
 			}
 		}

@@ -1,13 +1,13 @@
 package datagen
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
 	"repro/internal/geo"
+	"repro/internal/pqueue"
 )
 
 // Churn workloads: named, seeded generators of online event streams
@@ -137,28 +137,12 @@ func NewChurn(name string, n *Network, cfg ChurnConfig) (*ChurnWorkload, error) 
 	return w, nil
 }
 
-// lifeEntry schedules a customer's departure.
-type lifeEntry struct {
-	at int // event index at which the customer departs
-	id int64
-}
-
-type lifeHeap []lifeEntry
-
-func (h lifeHeap) Len() int           { return len(h) }
-func (h lifeHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h lifeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *lifeHeap) Push(x any)        { *h = append(*h, x.(lifeEntry)) }
-func (h *lifeHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *lifeHeap) peek() lifeEntry   { return (*h)[0] }
-func (h *lifeHeap) nonEmpty() bool    { return h.Len() > 0 }
-
 // churnBuilder accumulates a valid event stream: arrivals get unique
 // ids and scheduled lifetimes; due departures are emitted before new
 // work.
 type churnBuilder struct {
 	events []Event
-	lives  lifeHeap
+	lives  pqueue.Heap // scheduled departures: handle = customer id, key = due event index
 	nextID int64
 }
 
@@ -171,18 +155,23 @@ func (b *churnBuilder) arrive(pt geo.Point, lifetime int) {
 	b.nextID++
 	b.events = append(b.events, Event{Kind: EventArrive, ID: id, Pt: pt})
 	if lifetime > 0 {
-		heap.Push(&b.lives, lifeEntry{at: len(b.events) + lifetime, id: id})
+		b.lives.Push(int32(id), float64(len(b.events)+lifetime))
 	}
 }
 
 // departDue emits at most one due departure; reports whether it did.
 func (b *churnBuilder) departDue() bool {
-	if !b.lives.nonEmpty() || b.lives.peek().at > len(b.events) {
+	if b.lives.Len() == 0 || b.lives.Peek().Key > float64(len(b.events)) {
 		return false
 	}
-	e := heap.Pop(&b.lives).(lifeEntry)
-	b.events = append(b.events, Event{Kind: EventDepart, ID: e.id})
+	b.departNext()
 	return true
+}
+
+// departNext emits the departure of the customer scheduled to leave
+// first, due or not. At least one departure must be scheduled.
+func (b *churnBuilder) departNext() {
+	b.events = append(b.events, Event{Kind: EventDepart, ID: int64(b.lives.Pop().H)})
 }
 
 func (b *churnBuilder) resize(provider, newCap int) {
@@ -212,10 +201,9 @@ func genRidehail(n *Network, cfg ChurnConfig) *ChurnWorkload {
 		if rng.Float64() < pArrive {
 			// Rides last 12–60 events.
 			b.arrive(n.randomEdgePoint(rng), 12+rng.Intn(49))
-		} else if b.lives.nonEmpty() {
+		} else if b.lives.Len() > 0 {
 			// Early cancellation of the next-scheduled rider.
-			e := heap.Pop(&b.lives).(lifeEntry)
-			b.events = append(b.events, Event{Kind: EventDepart, ID: e.id})
+			b.departNext()
 		}
 	}
 	return &ChurnWorkload{Providers: providers, Events: b.events}
@@ -349,9 +337,8 @@ func genDiurnal(n *Network, cfg ChurnConfig) *ChurnWorkload {
 		} else {
 			// Off-peak idle tick: emit the soonest scheduled departure
 			// early so the pool drains when arrivals ebb.
-			if b.lives.nonEmpty() {
-				e := heap.Pop(&b.lives).(lifeEntry)
-				b.events = append(b.events, Event{Kind: EventDepart, ID: e.id})
+			if b.lives.Len() > 0 {
+				b.departNext()
 			} else {
 				b.arrive(n.randomEdgePoint(rng), 15+rng.Intn(40))
 			}

@@ -38,6 +38,45 @@ func TestAllocsGraphConstruction(t *testing.T) {
 	}
 }
 
+// TestAllocsWarmSearch pins that a shortest-path search on a warm pooled
+// graph allocates nothing: Hd and Hf are flat indexed heaps over the
+// pooled search state, so BeginIteration+Search push and pop without
+// allocating.
+func TestAllocsWarmSearch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets don't hold under the race detector")
+	}
+	providers, customers := benchInstance(16, 512, 4)
+	g := NewGraph(providers, false)
+	defer g.Release()
+	for _, c := range customers {
+		ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+		for k := 0; k < 4; k++ {
+			g.AddEdge(int32((int(ci)+5*k)%len(providers)), ci)
+		}
+	}
+	// Augment part of the way so searches also cross reversed edges.
+	for it := 0; it < 32; it++ {
+		g.BeginIteration()
+		if _, _, ok := g.Search(); !ok {
+			t.Fatal("no augmenting path")
+		}
+		if err := g.Augment(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search := func() {
+		g.BeginIteration()
+		if _, _, ok := g.Search(); !ok {
+			t.Fatal("no augmenting path")
+		}
+	}
+	search()
+	if avg := testing.AllocsPerRun(50, search); avg != 0 {
+		t.Fatalf("warm BeginIteration+Search allocates %.1f times; want 0", avg)
+	}
+}
+
 // BenchmarkGraphConstruction measures the pooled build/release cycle the
 // batch engine pays per solve.
 func BenchmarkGraphConstruction(b *testing.B) {

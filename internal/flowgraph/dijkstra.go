@@ -10,21 +10,18 @@ import (
 )
 
 // searchState holds the per-iteration Dijkstra labels. Arrays are epoch
-// stamped so a new iteration does not pay O(V) re-initialization.
+// stamped so a new iteration does not pay O(V) re-initialization; the
+// two heaps are indexed by node id and clear in O(entries still queued).
 type searchState struct {
 	epoch   int64
 	alpha   []float64
 	prev    []NodeID
 	seenAt  []int64 // epoch when alpha/prev were last written
 	doneAt  []int64 // epoch when the node was finalized (popped)
-	heapIt  []*pqueue.Item[NodeID]
-	heapAt  []int64 // epoch when heapIt is valid
 	visited []NodeID
 
-	heap   pqueue.Heap[NodeID] // Hd: the main Dijkstra frontier
-	repair pqueue.Heap[NodeID] // Hf: the PUA repair frontier
-	repIt  []*pqueue.Item[NodeID]
-	repAt  []int64
+	heap   pqueue.Heap // Hd: the main Dijkstra frontier
+	repair pqueue.Heap // Hf: the PUA repair frontier
 
 	tBest float64 // shortest known source→sink cost this iteration
 	vmin  NodeID  // finalized non-full customer realizing tBest
@@ -35,7 +32,9 @@ type searchState struct {
 // heap storage. The epoch counter is deliberately preserved across
 // reuses: it only ever increments, so stamps written by a previous owner
 // can never equal a later owner's epoch and the arrays need no zeroing.
-var statePool = sync.Pool{New: func() any { return &searchState{} }}
+var statePool = sync.Pool{New: func() any {
+	return &searchState{heap: pqueue.NewIndexed(), repair: pqueue.NewIndexed()}
+}}
 
 // acquireSearchState returns a pooled searchState grown to n nodes with
 // empty heaps.
@@ -50,21 +49,9 @@ func acquireSearchState(n int) *searchState {
 	return s
 }
 
-// release returns the state to the pool. Handle arrays are nilled so
-// the pooled state does not pin the last solve's pqueue items (Clear
-// truncates the heaps but keeps their backing arrays; the nil stores
-// below make the retained slots unreachable too).
-func (s *searchState) release() {
-	s.heap.Clear()
-	s.repair.Clear()
-	for i := range s.heapIt {
-		s.heapIt[i] = nil
-	}
-	for i := range s.repIt {
-		s.repIt[i] = nil
-	}
-	statePool.Put(s)
-}
+// release returns the state to the pool; acquireSearchState clears it
+// for the next owner.
+func (s *searchState) release() { statePool.Put(s) }
 
 func (s *searchState) grow(n int) {
 	for len(s.alpha) < n {
@@ -72,10 +59,6 @@ func (s *searchState) grow(n int) {
 		s.prev = append(s.prev, 0)
 		s.seenAt = append(s.seenAt, 0)
 		s.doneAt = append(s.doneAt, 0)
-		s.heapIt = append(s.heapIt, nil)
-		s.heapAt = append(s.heapAt, 0)
-		s.repIt = append(s.repIt, nil)
-		s.repAt = append(s.repAt, 0)
 	}
 }
 
@@ -107,8 +90,7 @@ func (g *Graph) BeginIteration() {
 		s.alpha[v] = a
 		s.prev[v] = sourceNode
 		s.seenAt[v] = s.epoch
-		s.heapIt[v] = s.heap.Push(v, a)
-		s.heapAt[v] = s.epoch
+		s.heap.Push(v, a)
 	}
 }
 
@@ -119,12 +101,10 @@ func (g *Graph) BeginIteration() {
 func (g *Graph) Search() (vmin NodeID, cost float64, ok bool) {
 	s := g.search
 	for s.heap.Len() > 0 {
-		if top := s.heap.Peek(); top.Key() >= s.tBest {
+		if s.heap.Peek().Key >= s.tBest {
 			break
 		}
-		it := s.heap.Pop()
-		v := it.Value
-		s.heapIt[v] = nil
+		v := s.heap.Pop().H
 		s.doneAt[v] = s.epoch
 		s.visited = append(s.visited, v)
 		g.stats.Pops++
@@ -242,20 +222,18 @@ func (g *Graph) offer(v NodeID, nd float64, from NodeID) {
 			s.tBest = nd
 			s.vmin = v
 		}
-		if s.repAt[v] == s.epoch && s.repIt[v] != nil && s.repIt[v].InHeap() {
-			s.repair.Update(s.repIt[v], nd)
+		if s.repair.Contains(v) {
+			s.repair.Update(v, nd)
 		} else {
-			s.repIt[v] = s.repair.Push(v, nd)
-			s.repAt[v] = s.epoch
+			s.repair.Push(v, nd)
 		}
 		return
 	}
 	// Frontier (or fresh) node: update Hd.
-	if s.heapAt[v] == s.epoch && s.heapIt[v] != nil {
-		s.heap.Update(s.heapIt[v], nd)
+	if s.heap.Contains(v) {
+		s.heap.Update(v, nd)
 	} else {
-		s.heapIt[v] = s.heap.Push(v, nd)
-		s.heapAt[v] = s.epoch
+		s.heap.Push(v, nd)
 	}
 }
 
@@ -264,8 +242,7 @@ func (g *Graph) offer(v NodeID, nd float64, from NodeID) {
 func (g *Graph) drainRepair() {
 	s := g.search
 	for s.repair.Len() > 0 {
-		it := s.repair.Pop()
-		v := it.Value
+		v := s.repair.Pop().H
 		g.stats.Repairs++
 		if g.isCustomerNode(v) {
 			c := g.custIdx(v)

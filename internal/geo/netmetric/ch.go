@@ -187,7 +187,6 @@ type chScratch struct {
 	par     []int32
 	pos     []int32 // node id -> index in the sorted touched set
 	ranked  []int64 // (rank<<32 | id) keys: one Sort orders topologically
-	heap    nheap
 	touched []int32
 	chain   []int32
 	stack   []unpackFrame

@@ -21,6 +21,8 @@ package netmetric
 import (
 	"cmp"
 	"slices"
+
+	"repro/internal/pqueue"
 )
 
 const (
@@ -72,7 +74,7 @@ type chBuilder struct {
 	dist   []float64
 	hops   []int32
 	seenAt []int64
-	heap   nheap
+	heap   pqueue.Heap
 
 	nbs     []coreArc // live-neighbor scratch of simulate
 	cert    []bool    // per-partner certification marks of one witness search
@@ -124,11 +126,11 @@ func (b *chBuilder) addArc(x, y int32, l float64, mid int32) {
 // while budget and hops remain backstops for the dense endgame.
 func (b *chBuilder) witnesses(from, excluded int32, fromLen float64, partners []coreArc, budget int, maxHops int32) int64 {
 	b.epoch++
-	b.heap.clear()
+	b.heap.Clear()
 	b.dist[from] = 0
 	b.hops[from] = 0
 	b.seenAt[from] = b.epoch
-	b.heap.push(0, from)
+	b.heap.Push(from, 0)
 	limit := 0.0
 	for _, p := range partners {
 		if l := fromLen + p.length; l > limit {
@@ -142,23 +144,23 @@ func (b *chBuilder) witnesses(from, excluded int32, fromLen float64, partners []
 	b.cert = cert
 	remaining := len(partners)
 	settled := 0
-	for !b.heap.empty() && remaining > 0 {
-		e := b.heap.pop()
-		if e.key > b.dist[e.v] {
+	for b.heap.Len() > 0 && remaining > 0 {
+		e := b.heap.Pop()
+		if e.Key > b.dist[e.H] {
 			continue // stale entry from lazy decrease-key
 		}
 		if settled++; settled > budget {
 			break
 		}
-		nh := b.hops[e.v] + 1
+		nh := b.hops[e.H] + 1
 		if nh > maxHops {
 			continue
 		}
-		for _, a := range b.adj[e.v] {
+		for _, a := range b.adj[e.H] {
 			if a.to == excluded {
 				continue
 			}
-			nd := e.key + a.length
+			nd := e.Key + a.length
 			if nd > limit-chWitnessEps {
 				continue
 			}
@@ -166,7 +168,7 @@ func (b *chBuilder) witnesses(from, excluded int32, fromLen float64, partners []
 				b.dist[a.to] = nd
 				b.hops[a.to] = nh
 				b.seenAt[a.to] = b.epoch
-				b.heap.push(nd, a.to)
+				b.heap.Push(a.to, nd)
 				for j, p := range partners {
 					if !cert[j] && p.to == a.to && nd <= fromLen+p.length-chWitnessEps {
 						cert[j] = true
@@ -252,14 +254,14 @@ func (m *NetworkMetric) buildCH() *chState {
 	}
 	upArcs := make([][]coreArc, n)
 
-	var pq nheap
+	var pq pqueue.Heap
 	for v := int32(0); v < int32(n); v++ {
-		pq.push(b.priority(v), v)
+		pq.Push(v, b.priority(v))
 	}
 	next := int32(0)
-	for !pq.empty() {
-		e := pq.pop()
-		v := e.v
+	for pq.Len() > 0 {
+		e := pq.Pop()
+		v := e.H
 		// Lazy update: the popped key is stale only if a neighbor was
 		// contracted since it was computed (nothing else changes v's
 		// adjacency or delNbrs). Clean keys are accepted as popped;
@@ -269,8 +271,8 @@ func (m *NetworkMetric) buildCH() *chState {
 		if b.dirty[v] {
 			p := b.priority(v)
 			b.dirty[v] = false
-			if !pq.empty() && p > pq.top().key {
-				pq.push(p, v)
+			if pq.Len() > 0 && p > pq.Peek().Key {
+				pq.Push(v, p)
 				continue
 			}
 		}

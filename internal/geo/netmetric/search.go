@@ -3,6 +3,8 @@ package netmetric
 import (
 	"math"
 	"sync"
+
+	"repro/internal/pqueue"
 )
 
 // Canonical float semantics. Every shortest-path computation in this
@@ -22,13 +24,13 @@ import (
 
 // searchScratch is the pooled label state of one single-sided search:
 // distance labels epoch-stamped so reuse pays no O(V) re-initialization,
-// plus a flat nheap (no per-push allocation). A warm point query
+// plus a lazy flat heap (no per-push allocation). A warm point query
 // allocates nothing (asserted by TestAllocsPointQuery).
 type searchScratch struct {
 	epoch  int64
 	dist   []float64
 	seenAt []int64
-	heap   nheap
+	heap   pqueue.Heap
 }
 
 var searchPool = sync.Pool{New: func() any { return &searchScratch{} }}
@@ -39,7 +41,7 @@ func (s *searchScratch) reset(n int) {
 		s.dist = append(s.dist, 0)
 		s.seenAt = append(s.seenAt, 0)
 	}
-	s.heap.clear()
+	s.heap.Clear()
 }
 
 func (s *searchScratch) label(v int32) float64 {
@@ -66,19 +68,19 @@ func (m *NetworkMetric) forwardDijkstra(src, dst int32) float64 {
 	s.reset(len(m.nodes))
 
 	s.improve(src, 0)
-	s.heap.push(0, src)
-	for !s.heap.empty() {
-		e := s.heap.pop()
-		if e.key > s.dist[e.v] {
+	s.heap.Push(src, 0)
+	for s.heap.Len() > 0 {
+		e := s.heap.Pop()
+		if e.Key > s.dist[e.H] {
 			continue // stale entry from lazy decrease-key
 		}
-		if e.v == dst {
-			return e.key
+		if e.H == dst {
+			return e.Key
 		}
-		for _, a := range m.adj[e.v] {
-			if nd := e.key + a.length; nd < s.label(a.to) {
+		for _, a := range m.adj[e.H] {
+			if nd := e.Key + a.length; nd < s.label(a.to) {
 				s.improve(a.to, nd)
-				s.heap.push(nd, a.to)
+				s.heap.Push(a.to, nd)
 			}
 		}
 	}
@@ -96,7 +98,7 @@ func (m *NetworkMetric) forwardDijkstra(src, dst int32) float64 {
 // (table.go) advance it on demand, landmark vectors run it to the end.
 type sweep struct {
 	dist    []float64
-	heap    nheap
+	heap    pqueue.Heap
 	settled int // labels finalized by a pop
 }
 
@@ -110,28 +112,28 @@ func (s *sweep) start(src int32, n int) {
 	for i := range s.dist {
 		s.dist[i] = math.Inf(1)
 	}
-	s.heap.clear()
+	s.heap.Clear()
 	s.settled = 0
 	s.dist[src] = 0
-	s.heap.push(0, src)
+	s.heap.Push(src, 0)
 }
 
 // settle advances s until v's label is final, or to completion when
 // v < 0.
 func (m *NetworkMetric) settle(s *sweep, v int32) {
-	for !s.heap.empty() {
-		if v >= 0 && s.dist[v] <= s.heap.top().key {
+	for s.heap.Len() > 0 {
+		if v >= 0 && s.dist[v] <= s.heap.Peek().Key {
 			return
 		}
-		e := s.heap.pop()
-		if e.key > s.dist[e.v] {
+		e := s.heap.Pop()
+		if e.Key > s.dist[e.H] {
 			continue // stale entry from lazy decrease-key
 		}
 		s.settled++
-		for _, a := range m.adj[e.v] {
-			if nd := e.key + a.length; nd < s.dist[a.to] {
+		for _, a := range m.adj[e.H] {
+			if nd := e.Key + a.length; nd < s.dist[a.to] {
 				s.dist[a.to] = nd
-				s.heap.push(nd, a.to)
+				s.heap.Push(a.to, nd)
 			}
 		}
 	}

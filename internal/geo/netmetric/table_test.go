@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/geo"
+	"repro/internal/pqueue"
 )
 
 // raceEnabled is set by race_test.go under -race, where sync.Pool reuse
@@ -138,8 +139,8 @@ func TestTableRowsStartSuspended(t *testing.T) {
 	}
 	for v, r := range tab.rowIdx {
 		row := &tab.rows[r]
-		if len(row.heap.a) != 1 || row.heap.top() != (nhEntry{key: 0, v: v}) || row.dist[v] != 0 || row.settled != 0 {
-			t.Fatalf("row %d after BuildTable: frontier %v, settled %d; want only its source", v, row.heap.a, row.settled)
+		if row.heap.Len() != 1 || row.heap.Peek() != (pqueue.Entry{Key: 0, H: v}) || row.dist[v] != 0 || row.settled != 0 {
+			t.Fatalf("row %d after BuildTable: frontier of %d entries, settled %d; want only its source", v, row.heap.Len(), row.settled)
 		}
 	}
 	if settled, _ := tab.Settled(); settled != 0 {

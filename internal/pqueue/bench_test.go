@@ -11,10 +11,11 @@ func BenchmarkPushPop(b *testing.B) {
 	for i := range keys {
 		keys[i] = rng.Float64()
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	var h Heap[int]
+	var h Heap
 	for i := 0; i < b.N; i++ {
-		h.Push(i, keys[i%len(keys)])
+		h.Push(int32(i), keys[i%len(keys)])
 		if h.Len() > 512 {
 			h.Pop()
 		}
@@ -23,16 +24,17 @@ func BenchmarkPushPop(b *testing.B) {
 
 func BenchmarkDecreaseKey(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	var h Heap[int]
-	items := make([]*Item[int], 4096)
-	for i := range items {
-		items[i] = h.Push(i, 1e9+rng.Float64())
+	const n = 4096
+	h := NewIndexed()
+	for i := int32(0); i < n; i++ {
+		h.Push(i, 1e9+rng.Float64())
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := items[i%len(items)]
-		if it.InHeap() {
-			h.Update(it, it.Key()-1)
+		hd := int32(i % n)
+		if h.Contains(hd) {
+			h.Update(hd, h.Key(hd)-1)
 		}
 	}
 }

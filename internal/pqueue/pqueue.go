@@ -1,134 +1,180 @@
-// Package pqueue provides an addressable binary min-heap with float64
-// keys and O(log n) key updates.
+// Package pqueue provides the reproduction's one priority queue: a flat
+// binary min-heap of (float64 key, int32 handle) entries.
 //
-// Every search structure in this reproduction is built on it: Dijkstra's
+// Every search structure in the repository is built on it: Dijkstra's
 // algorithm and the Path Update Algorithm need decrease-key (§2.2,
-// §3.4.1), the NIA/IDA edge heaps need in-place key *increases* when a
-// full provider's α changes (§3.3), and the R-tree best-first search and
-// incremental ANN need plain ordered extraction (§2.3, §3.4.2).
+// §3.4.1), the NIA/IDA edge heap needs in-place key *increases* when a
+// full provider's α changes (§3.3), the R-tree best-first search and
+// incremental ANN need plain ordered extraction (§2.3, §3.4.2), and the
+// road-network sweeps use lazy decrease-key.
+//
+// A handle is a small non-negative integer the caller chooses — a node
+// id, a provider index, or an index into the caller's own payload slice.
+// The heap stores only keys and handles, so pushing appends into a
+// reusable backing array and a warm heap never allocates.
+//
+// A heap is either lazy or indexed:
+//   - The zero value is lazy. It keeps no index, a handle may be pushed
+//     any number of times, and decrease-key means pushing again and
+//     skipping stale pops.
+//   - NewIndexed returns an indexed heap. It also keeps a handle→position
+//     index, so it answers Contains, Key, Update and Remove. Each handle
+//     is enqueued at most once at a time.
+//
+// The sift rule is fixed: up stops on parent <= child, down takes the
+// right child only when it is strictly smaller than the left and stops
+// on parent <= child. Equal keys therefore pop in an order that depends
+// only on the sequence of operations, which keeps every tie-break — and
+// with it every path choice downstream — reproducible.
 package pqueue
 
-// Item is a heap entry handle. It stays valid (and addressable) from Push
-// until Pop/Remove returns it, so callers can update its key in place.
-type Item[T any] struct {
-	Value T
-	key   float64
-	index int // position in the heap slice; -1 when not enqueued
+// Entry is one enqueued (key, handle) pair.
+type Entry struct {
+	Key float64
+	H   int32
 }
 
-// Key returns the item's current key.
-func (it *Item[T]) Key() float64 { return it.key }
-
-// InHeap reports whether the item is currently enqueued.
-func (it *Item[T]) InHeap() bool { return it.index >= 0 }
-
-// Heap is an addressable min-heap. The zero value is ready to use.
-type Heap[T any] struct {
-	items []*Item[T]
+// Heap is a flat binary min-heap. The zero value is an empty lazy heap.
+type Heap struct {
+	a []Entry
+	// pos maps handle -> position in a, -1 when absent. It is non-nil
+	// exactly on indexed heaps.
+	pos []int32
 }
 
-// Len returns the number of enqueued items.
-func (h *Heap[T]) Len() int { return len(h.items) }
+// NewIndexed returns an empty indexed heap. Its index grows with the
+// largest handle pushed.
+func NewIndexed() Heap { return Heap{pos: []int32{}} }
 
-// Push enqueues value with the given key and returns its handle.
-func (h *Heap[T]) Push(value T, key float64) *Item[T] {
-	it := &Item[T]{Value: value, key: key, index: len(h.items)}
-	h.items = append(h.items, it)
-	h.up(it.index)
-	return it
-}
+// Len returns the number of enqueued entries.
+func (h *Heap) Len() int { return len(h.a) }
 
-// Peek returns the minimum item without removing it, or nil when empty.
-func (h *Heap[T]) Peek() *Item[T] {
-	if len(h.items) == 0 {
-		return nil
+// Peek returns the minimum entry without removing it. The heap must not
+// be empty.
+func (h *Heap) Peek() Entry { return h.a[0] }
+
+// Push enqueues handle hd with the given key. On an indexed heap hd must
+// not already be enqueued.
+func (h *Heap) Push(hd int32, key float64) {
+	if h.pos != nil {
+		for len(h.pos) <= int(hd) {
+			h.pos = append(h.pos, -1)
+		}
 	}
-	return h.items[0]
+	h.a = append(h.a, Entry{Key: key, H: hd})
+	h.up(len(h.a) - 1)
 }
 
-// Pop removes and returns the minimum item, or nil when empty.
-func (h *Heap[T]) Pop() *Item[T] {
-	if len(h.items) == 0 {
-		return nil
+// Pop removes and returns the minimum entry. The heap must not be empty.
+func (h *Heap) Pop() Entry {
+	top := h.a[0]
+	last := len(h.a) - 1
+	h.a[0] = h.a[last]
+	h.a = h.a[:last]
+	if h.pos != nil {
+		h.pos[top.H] = -1
 	}
-	top := h.items[0]
-	h.swap(0, len(h.items)-1)
-	h.items = h.items[:len(h.items)-1]
-	if len(h.items) > 0 {
+	if last > 0 {
 		h.down(0)
 	}
-	top.index = -1
 	return top
 }
 
-// Update changes it's key and restores heap order. It must be enqueued.
-func (h *Heap[T]) Update(it *Item[T], key float64) {
-	old := it.key
-	it.key = key
+// Clear empties the heap, keeping its storage. On an indexed heap only
+// the handles still enqueued are reset, so clearing costs O(Len), not
+// O(handles).
+func (h *Heap) Clear() {
+	if h.pos != nil {
+		for _, e := range h.a {
+			h.pos[e.H] = -1
+		}
+	}
+	h.a = h.a[:0]
+}
+
+// Contains reports whether handle hd is enqueued (indexed heaps only).
+func (h *Heap) Contains(hd int32) bool {
+	return int(hd) < len(h.pos) && h.pos[hd] >= 0
+}
+
+// Key returns the key of enqueued handle hd (indexed heaps only).
+func (h *Heap) Key(hd int32) float64 { return h.a[h.pos[hd]].Key }
+
+// Update changes enqueued handle hd's key and restores heap order in
+// either direction; an equal key is a no-op (indexed heaps only).
+func (h *Heap) Update(hd int32, key float64) {
+	i := int(h.pos[hd])
+	old := h.a[i].Key
+	h.a[i].Key = key
 	switch {
 	case key < old:
-		h.up(it.index)
+		h.up(i)
 	case key > old:
-		h.down(it.index)
+		h.down(i)
 	}
 }
 
-// Remove deletes an enqueued item from the heap.
-func (h *Heap[T]) Remove(it *Item[T]) {
-	i := it.index
-	last := len(h.items) - 1
-	h.swap(i, last)
-	h.items = h.items[:last]
+// Remove deletes enqueued handle hd (indexed heaps only).
+func (h *Heap) Remove(hd int32) {
+	i := int(h.pos[hd])
+	last := len(h.a) - 1
+	h.a[i] = h.a[last]
+	h.a = h.a[:last]
+	h.pos[hd] = -1
 	if i < last {
 		h.down(i)
 		h.up(i)
 	}
-	it.index = -1
 }
 
-// Clear empties the heap, invalidating all handles. Slots are nilled
-// so a cleared heap whose backing array is retained (e.g. in a pool)
-// does not pin the removed items.
-func (h *Heap[T]) Clear() {
-	for i, it := range h.items {
-		it.index = -1
-		h.items[i] = nil
-	}
-	h.items = h.items[:0]
-}
-
-func (h *Heap[T]) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
-}
-
-func (h *Heap[T]) up(i int) {
+// up sifts the entry at i toward the root. It moves a hole instead of
+// swapping, which visits exactly the positions a swap loop would.
+func (h *Heap) up(i int) {
+	a, pos := h.a, h.pos
+	e := a[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].key <= h.items[i].key {
+		p := a[parent]
+		if p.Key <= e.Key {
 			break
 		}
-		h.swap(i, parent)
+		a[i] = p
+		if pos != nil {
+			pos[p.H] = int32(i)
+		}
 		i = parent
+	}
+	a[i] = e
+	if pos != nil {
+		pos[e.H] = int32(i)
 	}
 }
 
-func (h *Heap[T]) down(i int) {
-	n := len(h.items)
+// down sifts the entry at i toward the leaves.
+func (h *Heap) down(i int) {
+	a, pos := h.a, h.pos
+	n := len(a)
+	e := a[i]
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && h.items[right].key < h.items[left].key {
-			smallest = right
+		if right := child + 1; right < n && a[right].Key < a[child].Key {
+			child = right
 		}
-		if h.items[i].key <= h.items[smallest].key {
-			return
+		c := a[child]
+		if e.Key <= c.Key {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		a[i] = c
+		if pos != nil {
+			pos[c.H] = int32(i)
+		}
+		i = child
+	}
+	a[i] = e
+	if pos != nil {
+		pos[e.H] = int32(i)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/hilbert"
 	"repro/internal/pqueue"
+	"repro/internal/storage"
 )
 
 // NNSource produces, for each of a fixed set of query points, its nearest
@@ -55,13 +56,20 @@ type ANNSearch struct {
 	queries []geo.Point
 	groups  []*annGroup
 	byQuery []*annGroup
-	res     []pqueue.Heap[Item] // candidate heap per query point
+	res     []pqueue.Heap // candidate heap per query point; handles index its group's items
 }
 
 type annGroup struct {
 	mbr     geo.Rect
 	members []int
-	heap    pqueue.Heap[nnEntry] // Hm
+	heap    pqueue.Heap // Hm; handles index pages
+	pages   []storage.PageID
+	items   []Item // every leaf item read, shared by the members' candidate heaps
+}
+
+func (g *annGroup) pushPage(page storage.PageID, key float64) {
+	g.heap.Push(int32(len(g.pages)), key)
+	g.pages = append(g.pages, page)
 }
 
 // NewANNSearch builds the grouped searcher. groupSize <= 0 selects
@@ -74,7 +82,7 @@ func NewANNSearch(t *Tree, queries []geo.Point, space geo.Rect, groupSize int) *
 		t:       t,
 		queries: queries,
 		byQuery: make([]*annGroup, len(queries)),
-		res:     make([]pqueue.Heap[Item], len(queries)),
+		res:     make([]pqueue.Heap, len(queries)),
 	}
 	order := hilbert.SortByKey(queries, space)
 	for start := 0; start < len(order); start += groupSize {
@@ -89,7 +97,7 @@ func NewANNSearch(t *Tree, queries []geo.Point, space geo.Rect, groupSize int) *
 			s.byQuery[qi] = g
 		}
 		if t.Size() > 0 {
-			g.heap.Push(nnEntry{page: t.root}, 0)
+			g.pushPage(t.root, 0)
 		}
 		s.groups = append(s.groups, g)
 	}
@@ -101,14 +109,12 @@ func (s *ANNSearch) Next(qi int) (Item, float64, bool, error) {
 	g := s.byQuery[qi]
 	res := &s.res[qi]
 	for {
-		top := res.Peek()
-		htop := g.heap.Peek()
-		if top != nil && (htop == nil || top.Key() <= htop.Key()) {
+		if res.Len() > 0 && (g.heap.Len() == 0 || res.Peek().Key <= g.heap.Peek().Key) {
 			// No unexplored entry can contain anything closer to qi.
-			it := res.Pop()
-			return it.Value, it.Key(), true, nil
+			top := res.Pop()
+			return g.items[top.H], top.Key, true, nil
 		}
-		if htop == nil {
+		if g.heap.Len() == 0 {
 			// Tree exhausted for this group.
 			return Item{}, 0, false, nil
 		}
@@ -122,21 +128,22 @@ func (s *ANNSearch) Next(qi int) (Item, float64, bool, error) {
 // entries are replaced by their children; leaf pages feed every member's
 // candidate heap.
 func (s *ANNSearch) expand(g *annGroup) error {
-	e := g.heap.Pop().Value
-	n, err := s.t.readNode(e.page)
+	n, err := s.t.readNode(g.pages[g.heap.Pop().H])
 	if err != nil {
 		return err
 	}
 	if n.leaf {
 		for _, item := range n.items {
+			h := int32(len(g.items))
+			g.items = append(g.items, item)
 			for _, qk := range g.members {
-				s.res[qk].Push(item, s.queries[qk].Dist(item.Pt))
+				s.res[qk].Push(h, s.queries[qk].Dist(item.Pt))
 			}
 		}
 		return nil
 	}
 	for _, c := range n.childs {
-		g.heap.Push(nnEntry{page: c.child}, g.mbr.MinDistRect(c.mbr))
+		g.pushPage(c.child, g.mbr.MinDistRect(c.mbr))
 	}
 	return nil
 }

@@ -31,8 +31,9 @@ type RefinedNN struct {
 	queries   []geo.Point
 	metric    geo.Metric
 	lb        func(p, q geo.Point) float64
-	res       []pqueue.Heap[refEntry] // refinement heap per query
-	lastLB    []float64               // last lower bound the base reported per query
+	res       []pqueue.Heap // indexed refinement heap per query; handles index ents
+	ents      [][]refEntry
+	lastLB    []float64 // last lower bound the base reported per query
 	exhausted []bool
 }
 
@@ -48,15 +49,20 @@ type refEntry struct {
 // PerQueryNN and ANNSearch do), and metric must satisfy the lower-bound
 // contract; otherwise the emitted order is undefined.
 func NewRefinedNN(base NNSource, queries []geo.Point, metric geo.Metric) *RefinedNN {
-	return &RefinedNN{
+	s := &RefinedNN{
 		base:      base,
 		queries:   queries,
 		metric:    metric,
 		lb:        geo.LowerBoundOf(metric),
-		res:       make([]pqueue.Heap[refEntry], len(queries)),
+		res:       make([]pqueue.Heap, len(queries)),
+		ents:      make([][]refEntry, len(queries)),
 		lastLB:    make([]float64, len(queries)),
 		exhausted: make([]bool, len(queries)),
 	}
+	for i := range s.res {
+		s.res[i] = pqueue.NewIndexed()
+	}
+	return s
 }
 
 // Next implements NNSource: query qi's next neighbor in ascending metric
@@ -64,20 +70,22 @@ func NewRefinedNN(base NNSource, queries []geo.Point, metric geo.Metric) *Refine
 func (s *RefinedNN) Next(qi int) (Item, float64, bool, error) {
 	h := &s.res[qi]
 	for {
-		if top := h.Peek(); top != nil && (s.exhausted[qi] || top.Key() <= s.lastLB[qi]) {
+		if h.Len() > 0 && (s.exhausted[qi] || h.Peek().Key <= s.lastLB[qi]) {
 			// Every unseen candidate has metric distance >= its Euclidean
 			// distance >= lastLB, and every heap key underestimates its
 			// candidate's true distance — so once top's key is exact and
 			// within the bound, top is final.
-			if top.Value.exact {
-				it := h.Pop()
-				return it.Value.item, it.Key(), true, nil
+			top := h.Peek()
+			e := &s.ents[qi][top.H]
+			if e.exact {
+				h.Pop()
+				return e.item, top.Key, true, nil
 			}
 			// Resolve the surfacing candidate to its true distance in
 			// place; it re-seats and may lose the top to a candidate
 			// with a smaller bound.
-			top.Value.exact = true
-			h.Update(top, s.metric.Dist(s.queries[qi], top.Value.item.Pt))
+			e.exact = true
+			h.Update(top.H, s.metric.Dist(s.queries[qi], e.item.Pt))
 			continue
 		}
 		if s.exhausted[qi] {
@@ -92,7 +100,8 @@ func (s *RefinedNN) Next(qi int) (Item, float64, bool, error) {
 			continue
 		}
 		s.lastLB[qi] = lb
-		h.Push(refEntry{item: item}, s.lb(s.queries[qi], item.Pt))
+		h.Push(int32(len(s.ents[qi])), s.lb(s.queries[qi], item.Pt))
+		s.ents[qi] = append(s.ents[qi], refEntry{item: item})
 	}
 }
 

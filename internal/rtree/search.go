@@ -95,7 +95,8 @@ type nnEntry struct {
 type NNIterator struct {
 	t     *Tree
 	query geo.Point
-	heap  pqueue.Heap[nnEntry]
+	heap  pqueue.Heap // handles index ents
+	ents  []nnEntry
 	err   error
 }
 
@@ -103,9 +104,14 @@ type NNIterator struct {
 func (t *Tree) NewNNIterator(query geo.Point) *NNIterator {
 	it := &NNIterator{t: t, query: query}
 	if t.size > 0 {
-		it.heap.Push(nnEntry{page: t.root}, 0)
+		it.push(nnEntry{page: t.root}, 0)
 	}
 	return it
+}
+
+func (it *NNIterator) push(e nnEntry, key float64) {
+	it.heap.Push(int32(len(it.ents)), key)
+	it.ents = append(it.ents, e)
 }
 
 // Next returns the next closest point and its distance. ok is false when
@@ -116,9 +122,9 @@ func (it *NNIterator) Next() (item Item, dist float64, ok bool) {
 	}
 	for it.heap.Len() > 0 {
 		top := it.heap.Pop()
-		e := top.Value
+		e := it.ents[top.H]
 		if e.isItem {
-			return e.item, top.Key(), true
+			return e.item, top.Key, true
 		}
 		n, err := it.t.readNode(e.page)
 		if err != nil {
@@ -127,11 +133,11 @@ func (it *NNIterator) Next() (item Item, dist float64, ok bool) {
 		}
 		if n.leaf {
 			for _, item := range n.items {
-				it.heap.Push(nnEntry{isItem: true, item: item}, it.query.Dist(item.Pt))
+				it.push(nnEntry{isItem: true, item: item}, it.query.Dist(item.Pt))
 			}
 		} else {
 			for _, c := range n.childs {
-				it.heap.Push(nnEntry{page: c.child}, c.mbr.MinDist(it.query))
+				it.push(nnEntry{page: c.child}, c.mbr.MinDist(it.query))
 			}
 		}
 	}
