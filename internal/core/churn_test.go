@@ -503,3 +503,71 @@ func TestChurnDriftStats(t *testing.T) {
 		t.Fatalf("events %d, want %d", st2.Events, len(events))
 	}
 }
+
+// countingMetric counts the Dist calls a matcher makes.
+type countingMetric struct {
+	geo.Metric
+	calls int
+}
+
+func (m *countingMetric) Dist(p, q geo.Point) float64 {
+	m.calls++
+	return m.Metric.Dist(p, q)
+}
+
+// The churn graph computes a customer's |Q| distances once, on
+// arrival, and every later read comes from its cost row: Arrive asks
+// the metric exactly |Q| times, while Depart, ResizeProvider, Matching
+// and Cost never ask it, under an unlimited and a tight budget. The
+// stream must reach swaps at full capacity, departures of matched
+// customers and shrinking resizes that evict, or the pin proves
+// nothing about those paths.
+func TestChurnMetricCallsPerEvent(t *testing.T) {
+	for _, budget := range []int{0, 1} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			providers := churnProviders(rng, 7, 1, 3)
+			events := genChurnEvents(rng, 600, len(providers), 4)
+			metric := &countingMetric{Metric: geo.Euclidean}
+			m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric, ReoptBudget: budget})
+			nq := len(providers)
+			evictions, matchedDeparts := 0, 0
+			for step, ev := range events {
+				before := metric.calls
+				want := 0
+				switch ev.kind {
+				case 0:
+					if _, err := m.Arrive(ev.pt, ev.id); err != nil {
+						t.Fatal(err)
+					}
+					want = nq
+				case 1:
+					wasMatched, err := m.Depart(ev.id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wasMatched {
+						matchedDeparts++
+					}
+				case 2:
+					if m.g.ProviderUsed(int32(ev.provider)) > ev.newCap {
+						evictions++
+					}
+					if err := m.ResizeProvider(ev.provider, ev.newCap); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m.Matching()
+				m.Cost()
+				if got := metric.calls - before; got != want {
+					t.Fatalf("step %d (%+v): %d Dist calls, want %d", step, ev, got, want)
+				}
+			}
+			st := m.Stats()
+			if st.Swaps == 0 || st.Cycles == 0 || matchedDeparts == 0 || evictions == 0 {
+				t.Fatalf("stream misses a path: %+v, %d matched departures, %d evicting resizes",
+					st, matchedDeparts, evictions)
+			}
+		})
+	}
+}

@@ -78,7 +78,10 @@ type ChurnStats struct {
 //
 // The matcher keeps the full bipartite graph in memory (complete
 // mode), so it suits the moderate |P| of online scenarios rather than
-// the disk-resident batch setting of RIA/NIA/IDA.
+// the disk-resident batch setting of RIA/NIA/IDA. Each arrival asks
+// the metric for its |Q| distances once and stores them as a cost row
+// that every later search, swap and cycle cancel reads back, so a
+// session's distance memory is |Q|·|live|·8 B of rows.
 type DynamicMatcher struct {
 	g         *flowgraph.Graph
 	providers []Provider

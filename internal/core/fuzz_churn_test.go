@@ -5,13 +5,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/geo"
+	"repro/internal/geo/netmetric"
 )
 
 // FuzzDynamicChurn fuzzes full churn event streams — arrivals,
 // departures, capacity resizes (including shocks to zero) — under
-// fuzzed re-opt budgets, checking the invariants that must hold
-// regardless of budget:
+// fuzzed re-opt budgets and either metric (bit 2 of the budget byte
+// picks the 6×6 road network FuzzExactSolvers uses, over a space ten
+// times wider), checking the invariants that must hold regardless of
+// budget:
 //
 //   - capacity conservation after every resize (no provider carries
 //     more than its current capacity);
@@ -31,21 +35,36 @@ func FuzzDynamicChurn(f *testing.F) {
 	f.Add(int64(3), uint8(12), uint8(200), uint8(3))
 	f.Add(int64(7), uint8(6), uint8(255), uint8(2))
 	f.Add(int64(11), uint8(2), uint8(30), uint8(0))
+	f.Add(int64(5), uint8(5), uint8(150), uint8(4))
+	f.Add(int64(13), uint8(9), uint8(220), uint8(6))
+	f.Add(int64(17), uint8(3), uint8(90), uint8(5))
+	// One network for every input, as in FuzzExactSolvers: its caches
+	// only memoize canonical distances.
+	space := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
+	network := netmetric.FromNetwork(datagen.NewNetwork(6, space, 6))
 	f.Fuzz(func(t *testing.T, seed int64, nqRaw, nRaw, budgetRaw uint8) {
 		nq := 1 + int(nqRaw)%12
 		n := int(nRaw)
 		budget := int(budgetRaw) % 4 // 0 = unlimited, 1..3 = tight budgets
+		var metric geo.Metric = geo.Euclidean
+		scale := 1.0
+		if budgetRaw&4 != 0 {
+			metric, scale = network, 10
+		}
 		rng := rand.New(rand.NewSource(seed))
 		providers := make([]Provider, nq)
 		for i := range providers {
 			providers[i] = Provider{
-				Pt:  geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
+				Pt:  geo.Point{X: rng.Float64() * 100 * scale, Y: rng.Float64() * 100 * scale},
 				Cap: 1 + rng.Intn(4),
 			}
 		}
 		events := genChurnEvents(rng, n, nq, 5)
+		for i := range events {
+			events[i].pt = geo.Point{X: events[i].pt.X * scale, Y: events[i].pt.Y * scale}
+		}
 
-		m := NewDynamicMatcherOpts(providers, DynamicOptions{ReoptBudget: budget})
+		m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric, ReoptBudget: budget})
 		o := newChurnMirror(providers)
 		departed := []int64{}
 		for step, ev := range events {
@@ -53,7 +72,7 @@ func FuzzDynamicChurn(f *testing.F) {
 			if ev.kind == 1 {
 				departed = append(departed, ev.id)
 			}
-			checkFeasible(t, step, m, o, nil)
+			checkFeasible(t, step, m, o, metric)
 			if err := m.g.CheckFlowConservation(); err != nil {
 				t.Fatalf("step %d (%+v): %v", step, ev, err)
 			}
@@ -101,6 +120,6 @@ func FuzzDynamicChurn(f *testing.F) {
 			t.Fatalf("rejected events changed the matching: size %d->%d cost %v->%v",
 				size, m.Size(), cost, m.Cost())
 		}
-		checkFeasible(t, len(events), m, o, nil)
+		checkFeasible(t, len(events), m, o, metric)
 	})
 }

@@ -60,11 +60,17 @@ func (g *Graph) RemoveCustomer(c int32) error {
 	g.custUsed[c] = 0
 	g.customers[c].Cap = 0
 	pos := g.livePos[c]
-	last := g.live[len(g.live)-1]
+	lastPos := len(g.live) - 1
+	last := g.live[lastPos]
 	g.live[pos] = last
 	g.livePos[last] = pos
-	g.live = g.live[:len(g.live)-1]
+	g.live = g.live[:lastPos]
 	g.livePos[c] = -1
+	if g.hasRows() {
+		nq := len(g.providers)
+		copy(g.rows[int(pos)*nq:], g.rows[lastPos*nq:])
+		g.rows = g.rows[:lastPos*nq]
+	}
 	return nil
 }
 

@@ -13,7 +13,12 @@
 //   - customer-side capacities, needed by the CA approximation whose
 //     customer representatives carry weights (§4.2);
 //   - an implicit complete-bipartite mode for the SSPA baseline, which
-//     visits every (q,p) pair without materializing O(|Q|·|P|) edges.
+//     visits every (q,p) pair without materializing O(|Q|·|P|) edges
+//     and asks the metric for each distance it reads;
+//   - a churn mode for the dynamic matcher (complete, potentials
+//     disabled) that stores each live customer's |Q| distances as a
+//     cost row, computed once on arrival, so repeated Bellman–Ford
+//     rounds read them back instead of re-querying the metric.
 //
 // The graph is deliberately source/sink-free in memory: an s→q edge is
 // represented by the provider's remaining capacity, and a p→t edge by the
@@ -93,11 +98,16 @@ type Graph struct {
 
 	adj       [][]halfEdge // Esub: forward adjacency per provider
 	edgeCount int
-	complete  bool // implicit complete bipartite graph (SSPA baseline)
-	pairCap   int  // max instances per (q,p) pair; 0 means 1 (the paper's
-	// exact setting). CA's concise matching uses an unbounded pair
-	// capacity so one customer representative can send several of its
-	// instances to the same provider (§4.2).
+	// complete makes the graph the implicit complete bipartite graph.
+	// SSPA reads each distance from the metric (rows would cost it
+	// |Q|·|P| floats); the churn mode (complete with potentials
+	// disabled) reads them from rows.
+	complete bool
+	// pairCap is the max instances per (q,p) pair; 0 means 1 (the
+	// paper's exact setting). CA's concise matching uses an unbounded
+	// pair capacity so one customer representative can send several of
+	// its instances to the same provider (§4.2).
+	pairCap int
 
 	tau    []float64 // node potentials, indexed by NodeID
 	sTau   float64   // potential of the source
@@ -118,6 +128,13 @@ type Graph struct {
 	// Dijkstra paths are untouched.
 	live    []int32
 	livePos []int32
+
+	// rows holds the churn mode's cost rows: the |Q| metric distances
+	// of the customer at live position i sit at rows[i·|Q| : (i+1)·|Q|],
+	// so the store is |Q|·|live| floats and RemoveCustomer swap-removes
+	// a row exactly as it does the live entry. Empty outside the churn
+	// mode.
+	rows []float64
 
 	// metric computes edge costs (default geo.Euclidean). See geo.Metric
 	// for the lower-bound contract non-Euclidean metrics must satisfy.
@@ -265,7 +282,7 @@ func (g *Graph) Release() {
 	g.arr = nil
 	g.provUsed, g.adj, g.tau, g.lastAlpha = nil, nil, nil, nil
 	g.customers, g.custUsed, g.assigned, g.assignedLen = nil, nil, nil, nil
-	g.live, g.livePos = nil, nil
+	g.live, g.livePos, g.rows = nil, nil, nil
 }
 
 // NumProviders returns |Q|.
@@ -296,6 +313,8 @@ func (g *Graph) TotalCapacity() int {
 }
 
 // AddCustomer registers a customer and returns its node-local index.
+// In the churn mode it also computes the customer's cost row, the |Q|
+// metric calls the graph makes for it over its whole life.
 func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 	g.customers = append(g.customers, Customer{Pt: pt, Cap: capacity, ExtID: extID})
 	g.custUsed = append(g.custUsed, 0)
@@ -313,6 +332,11 @@ func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 	c := int32(len(g.customers) - 1)
 	g.livePos = append(g.livePos, int32(len(g.live)))
 	g.live = append(g.live, c)
+	if g.hasRows() {
+		for _, p := range g.providers {
+			g.rows = append(g.rows, g.metric.Dist(p.Pt, pt))
+		}
+	}
 	g.search.grow(len(g.providers) + len(g.customers))
 	return c
 }
@@ -485,7 +509,16 @@ func (g *Graph) LeaveFastPhase(lastLen float64) {
 	g.tauMax = lastLen
 }
 
-// dist returns the metric distance between provider q and customer c.
+// hasRows reports whether the graph stores cost rows: the churn mode,
+// a complete graph searched over raw costs.
+func (g *Graph) hasRows() bool { return g.complete && g.noPotentials }
+
+// dist returns the metric distance between provider q and customer c,
+// from c's cost row in the churn mode. Rows exist only for live
+// customers; no caller reads a removed customer's distances.
 func (g *Graph) dist(q, c int32) float64 {
+	if g.hasRows() {
+		return g.rows[int(g.livePos[c])*len(g.providers)+int(q)]
+	}
 	return g.metric.Dist(g.providers[q].Pt, g.customers[c].Pt)
 }

@@ -15,6 +15,9 @@ import (
 // invalidate potential-based reduced costs (their incident edges can turn
 // negative under the old potentials), whereas a label-correcting search
 // needs no potentials at all.
+//
+// On a complete graph this is the churn mode, which stores cost rows
+// (see AddCustomer), so it must be called before any customer is added.
 func (g *Graph) DisablePotentials() { g.noPotentials = true }
 
 // ErrNegativeCycle reports that a label-correcting search ran into a

@@ -150,3 +150,44 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("LastAlpha should start at 0")
 	}
 }
+
+// The churn mode's row store follows the live set: after many
+// arrive/depart cycles it holds exactly |Q| values per live customer,
+// each the metric's distance for that customer, and its backing array
+// is sized by the peak live set, not by the arrivals ever made.
+func TestChurnRowsTrackLiveSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	providers := randProviders(6, func(int) int { return 2 }, rng)
+	nq := len(providers)
+	g := NewGraph(providers, true)
+	g.DisablePotentials()
+	peak, arrivals := 0, 0
+	for round := 0; round < 400; round++ {
+		for i := rng.Intn(4); i > 0; i-- {
+			g.AddCustomer(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 1, int64(arrivals))
+			arrivals++
+		}
+		if g.LiveCount() > peak {
+			peak = g.LiveCount()
+		}
+		for i := rng.Intn(4); i > 0 && g.LiveCount() > 0; i-- {
+			if err := g.RemoveCustomer(g.live[rng.Intn(g.LiveCount())]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(g.rows) != nq*g.LiveCount() {
+			t.Fatalf("round %d: %d row values for %d live customers × %d providers",
+				round, len(g.rows), g.LiveCount(), nq)
+		}
+		for _, c := range g.live {
+			for q := range providers {
+				if d, want := g.dist(int32(q), c), geo.Euclidean.Dist(providers[q].Pt, g.customers[c].Pt); d != want {
+					t.Fatalf("round %d: row of customer %d provider %d holds %v, metric says %v", round, c, q, d, want)
+				}
+			}
+		}
+	}
+	if cap(g.rows) > 4*nq*peak || 4*peak > arrivals {
+		t.Fatalf("rows cap %d for peak live %d (×%d providers) after %d arrivals", cap(g.rows), peak, nq, arrivals)
+	}
+}

@@ -65,10 +65,12 @@ type Config struct {
 	// admitted request could flood the engine queue. Values < 1 select
 	// DefaultMaxInstances.
 	MaxInstances int
-	// MaxArrivals bounds arrivals per session: each arrival permanently
-	// grows the session's in-memory matching graph (O(|Q|) edges), so
-	// an unbounded session would be an unbounded allocation. Values < 1
-	// select DefaultMaxArrivals.
+	// MaxArrivals bounds arrivals per session, and with them the live
+	// set and its cost rows (|Q| distances, 8 B each, per live
+	// customer). Each arrival also leaves a constant-size entry behind
+	// (the id ledger and per-customer slots) that departures do not
+	// reclaim, so an unbounded session would be an unbounded
+	// allocation. Values < 1 select DefaultMaxArrivals.
 	MaxArrivals int
 	// DefaultTimeout bounds each instance's solve when the request does
 	// not set its own timeout_ms; 0 means no limit.
