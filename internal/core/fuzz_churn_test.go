@@ -12,9 +12,10 @@ import (
 
 // FuzzDynamicChurn fuzzes full churn event streams — arrivals,
 // departures, capacity resizes (including shocks to zero) — under
-// fuzzed re-opt budgets and either metric (bit 2 of the budget byte
+// fuzzed re-opt budgets and either metric (bit 3 of the budget byte
 // picks the 6×6 road network FuzzExactSolvers uses, over a space ten
-// times wider), checking the invariants that must hold regardless of
+// times wider; inputs with it clear, the committed corpus included,
+// run Euclidean), checking the invariants that must hold regardless of
 // budget:
 //
 //   - capacity conservation after every resize (no provider carries
@@ -35,9 +36,9 @@ func FuzzDynamicChurn(f *testing.F) {
 	f.Add(int64(3), uint8(12), uint8(200), uint8(3))
 	f.Add(int64(7), uint8(6), uint8(255), uint8(2))
 	f.Add(int64(11), uint8(2), uint8(30), uint8(0))
-	f.Add(int64(5), uint8(5), uint8(150), uint8(4))
-	f.Add(int64(13), uint8(9), uint8(220), uint8(6))
-	f.Add(int64(17), uint8(3), uint8(90), uint8(5))
+	f.Add(int64(5), uint8(5), uint8(150), uint8(12))
+	f.Add(int64(13), uint8(9), uint8(220), uint8(14))
+	f.Add(int64(17), uint8(3), uint8(90), uint8(13))
 	// One network for every input, as in FuzzExactSolvers: its caches
 	// only memoize canonical distances.
 	space := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
@@ -48,7 +49,7 @@ func FuzzDynamicChurn(f *testing.F) {
 		budget := int(budgetRaw) % 4 // 0 = unlimited, 1..3 = tight budgets
 		var metric geo.Metric = geo.Euclidean
 		scale := 1.0
-		if budgetRaw&4 != 0 {
+		if budgetRaw&8 != 0 {
 			metric, scale = network, 10
 		}
 		rng := rand.New(rand.NewSource(seed))

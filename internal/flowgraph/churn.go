@@ -162,14 +162,25 @@ func (g *Graph) CheckFlowConservation() error {
 	return nil
 }
 
-// cycleEps is the minimum per-edge improvement a cycle-detecting
-// relaxation must achieve. It guarantees termination (every cancel
-// strictly reduces Ψ(M)) while tolerating only float-noise
-// sub-optimality. It must not exceed improveEps: any cycle the SPFA
-// searches can keep relaxing around (and hence flag as
-// ErrNegativeCycle) must be one CancelNegativeCycle can find, or the
-// cancel-and-retry loop in the dynamic matcher would spin.
-const cycleEps = improveEps
+// cycleEps is the minimum per-edge improvement a label-correcting
+// relaxation (SearchLabelCorrecting, SwapArrival, CancelNegativeCycle)
+// must achieve. It guarantees termination (every cancel strictly
+// reduces Ψ(M)) while tolerating only float-noise sub-optimality. The
+// three share it: any cycle the SPFA searches can keep relaxing around
+// (and hence flag as ErrNegativeCycle) must be one CancelNegativeCycle
+// can find, or the cancel-and-retry loop in the dynamic matcher would
+// spin.
+//
+// A label is a sum of up to |Q|+|live|+2 edge costs, so rounding moves
+// it by up to that many ulps of maxDist. Below that bound an
+// "improvement" is noise, and on a metric with exact ties (a road
+// network, where two assignments can cost exactly the same) the
+// canceler would flip a zero-cost cycle back and forth forever. So the
+// threshold scales with the bound, floored at improveEps.
+func (g *Graph) cycleEps() float64 {
+	active := len(g.providers) + len(g.live) + 2
+	return max(improveEps, float64(active)*g.maxDist*0x1p-50)
+}
 
 // CancelNegativeCycle finds one negative-cost cycle in the residual
 // graph — including cycles through the implicit source s (capacity
@@ -197,11 +208,12 @@ func (g *Graph) CancelNegativeCycle() (bool, error) {
 	// Removed customers have no residual edges, so convergence (and any
 	// cycle's length) is bounded by the active node count, not n.
 	active := nq + len(g.live) + 2
+	eps := g.cycleEps()
 	improved := NodeID(-1)
 	for round := 0; round <= active; round++ {
 		improved = -1
 		relax := func(u, v NodeID, w float64) {
-			if nd := dist[u] + w; nd < dist[v]-cycleEps {
+			if nd := dist[u] + w; nd < dist[v]-eps {
 				dist[v] = nd
 				prev[v] = u
 				improved = v

@@ -135,6 +135,9 @@ type Graph struct {
 	// a row exactly as it does the live entry. Empty outside the churn
 	// mode.
 	rows []float64
+	// maxDist bounds every distance the rows hold; it scales the
+	// label-correcting searches' improvement threshold (cycleEps).
+	maxDist float64
 
 	// metric computes edge costs (default geo.Euclidean). See geo.Metric
 	// for the lower-bound contract non-Euclidean metrics must satisfy.
@@ -333,9 +336,7 @@ func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 	g.livePos = append(g.livePos, int32(len(g.live)))
 	g.live = append(g.live, c)
 	if g.hasRows() {
-		for _, p := range g.providers {
-			g.rows = append(g.rows, g.metric.Dist(p.Pt, pt))
-		}
+		g.appendRow(pt)
 	}
 	g.search.grow(len(g.providers) + len(g.customers))
 	return c
@@ -512,6 +513,16 @@ func (g *Graph) LeaveFastPhase(lastLen float64) {
 // hasRows reports whether the graph stores cost rows: the churn mode,
 // a complete graph searched over raw costs.
 func (g *Graph) hasRows() bool { return g.complete && g.noPotentials }
+
+// appendRow appends the cost row of a customer at pt, which must be
+// the customer at the next live position.
+func (g *Graph) appendRow(pt geo.Point) {
+	for _, p := range g.providers {
+		d := g.metric.Dist(p.Pt, pt)
+		g.rows = append(g.rows, d)
+		g.maxDist = max(g.maxDist, d)
+	}
+}
 
 // dist returns the metric distance between provider q and customer c,
 // from c's cost row in the churn mode. Rows exist only for live

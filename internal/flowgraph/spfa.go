@@ -17,8 +17,18 @@ import (
 // needs no potentials at all.
 //
 // On a complete graph this is the churn mode, which stores cost rows
-// (see AddCustomer), so it must be called before any customer is added.
-func (g *Graph) DisablePotentials() { g.noPotentials = true }
+// (see AddCustomer); customers already live get theirs here.
+func (g *Graph) DisablePotentials() {
+	if g.noPotentials {
+		return
+	}
+	g.noPotentials = true
+	if g.hasRows() {
+		for _, c := range g.live {
+			g.appendRow(g.customers[c].Pt)
+		}
+	}
+}
 
 // ErrNegativeCycle reports that a label-correcting search ran into a
 // negative residual cycle — possible only when a bounded re-opt budget
@@ -50,6 +60,7 @@ func (g *Graph) SearchLabelCorrecting() (vmin NodeID, cost float64, ok bool, err
 	inQueue := make([]bool, n)
 	enq := make([]int32, n)
 	cycle := false
+	eps := g.cycleEps()
 	push := func(v NodeID) {
 		if !inQueue[v] {
 			inQueue[v] = true
@@ -60,7 +71,7 @@ func (g *Graph) SearchLabelCorrecting() (vmin NodeID, cost float64, ok bool, err
 		}
 	}
 	relax := func(v NodeID, nd float64, from NodeID) {
-		if s.seen(v) && nd >= s.alpha[v]-improveEps {
+		if s.seen(v) && nd >= s.alpha[v]-eps {
 			return
 		}
 		g.stats.Relaxations++
@@ -163,6 +174,7 @@ func (g *Graph) SwapArrival(cNew int32) (bool, error) {
 	inQueue := make([]bool, n)
 	enq := make([]int32, n)
 	cycle := false
+	eps := g.cycleEps()
 	push := func(v NodeID) {
 		if !inQueue[v] {
 			inQueue[v] = true
@@ -173,7 +185,7 @@ func (g *Graph) SwapArrival(cNew int32) (bool, error) {
 		}
 	}
 	relax := func(v NodeID, nd float64, from NodeID) {
-		if s.seen(v) && nd >= s.alpha[v]-improveEps {
+		if s.seen(v) && nd >= s.alpha[v]-eps {
 			return
 		}
 		g.stats.Relaxations++
@@ -231,7 +243,7 @@ func (g *Graph) SwapArrival(cNew int32) (bool, error) {
 	if cycle {
 		return false, ErrNegativeCycle
 	}
-	if !s.seen(target) || s.alpha[target] >= -improveEps {
+	if !s.seen(target) || s.alpha[target] >= -eps {
 		return false, nil // no swap available: the matching is already optimal
 	}
 	// Apply the cycle: flip assignments along the path, move the sink

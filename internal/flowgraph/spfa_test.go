@@ -154,14 +154,23 @@ func TestAccessors(t *testing.T) {
 // The churn mode's row store follows the live set: after many
 // arrive/depart cycles it holds exactly |Q| values per live customer,
 // each the metric's distance for that customer, and its backing array
-// is sized by the peak live set, not by the arrivals ever made.
+// is sized by the peak live set, not by the arrivals ever made. The
+// mode is switched on after some customers have come and gone, so the
+// rows of those still live are built then.
 func TestChurnRowsTrackLiveSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	providers := randProviders(6, func(int) int { return 2 }, rng)
 	nq := len(providers)
 	g := NewGraph(providers, true)
+	for i := 0; i < 5; i++ {
+		g.AddCustomer(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 1, int64(i))
+	}
+	if err := g.RemoveCustomer(1); err != nil {
+		t.Fatal(err)
+	}
 	g.DisablePotentials()
-	peak, arrivals := 0, 0
+	g.DisablePotentials() // idempotent: no second set of rows
+	peak, arrivals := g.LiveCount(), 5
 	for round := 0; round < 400; round++ {
 		for i := rng.Intn(4); i > 0; i-- {
 			g.AddCustomer(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 1, int64(arrivals))
