@@ -35,11 +35,14 @@ package cca
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/geo/netmetric"
 	"repro/internal/rtree"
+	"repro/internal/solver"
 	"repro/internal/storage"
 )
 
@@ -83,6 +86,16 @@ type Customers struct {
 	// cache keys on it, so a recycled pointer can never alias a stale
 	// cache entry the way a raw *Customers key could.
 	id uint64
+	// nets holds the dataset's road-network indexes; clones share it.
+	nets *netIndexes
+}
+
+// netIndexes memoizes a dataset's customers grouped by snap edge, one
+// index per road network (see NetworkIndex).
+type netIndexes struct {
+	mu     sync.Mutex
+	built  []*netmetric.PointIndex
+	closed bool
 }
 
 // datasetIDs hands out process-unique dataset identities.
@@ -160,7 +173,7 @@ func IndexItems(items []rtree.Item, cfg IndexConfig) (*Customers, error) {
 		store.Close()
 		return nil, err
 	}
-	return &Customers{tree: reopened, buf: buf, store: store, owner: true, id: datasetIDs.Add(1)}, nil
+	return &Customers{tree: reopened, buf: buf, store: store, owner: true, id: datasetIDs.Add(1), nets: &netIndexes{}}, nil
 }
 
 // frames computes the effective LRU buffer size in pages, clamped to at
@@ -193,7 +206,7 @@ func OpenCustomers(path string, cfg IndexConfig) (*Customers, error) {
 		fs.Close()
 		return nil, err
 	}
-	return &Customers{tree: tree, buf: buf, store: fs, owner: true, id: datasetIDs.Add(1)}, nil
+	return &Customers{tree: tree, buf: buf, store: fs, owner: true, id: datasetIDs.Add(1), nets: &netIndexes{}}, nil
 }
 
 // Clone returns an independent handle onto the same customer data: a
@@ -209,7 +222,7 @@ func (c *Customers) Clone() (*Customers, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Customers{tree: tree, buf: buf, store: c.store, owner: false, id: c.id}, nil
+	return &Customers{tree: tree, buf: buf, store: c.store, owner: false, id: c.id, nets: c.nets}, nil
 }
 
 // Len returns the number of indexed customers.
@@ -256,12 +269,48 @@ func (c *Customers) KNN(q Point, k int) ([]Customer, error) {
 	return c.tree.KNN(q, k)
 }
 
-// Close releases the underlying page store. On a handle produced by
-// Clone it is a no-op: the original handle owns the store.
+// NetworkIndex returns the customers grouped by their snap edge on
+// m's road network, the index network solves expand over (see
+// solver.NetworkIndexed). It is built on first use per road network —
+// metrics that differ only in landmarks or the hierarchy share one —
+// and shared by every clone of the dataset; the build reads the pages
+// through a private buffer, so no handle's I/O counters or cache see
+// it. It returns nil once the dataset is closed or unreadable.
+func (c *Customers) NetworkIndex(m *netmetric.NetworkMetric) *netmetric.PointIndex {
+	n := c.nets
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil
+	}
+	for _, x := range n.built {
+		if x.Network().SameNetwork(m) {
+			return x
+		}
+	}
+	tree, err := rtree.Open(storage.NewBuffer(c.store, c.buf.Frames()))
+	if err != nil {
+		return nil
+	}
+	items, err := tree.All()
+	if err != nil {
+		return nil
+	}
+	x := solver.IndexItems(m, items)
+	n.built = append(n.built, x)
+	return x
+}
+
+// Close releases the underlying page store and the dataset's network
+// indexes. On a handle produced by Clone it is a no-op: the original
+// handle owns the store.
 func (c *Customers) Close() error {
 	if !c.owner {
 		return nil
 	}
+	c.nets.mu.Lock()
+	c.nets.built, c.nets.closed = nil, true
+	c.nets.mu.Unlock()
 	return c.store.Close()
 }
 

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/flowgraph"
 	"repro/internal/geo"
+	"repro/internal/geo/netmetric"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
@@ -141,10 +142,23 @@ type Options struct {
 	// the table when the instance is large enough and the rows' label
 	// vectors fit netmetric.DefaultTableBudget; -1 disables it; a
 	// positive value overrides the memory budget (in float64 cells).
-	// Like ShardWorkers it never changes results — table lookups are
-	// byte-identical to point queries (the conformance suite pins
-	// this) — so it is excluded from the engine's result-cache digest.
+	// Table lookups are byte-identical to point queries (the
+	// conformance suite pins this), but with a table the incremental
+	// solvers stream by network expansion (see Table below), which reads
+	// no R-tree page and may break equal-distance ties differently, so
+	// the engine's result-cache digest includes it.
 	DistTable int
+	// Table and NetIndex switch the incremental solvers (NIA, IDA and
+	// the greedy join) from the R-tree candidate stream to network
+	// expansion over the table's rows (netmetric.NN), which reads no
+	// R-tree page. The solver registry sets both when it has put Table
+	// in front of a road-network metric: Table must be the table Metric
+	// answers from (possibly behind a timing wrapper), and NetIndex the
+	// snap-edge index of exactly the solve's customers. Either nil
+	// keeps the R-tree stream (the only one DisableANN and ANNGroupSize
+	// tune).
+	Table    *netmetric.Table
+	NetIndex *netmetric.PointIndex
 
 	// customCaps records whether the caller provided CustomerCap, so
 	// γ computation can skip the full scan for unit capacities.
@@ -221,6 +235,56 @@ func newFlowGraph(providers []Provider, complete bool, opts Options) *flowgraph.
 	g.SetMetric(opts.Metric)
 	g.SetPairCapacity(opts.PairCapacity)
 	return g
+}
+
+// nearestSource returns the providers' candidate-edge stream: network
+// expansion over opts.Table when the registry supplied one, otherwise
+// incremental NN over the R-tree (grouped ANN unless disabled), re-keyed
+// into metric order for non-Euclidean metrics. Every stream reports
+// each edge's length as the metric's provider→customer distance, so
+// callers insert edges with it.
+func nearestSource(providers []Provider, tree *rtree.Tree, opts Options) rtree.NNSource {
+	pts := make([]geo.Point, len(providers))
+	for i, p := range providers {
+		pts[i] = p.Pt
+	}
+	if opts.Table != nil {
+		if nn := opts.Table.NN(pts, opts.NetIndex); nn != nil {
+			return networkNN{nn: nn, x: opts.NetIndex}
+		}
+	}
+	var nn rtree.NNSource
+	if opts.DisableANN {
+		nn = rtree.NewPerQueryNN(tree, pts)
+	} else {
+		nn = rtree.NewANNSearch(tree, pts, opts.Space, opts.ANNGroupSize)
+	}
+	if !geo.IsEuclidean(opts.Metric) {
+		// Non-Euclidean metric (e.g. road-network distance) without a
+		// table: the R-tree streams candidates in ascending Euclidean
+		// order, which only lower-bounds the true edge cost. Re-key the
+		// stream through the refinement heap so candidates come in true
+		// metric order — what keeps the Theorem 1 gate (and IDA's
+		// Theorem 2 fast phase) exact, and the greedy join's "closest"
+		// measured in the cost metric.
+		nn = rtree.NewRefinedNN(nn, pts, opts.Metric)
+	}
+	return nn
+}
+
+// networkNN adapts a netmetric.NN stream to rtree.NNSource.
+type networkNN struct {
+	nn *netmetric.NN
+	x  *netmetric.PointIndex
+}
+
+func (s networkNN) Next(qi int) (rtree.Item, float64, bool, error) {
+	i, d, ok := s.nn.Next(qi)
+	if !ok {
+		return rtree.Item{}, 0, false, nil
+	}
+	id, pt := s.x.Point(i)
+	return rtree.Item{ID: id, Pt: pt}, d, true, nil
 }
 
 // gammaFor computes γ = min(Σ q.k, Σ p.cap) for a tree-resident P.

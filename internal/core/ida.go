@@ -41,7 +41,7 @@ func (r *incRunner) fastPhase(gamma int) (int, error) {
 		}
 		entered = true
 		c := r.ensure(e.item)
-		g.AddEdge(e.q, c)
+		g.AddEdge(e.q, c, e.dist)
 		if g.CustomerFull(c) {
 			continue // full customer: edge joins Esub, pop the next one
 		}

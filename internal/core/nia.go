@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/flowgraph"
-	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/pqueue"
 	"repro/internal/rtree"
@@ -35,30 +34,11 @@ type incRunner struct {
 }
 
 func newIncRunner(providers []Provider, tree *rtree.Tree, opts Options, m *Metrics, idaKeys bool) (*incRunner, error) {
-	pts := make([]geo.Point, len(providers))
-	for i, p := range providers {
-		pts[i] = p.Pt
-	}
-	var nn rtree.NNSource
-	if opts.DisableANN {
-		nn = rtree.NewPerQueryNN(tree, pts)
-	} else {
-		nn = rtree.NewANNSearch(tree, pts, opts.Space, opts.ANNGroupSize)
-	}
-	if !geo.IsEuclidean(opts.Metric) {
-		// Non-Euclidean metric (e.g. road-network distance): the R-tree
-		// streams candidates in ascending Euclidean order, which only
-		// lower-bounds the true edge cost. Re-key the stream through the
-		// refinement heap so H pops edges in true metric order — that is
-		// what keeps the Theorem 1 gate (and IDA's Theorem 2 fast phase)
-		// exact under any lower-bounded metric.
-		nn = rtree.NewRefinedNN(nn, pts, opts.Metric)
-	}
 	g := newFlowGraph(providers, false, opts)
 	r := &incRunner{
 		g:       g,
 		tree:    tree,
-		nn:      nn,
+		nn:      nearestSource(providers, tree, opts),
 		heap:    pqueue.NewIndexed(),
 		entries: make([]edgeEntry, len(providers)),
 		custIdx: make(map[int64]int32),
@@ -163,7 +143,7 @@ func (r *incRunner) runIteration() (bool, error) {
 	}
 	first := true
 	if ok {
-		g.AddEdge(e.q, r.ensure(e.item))
+		g.AddEdge(e.q, r.ensure(e.item), e.dist)
 	}
 	for {
 		if first {
@@ -196,10 +176,10 @@ func (r *incRunner) runIteration() (bool, error) {
 		}
 		c := r.ensure(e.item)
 		if r.opts.DisablePUA {
-			g.AddEdge(e.q, c)
+			g.AddEdge(e.q, c, e.dist)
 			first = true // restart Dijkstra from scratch
 		} else {
-			g.InsertEdgeAndRepair(e.q, c)
+			g.InsertEdgeAndRepair(e.q, c, e.dist)
 		}
 	}
 }

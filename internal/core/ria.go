@@ -43,7 +43,7 @@ func RIA(providers []Provider, tree *rtree.Tree, opts Options) (*Result, error) 
 				return err
 			}
 			for _, it := range items {
-				g.AddEdge(int32(q), ensure(it))
+				g.AddEdge(int32(q), ensure(it), opts.Metric.Dist(providers[q].Pt, it.Pt))
 			}
 		}
 		return nil

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/pqueue"
 	"repro/internal/rtree"
 )
@@ -20,22 +19,7 @@ func SMJoin(providers []Provider, tree *rtree.Tree, opts Options) (*Result, erro
 	io := snapshotIO(tree.Buffer())
 	m := Metrics{FullGraphEdges: len(providers) * tree.Size()}
 
-	pts := make([]geo.Point, len(providers))
-	for i, p := range providers {
-		pts[i] = p.Pt
-	}
-	var nn rtree.NNSource
-	if opts.DisableANN {
-		nn = rtree.NewPerQueryNN(tree, pts)
-	} else {
-		nn = rtree.NewANNSearch(tree, pts, opts.Space, opts.ANNGroupSize)
-	}
-	if !geo.IsEuclidean(opts.Metric) {
-		// Greedily committing the globally closest pair only makes sense
-		// if "closest" is measured in the cost metric; refine the
-		// Euclidean candidate stream into true metric order.
-		nn = rtree.NewRefinedNN(nn, pts, opts.Metric)
-	}
+	nn := nearestSource(providers, tree, opts)
 
 	gamma, err := gammaFor(providers, tree, opts)
 	if err != nil {

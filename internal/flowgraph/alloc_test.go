@@ -22,7 +22,7 @@ func TestAllocsGraphConstruction(t *testing.T) {
 		g := NewGraph(providers, false)
 		for _, c := range customers {
 			ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID)
-			g.AddEdge(int32(int(ci)%len(providers)), ci)
+			addEdge(g, int32(int(ci)%len(providers)), ci)
 		}
 		g.Release()
 	}
@@ -52,7 +52,7 @@ func TestAllocsWarmSearch(t *testing.T) {
 	for _, c := range customers {
 		ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID)
 		for k := 0; k < 4; k++ {
-			g.AddEdge(int32((int(ci)+5*k)%len(providers)), ci)
+			addEdge(g, int32((int(ci)+5*k)%len(providers)), ci)
 		}
 	}
 	// Augment part of the way so searches also cross reversed edges.
@@ -87,7 +87,7 @@ func BenchmarkGraphConstruction(b *testing.B) {
 		g := NewGraph(providers, false)
 		for _, c := range customers {
 			ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID)
-			g.AddEdge(int32(int(ci)%len(providers)), ci)
+			addEdge(g, int32(int(ci)%len(providers)), ci)
 		}
 		g.Release()
 	}

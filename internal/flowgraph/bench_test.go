@@ -72,7 +72,7 @@ func BenchmarkDijkstraSparse(b *testing.B) {
 					}
 				}
 				ds[a], ds[min] = ds[min], ds[a]
-				g.AddEdge(int32(q), ds[a].c)
+				g.AddEdge(int32(q), ds[a].c, ds[a].d)
 			}
 		}
 		b.StartTimer()

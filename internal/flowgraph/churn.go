@@ -38,10 +38,6 @@ func (g *Graph) LiveCustomers() []Customer {
 // provider q currently carries.
 func (g *Graph) ProviderUsed(q int32) int { return g.provUsed[q] }
 
-// CustomerProviders returns the providers customer c is assigned to
-// (usually zero or one in the exact pair-capacity-1 setting).
-func (g *Graph) CustomerProviders(c int32) []int32 { return g.assigned[c] }
-
 // RemoveCustomer deletes customer c from the graph: its assignments
 // are released (freeing provider capacity), its own capacity is zeroed
 // so it can never terminate a path again, and it is dropped from the
@@ -53,8 +49,8 @@ func (g *Graph) RemoveCustomer(c int32) error {
 	if !g.IsLive(c) {
 		return fmt.Errorf("flowgraph: remove: customer %d not live", c)
 	}
-	for _, q := range g.assigned[c] {
-		g.provUsed[q]--
+	for _, a := range g.assigned[c] {
+		g.provUsed[a.q]--
 	}
 	g.assigned[c] = g.assigned[c][:0]
 	g.custUsed[c] = 0
@@ -102,11 +98,8 @@ func (g *Graph) EvictLongestAssignment(q int32) (int32, error) {
 	bestD := -1.0
 	for _, c := range g.live {
 		for _, a := range g.assigned[c] {
-			if a != q {
-				continue
-			}
-			if d := g.dist(q, c); d > bestD {
-				bestD, best = d, c
+			if a.q == q && a.dist > bestD {
+				bestD, best = a.dist, c
 			}
 		}
 	}
@@ -130,8 +123,8 @@ func (g *Graph) CheckFlowConservation() error {
 	perProv := make([]int, len(g.providers))
 	for c := range g.customers {
 		c32 := int32(c)
-		for _, q := range g.assigned[c] {
-			perProv[q]++
+		for _, a := range g.assigned[c] {
+			perProv[a.q]++
 		}
 		if !g.IsLive(c32) {
 			if len(g.assigned[c]) != 0 || g.custUsed[c] != 0 {
@@ -239,8 +232,8 @@ func (g *Graph) CancelNegativeCycle() (bool, error) {
 					}
 				}
 			}
-			for _, q := range g.assigned[c] {
-				relax(node, NodeID(q), -g.dist(q, c))
+			for _, a := range g.assigned[c] {
+				relax(node, NodeID(a.q), -a.dist)
 			}
 			if !g.CustomerFull(c) {
 				relax(node, tNode, 0)

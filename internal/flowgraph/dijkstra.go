@@ -13,9 +13,12 @@ import (
 // stamped so a new iteration does not pay O(V) re-initialization; the
 // two heaps are indexed by node id and clear in O(entries still queued).
 type searchState struct {
-	epoch   int64
-	alpha   []float64
-	prev    []NodeID
+	epoch int64
+	alpha []float64
+	prev  []NodeID
+	// prevLen is the length of the pair edge prev→v for a customer
+	// node v, so Augment assigns the pair without a metric call.
+	prevLen []float64
 	seenAt  []int64 // epoch when alpha/prev were last written
 	doneAt  []int64 // epoch when the node was finalized (popped)
 	visited []NodeID
@@ -57,6 +60,7 @@ func (s *searchState) grow(n int) {
 	for len(s.alpha) < n {
 		s.alpha = append(s.alpha, 0)
 		s.prev = append(s.prev, 0)
+		s.prevLen = append(s.prevLen, 0)
 		s.seenAt = append(s.seenAt, 0)
 		s.doneAt = append(s.doneAt, 0)
 	}
@@ -146,7 +150,8 @@ func (g *Graph) relaxProvider(q int32) {
 				continue
 			}
 			node := g.customerNode(c32)
-			g.relax(node, base+g.dist(q, c32)+g.tau[node], NodeID(q))
+			d := g.dist(q, c32)
+			g.relax(node, base+d+g.tau[node], NodeID(q), d)
 		}
 		return
 	}
@@ -155,7 +160,7 @@ func (g *Graph) relaxProvider(q int32) {
 			continue
 		}
 		node := g.customerNode(he.cust)
-		g.relax(node, base+he.dist+g.tau[node], NodeID(q))
+		g.relax(node, base+he.dist+g.tau[node], NodeID(q), he.dist)
 	}
 }
 
@@ -165,23 +170,25 @@ func (g *Graph) relaxCustomer(c int32) {
 	s := g.search
 	node := g.customerNode(c)
 	base := s.alpha[node] - g.tau[node]
-	for _, q := range g.assigned[c] {
+	for _, a := range g.assigned[c] {
 		// Reversed edge cost: −dist − τ(p) + τ(q).
-		g.relax(NodeID(q), base-g.dist(q, c)+g.tau[q], node)
+		g.relax(NodeID(a.q), base-a.dist+g.tau[a.q], node, a.dist)
 	}
 }
 
-// relax offers node v a path of cost nd via from.
-func (g *Graph) relax(v NodeID, nd float64, from NodeID) {
+// relax offers node v a path of cost nd via from over a pair edge of
+// the given length.
+func (g *Graph) relax(v NodeID, nd float64, from NodeID, length float64) {
 	g.stats.Relaxations++
-	g.offer(v, nd, from)
+	g.offer(v, nd, from, length)
 }
 
-// InsertEdgeAndRepair adds edge (q,c) to Esub mid-iteration and repairs
-// the current search state with the Path Update Algorithm (§3.4.1)
-// instead of restarting Dijkstra. Call Search afterwards to resume.
-func (g *Graph) InsertEdgeAndRepair(q, c int32) {
-	d := g.AddEdge(q, c)
+// InsertEdgeAndRepair adds edge (q,c) of length d (see AddEdge) to Esub
+// mid-iteration and repairs the current search state with the Path
+// Update Algorithm (§3.4.1) instead of restarting Dijkstra. Call Search
+// afterwards to resume.
+func (g *Graph) InsertEdgeAndRepair(q, c int32, d float64) {
+	g.AddEdge(q, c, d)
 	s := g.search
 	g.stats.Resumes++
 	if !s.seen(NodeID(q)) {
@@ -193,7 +200,7 @@ func (g *Graph) InsertEdgeAndRepair(q, c int32) {
 	// relaxation (q's out-edges are relaxed again when popped); if q is
 	// finalized, the improvement ripples through the settled region.
 	node := g.customerNode(c)
-	g.offer(node, s.alpha[q]-g.tau[q]+d+g.tau[node], NodeID(q))
+	g.offer(node, s.alpha[q]-g.tau[q]+d+g.tau[node], NodeID(q), d)
 	g.drainRepair()
 }
 
@@ -207,13 +214,14 @@ const improveEps = 1e-12
 
 // offer is PUA's relaxation: like relax, but improvements to finalized
 // nodes are queued on the repair heap Hf so they propagate onward.
-func (g *Graph) offer(v NodeID, nd float64, from NodeID) {
+func (g *Graph) offer(v NodeID, nd float64, from NodeID, length float64) {
 	s := g.search
 	if s.seen(v) && nd >= s.alpha[v]-improveEps {
 		return
 	}
 	s.alpha[v] = nd
 	s.prev[v] = from
+	s.prevLen[v] = length
 	s.seenAt[v] = s.epoch
 	if s.done(v) {
 		// Finalized node improved: update tBest if it is a terminal, and
@@ -249,8 +257,8 @@ func (g *Graph) drainRepair() {
 			if g.CustomerFull(c) {
 				node := g.customerNode(c)
 				base := s.alpha[node] - g.tau[node]
-				for _, q := range g.assigned[c] {
-					g.offer(NodeID(q), base-g.dist(q, c)+g.tau[q], node)
+				for _, a := range g.assigned[c] {
+					g.offer(NodeID(a.q), base-a.dist+g.tau[a.q], node, a.dist)
 				}
 			}
 			continue
@@ -263,7 +271,7 @@ func (g *Graph) drainRepair() {
 				continue
 			}
 			node := g.customerNode(he.cust)
-			g.offer(node, base+he.dist+g.tau[node], NodeID(q))
+			g.offer(node, base+he.dist+g.tau[node], NodeID(q), he.dist)
 		}
 	}
 }
@@ -296,8 +304,7 @@ func (g *Graph) Augment() error {
 			break
 		}
 		if g.isCustomerNode(v) {
-			c := g.custIdx(v)
-			g.assign(c, int32(u), g.dist(int32(u), c))
+			g.assign(g.custIdx(v), int32(u), s.prevLen[v])
 		} else {
 			c := g.custIdx(u)
 			if err := g.unassign(c, int32(v)); err != nil {

@@ -317,7 +317,7 @@ func TestIncrementalWithPUAMatchesReference(t *testing.T) {
 				if next >= len(cands) {
 					t.Fatalf("trial %d: ran out of edges", trial)
 				}
-				g.InsertEdgeAndRepair(cands[next].q, cands[next].c)
+				g.InsertEdgeAndRepair(cands[next].q, cands[next].c, cands[next].d)
 				next++
 			}
 			if err := g.Augment(); err != nil {
@@ -385,7 +385,7 @@ func TestFastPhaseHandoff(t *testing.T) {
 			}
 			e := cands[next]
 			next++
-			g.AddEdge(e.q, e.c)
+			g.AddEdge(e.q, e.c, e.d)
 			if g.ProviderFull(e.q) || g.CustomerFull(e.c) {
 				continue
 			}
@@ -416,7 +416,7 @@ func TestFastPhaseHandoff(t *testing.T) {
 				if next >= len(cands) {
 					t.Fatalf("trial %d: out of edges", trial)
 				}
-				g.InsertEdgeAndRepair(cands[next].q, cands[next].c)
+				g.InsertEdgeAndRepair(cands[next].q, cands[next].c, cands[next].d)
 				next++
 			}
 			if err := g.Augment(); err != nil {

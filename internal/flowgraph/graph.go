@@ -72,6 +72,15 @@ type halfEdge struct {
 	dist float64
 }
 
+// assignment is one matched (q, p) instance seen from the customer:
+// the provider and the pair's length, stored when the pair is matched
+// so reversed-edge relaxations and the matching's cost never query the
+// metric again.
+type assignment struct {
+	q    int32
+	dist float64
+}
+
 // Stats counts the work the graph performed.
 type Stats struct {
 	Dijkstras   int // full searches started (BeginIteration calls)
@@ -89,8 +98,9 @@ type Graph struct {
 	custUsed  []int // flow on e(p,t)
 
 	// assigned[c] lists the providers customer c is currently assigned
-	// to (each at most once); it encodes the reversed residual edges.
-	assigned [][]int32
+	// to (each at most once), with the pair lengths; it encodes the
+	// reversed residual edges.
+	assigned [][]assignment
 	// assignedLen[c] is the largest edge length among c's assignments;
 	// used to derive potentials when IDA leaves the Theorem 2 regime
 	// (§3.3).
@@ -162,7 +172,7 @@ type graphArrays struct {
 	lastAlpha   []float64
 	customers   []Customer
 	custUsed    []int
-	assigned    [][]int32
+	assigned    [][]assignment
 	assignedLen []float64
 	live        []int32
 	livePos     []int32
@@ -342,12 +352,13 @@ func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 	return c
 }
 
-// AddEdge inserts the forward edge q→c into Esub and returns its length.
-func (g *Graph) AddEdge(q, c int32) float64 {
-	d := g.metric.Dist(g.providers[q].Pt, g.customers[c].Pt)
+// AddEdge inserts the forward edge q→c of length d into Esub. d must be
+// the metric's distance from provider q to customer c — the value the
+// caller's candidate stream already computed (an NN search's key is
+// exactly that call), so the graph never asks the metric again.
+func (g *Graph) AddEdge(q, c int32, d float64) {
 	g.adj[q] = append(g.adj[q], halfEdge{cust: c, dist: d})
 	g.edgeCount++
-	return d
 }
 
 // ProviderFull reports whether e(s,q) is saturated (Definition 2).
@@ -393,13 +404,13 @@ func (g *Graph) AssignedCount() int {
 func (g *Graph) Pairs() []Pair {
 	var out []Pair
 	for c := range g.customers {
-		for _, q := range g.assigned[c] {
+		for _, a := range g.assigned[c] {
 			out = append(out, Pair{
-				Provider: int(q),
+				Provider: int(a.q),
 				Customer: c,
 				CustID:   g.customers[c].ExtID,
 				CustPt:   g.customers[c].Pt,
-				Dist:     g.dist(q, int32(c)),
+				Dist:     a.dist,
 			})
 		}
 	}
@@ -410,8 +421,8 @@ func (g *Graph) Pairs() []Pair {
 func (g *Graph) Cost() float64 {
 	total := 0.0
 	for c := range g.customers {
-		for _, q := range g.assigned[c] {
-			total += g.dist(q, int32(c))
+		for _, a := range g.assigned[c] {
+			total += a.dist
 		}
 	}
 	return total
@@ -440,7 +451,7 @@ func (g *Graph) pairCapacity() int {
 func (g *Graph) instanceCount(c, q int32) int {
 	n := 0
 	for _, a := range g.assigned[c] {
-		if a == q {
+		if a.q == q {
 			n++
 		}
 	}
@@ -454,7 +465,7 @@ func (g *Graph) forwardSaturated(c, q int32) bool {
 }
 
 func (g *Graph) assign(c, q int32, length float64) {
-	g.assigned[c] = append(g.assigned[c], q)
+	g.assigned[c] = append(g.assigned[c], assignment{q: q, dist: length})
 	if len(g.assigned[c]) == 1 || length > g.assignedLen[c] {
 		g.assignedLen[c] = length
 	}
@@ -462,7 +473,7 @@ func (g *Graph) assign(c, q int32, length float64) {
 
 func (g *Graph) unassign(c, q int32) error {
 	for i, a := range g.assigned[c] {
-		if a == q {
+		if a.q == q {
 			g.assigned[c] = append(g.assigned[c][:i], g.assigned[c][i+1:]...)
 			return nil
 		}

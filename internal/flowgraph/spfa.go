@@ -70,13 +70,14 @@ func (g *Graph) SearchLabelCorrecting() (vmin NodeID, cost float64, ok bool, err
 			}
 		}
 	}
-	relax := func(v NodeID, nd float64, from NodeID) {
+	relax := func(v NodeID, nd float64, from NodeID, length float64) {
 		if s.seen(v) && nd >= s.alpha[v]-eps {
 			return
 		}
 		g.stats.Relaxations++
 		s.alpha[v] = nd
 		s.prev[v] = from
+		s.prevLen[v] = length
 		s.seenAt[v] = s.epoch
 		push(v)
 	}
@@ -97,8 +98,8 @@ func (g *Graph) SearchLabelCorrecting() (vmin NodeID, cost float64, ok bool, err
 		if g.isCustomerNode(v) {
 			c := g.custIdx(v)
 			base := s.alpha[v]
-			for _, q := range g.assigned[c] {
-				relax(NodeID(q), base-g.dist(q, c), v)
+			for _, a := range g.assigned[c] {
+				relax(NodeID(a.q), base-a.dist, v, a.dist)
 			}
 			continue
 		}
@@ -109,14 +110,15 @@ func (g *Graph) SearchLabelCorrecting() (vmin NodeID, cost float64, ok bool, err
 				if g.forwardSaturated(c32, q) {
 					continue
 				}
-				relax(g.customerNode(c32), base+g.dist(q, c32), v)
+				d := g.dist(q, c32)
+				relax(g.customerNode(c32), base+d, v, d)
 			}
 		} else {
 			for _, he := range g.adj[q] {
 				if !g.IsLive(he.cust) || g.forwardSaturated(he.cust, q) {
 					continue
 				}
-				relax(g.customerNode(he.cust), base+he.dist, v)
+				relax(g.customerNode(he.cust), base+he.dist, v, he.dist)
 			}
 		}
 	}
@@ -217,8 +219,8 @@ func (g *Graph) SwapArrival(cNew int32) (bool, error) {
 		if g.isCustomerNode(v) {
 			c := g.custIdx(v)
 			base := s.alpha[v]
-			for _, q := range g.assigned[c] {
-				relax(NodeID(q), base-g.dist(q, c), v)
+			for _, a := range g.assigned[c] {
+				relax(NodeID(a.q), base-a.dist, v)
 			}
 			continue
 		}

@@ -141,7 +141,7 @@ func TestAccessors(t *testing.T) {
 	if g.ProviderRemaining(0) != 3 || g.CustomerRemaining(c) != 2 {
 		t.Fatal("remaining capacities wrong")
 	}
-	g.AddEdge(0, c)
+	addEdge(g, 0, c)
 	g.DirectAssign(0, c, 1)
 	if g.ProviderRemaining(0) != 2 || g.CustomerRemaining(c) != 1 {
 		t.Fatal("remaining capacities after assign wrong")
@@ -199,4 +199,10 @@ func TestChurnRowsTrackLiveSet(t *testing.T) {
 	if cap(g.rows) > 4*nq*peak || 4*peak > arrivals {
 		t.Fatalf("rows cap %d for peak live %d (×%d providers) after %d arrivals", cap(g.rows), peak, nq, arrivals)
 	}
+}
+
+// addEdge inserts edge (q, c) with its metric length, as the solvers'
+// candidate streams supply it.
+func addEdge(g *Graph, q, c int32) {
+	g.AddEdge(q, c, g.metric.Dist(g.providers[q].Pt, g.customers[c].Pt))
 }

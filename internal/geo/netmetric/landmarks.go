@@ -8,8 +8,11 @@ import (
 )
 
 // Landmarks serve one purpose: LowerBound, the admissible bound
-// rtree.RefinedNN orders its exact NN refinement by. Point queries never
-// read them (they run the hierarchy or plain Dijkstra, see searchDist).
+// rtree.RefinedNN orders its exact NN refinement by — the candidate
+// stream of solves on point queries (below the solver layer's table
+// threshold, or with the table off). Table-path solves expand over the
+// network instead (nn.go) and never read them, nor do point queries
+// (they run the hierarchy or plain Dijkstra, see searchDist).
 
 // DefaultLandmarks is the landmark count automatic mode selects for
 // mid-sized networks. Eight farthest-point landmarks are the classic

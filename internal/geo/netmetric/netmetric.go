@@ -38,6 +38,7 @@ package netmetric
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -210,6 +211,15 @@ func (m *NetworkMetric) NumEdges() int { return m.realEdges }
 // network's components (0 for a connected network).
 func (m *NetworkMetric) Bridges() int { return len(m.edges) - m.realEdges }
 
+// SameNetwork reports whether m and o are built over the same road
+// network: equal nodes and edges, bridges included. Metrics that differ
+// only in landmarks or the hierarchy snap every point identically, so
+// they can share a PointIndex.
+func (m *NetworkMetric) SameNetwork(o *NetworkMetric) bool {
+	return m == o || m.realEdges == o.realEdges &&
+		slices.Equal(m.nodes, o.nodes) && slices.Equal(m.edges, o.edges)
+}
+
 // SetCacheCapacity rebuilds the snap and node-pair caches with the
 // given entry bounds (values < 1 keep the defaults), dropping any
 // cached content and counters. The point-pair cache is rebuilt at its
@@ -333,12 +343,18 @@ func (m *NetworkMetric) snap(p geo.Point) snapPos {
 	if s, ok := m.snapCache.Get(p); ok {
 		return s
 	}
+	s := m.locate(p)
+	m.snapCache.Put(p, s)
+	return s
+}
+
+// locate computes p's snap position against the edge grid, bypassing
+// the cache.
+func (m *NetworkMetric) locate(p geo.Point) snapPos {
 	ei := m.grid.nearestEdge(p, m.nodes, m.edges)
 	e := m.edges[ei]
 	t, pos := projectOntoSegment(p, m.nodes[e[0]], m.nodes[e[1]])
-	s := snapPos{edge: ei, t: t, pos: pos, offset: p.Dist(pos)}
-	m.snapCache.Put(p, s)
-	return s
+	return snapPos{edge: ei, t: t, pos: pos, offset: p.Dist(pos)}
 }
 
 // nodeDist resolves an oriented node-pair distance through the cache,

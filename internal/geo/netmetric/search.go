@@ -96,10 +96,16 @@ func (m *NetworkMetric) forwardDijkstra(src, dst int32) float64 {
 // starts from a popped key >= that minimum and adds a non-negative
 // length. This is the package's one bulk relax loop: table rows
 // (table.go) advance it on demand, landmark vectors run it to the end.
+//
+// order records the nodes in the order the sweep settled them, so
+// their labels are non-decreasing along it (every push adds a
+// non-negative length to the key just popped): the network
+// nearest-neighbour stream (nn.go) walks it to expand outward from a
+// row's source.
 type sweep struct {
-	dist    []float64
-	heap    pqueue.Heap
-	settled int // labels finalized by a pop
+	dist  []float64
+	heap  pqueue.Heap
+	order []int32 // settled nodes, in settle order
 }
 
 // start resets s to a fresh sweep from src over n nodes, reusing its
@@ -113,7 +119,7 @@ func (s *sweep) start(src int32, n int) {
 		s.dist[i] = math.Inf(1)
 	}
 	s.heap.Clear()
-	s.settled = 0
+	s.order = s.order[:0]
 	s.dist[src] = 0
 	s.heap.Push(src, 0)
 }
@@ -125,18 +131,37 @@ func (m *NetworkMetric) settle(s *sweep, v int32) {
 		if v >= 0 && s.dist[v] <= s.heap.Peek().Key {
 			return
 		}
-		e := s.heap.Pop()
-		if e.Key > s.dist[e.H] {
-			continue // stale entry from lazy decrease-key
-		}
-		s.settled++
-		for _, a := range m.adj[e.H] {
-			if nd := e.Key + a.length; nd < s.dist[a.to] {
-				s.dist[a.to] = nd
-				s.heap.Push(a.to, nd)
-			}
+		m.pop(s)
+	}
+}
+
+// step advances s by one settled node; it returns false once the sweep
+// is complete.
+func (m *NetworkMetric) step(s *sweep) bool {
+	for s.heap.Len() > 0 {
+		if m.pop(s) {
+			return true
 		}
 	}
+	return false
+}
+
+// pop takes s's smallest frontier entry and, unless it is stale,
+// settles its node and relaxes the node's arcs. It reports whether a
+// node was settled.
+func (m *NetworkMetric) pop(s *sweep) bool {
+	e := s.heap.Pop()
+	if e.Key > s.dist[e.H] {
+		return false // stale entry from lazy decrease-key
+	}
+	s.order = append(s.order, e.H)
+	for _, a := range m.adj[e.H] {
+		if nd := e.Key + a.length; nd < s.dist[a.to] {
+			s.dist[a.to] = nd
+			s.heap.Push(a.to, nd)
+		}
+	}
+	return true
 }
 
 // labels settles both of a snap edge's endpoints on s and returns

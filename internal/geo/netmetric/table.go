@@ -3,6 +3,7 @@ package netmetric
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geo"
 )
@@ -34,6 +35,10 @@ type Table struct {
 	*NetworkMetric
 	rowIdx map[int32]int32 // endpoint node → index in rows
 	rows   []tableRow
+
+	// Points the nearest-neighbour streams over this table (nn.go)
+	// have discovered and emitted.
+	nnPushed, nnEmitted atomic.Int64
 }
 
 // tableRow is one endpoint's sweep behind its lock.
@@ -84,10 +89,17 @@ func (t *Table) Settled() (settled, total int) {
 	for i := range t.rows {
 		r := &t.rows[i]
 		r.mu.Lock()
-		settled += r.settled
+		settled += len(r.order)
 		r.mu.Unlock()
 	}
 	return settled, len(t.rows) * len(t.nodes)
+}
+
+// NNStats returns how many points the nearest-neighbour streams over
+// this table have discovered (pushed onto a candidate heap) and emitted
+// so far: how far the streams expanded against how much they used.
+func (t *Table) NNStats() (pushed, emitted int64) {
+	return t.nnPushed.Load(), t.nnEmitted.Load()
 }
 
 // Dist implements geo.Metric. When p's snap-edge endpoints are covered

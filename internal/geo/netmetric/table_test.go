@@ -139,8 +139,8 @@ func TestTableRowsStartSuspended(t *testing.T) {
 	}
 	for v, r := range tab.rowIdx {
 		row := &tab.rows[r]
-		if row.heap.Len() != 1 || row.heap.Peek() != (pqueue.Entry{Key: 0, H: v}) || row.dist[v] != 0 || row.settled != 0 {
-			t.Fatalf("row %d after BuildTable: frontier of %d entries, settled %d; want only its source", v, row.heap.Len(), row.settled)
+		if row.heap.Len() != 1 || row.heap.Peek() != (pqueue.Entry{Key: 0, H: v}) || row.dist[v] != 0 || len(row.order) != 0 {
+			t.Fatalf("row %d after BuildTable: frontier of %d entries, settled %d; want only its source", v, row.heap.Len(), len(row.order))
 		}
 	}
 	if settled, _ := tab.Settled(); settled != 0 {

@@ -11,6 +11,9 @@ import (
 	"repro/internal/flowgraph"
 	"repro/internal/geo"
 	"repro/internal/geo/netmetric"
+	"repro/internal/obs"
+	"repro/internal/rtree"
+	"repro/internal/storage"
 )
 
 // netSpace is the conformance suite's data space.
@@ -194,6 +197,78 @@ func TestCrossMetricAblations(t *testing.T) {
 				if d := math.Abs(res.Cost - want); d > 1e-6 {
 					t.Errorf("seed %d: %s/%s: cost %.9f != oracle %.9f", seed, name, vn, res.Cost, want)
 				}
+			}
+		}
+	}
+}
+
+// TestNetworkExpansionConformance pins the table path's candidate
+// stream against the R-tree one above DistTableMinPairs: on a clustered
+// 16-grid instance, solves that stream network nearest neighbours from
+// the distance table's rows (the default) and solves with the table
+// disabled (DistTable -1, the refinement stream over the R-tree) must
+// agree on the cost bits, the size and |Esub|, traced and untraced.
+// The traced table-path solves must also show the stream at work and
+// no R-tree page read.
+func TestNetworkExpansionConformance(t *testing.T) {
+	net := datagen.NewNetwork(16, netSpace, 2008)
+	metric := netmetric.FromNetwork(net)
+	qpts := net.Points(datagen.Config{N: 12, Dist: datagen.Uniform, Seed: 31})
+	providers := make([]core.Provider, len(qpts))
+	for i, q := range qpts {
+		providers[i] = core.Provider{Pt: q, Cap: 20}
+	}
+	pts := net.Points(datagen.Config{N: 700, Dist: datagen.Clustered, Seed: 32})
+	if len(providers)*len(pts) < DistTableMinPairs {
+		t.Fatalf("instance of %d pairs is below DistTableMinPairs", len(providers)*len(pts))
+	}
+	items := make([]rtree.Item, len(pts))
+	for i, p := range pts {
+		items[i] = rtree.Item{ID: int64(i), Pt: p}
+	}
+	for _, name := range []string{"ida", "greedy", "sharded:ida"} {
+		for _, traced := range []bool{false, true} {
+			var got [2]*Result
+			for k, table := range []int{0, -1} {
+				tree, err := rtree.Bulk(storage.NewBuffer(storage.NewMemStore(storage.DefaultPageSize), 1<<20), items)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := Options{}
+				opts.Core.Metric = metric
+				opts.Core.DistTable = table
+				opts.Core.Shards = 3
+				ctx, root := context.Background(), (*obs.Span)(nil)
+				if traced {
+					root = obs.NewRoot("test")
+					ctx = obs.WithSpan(ctx, root)
+				}
+				res, err := MustGet(name).Solve(ctx, providers, FromTreeItems(tree, items), opts)
+				if err != nil {
+					t.Fatalf("%s (table %d, traced %v): %v", name, table, traced, err)
+				}
+				validate(t, name, providers, len(pts), res)
+				if name == "sharded:ida" && res.Groups != opts.Core.Shards {
+					t.Fatalf("sharded:ida solved %d regions, want %d", res.Groups, opts.Core.Shards)
+				}
+				got[k] = res
+				if !traced || table != 0 {
+					continue
+				}
+				root.End()
+				attrs := root.Tree().Find("solver").Attrs
+				if attrs["nn_emitted"].(int64) == 0 || attrs["nn_pushed"].(int64) < attrs["nn_emitted"].(int64) {
+					t.Errorf("%s: solver span nn_pushed=%v nn_emitted=%v; want 0 < emitted <= pushed", name, attrs["nn_pushed"], attrs["nn_emitted"])
+				}
+				if name != "sharded:ida" && res.Metrics.IO.Hits+res.Metrics.IO.Faults != 0 {
+					t.Errorf("%s: the table path read R-tree pages: %+v", name, res.Metrics.IO)
+				}
+			}
+			a, b := got[0], got[1]
+			if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) || a.Size != b.Size ||
+				a.Metrics.SubgraphEdges != b.Metrics.SubgraphEdges {
+				t.Errorf("%s (traced %v): table path cost %v size %d |Esub| %d, R-tree path cost %v size %d |Esub| %d",
+					name, traced, a.Cost, a.Size, a.Metrics.SubgraphEdges, b.Cost, b.Size, b.Metrics.SubgraphEdges)
 			}
 		}
 	}

@@ -88,6 +88,41 @@ func FromTreeItems(t *rtree.Tree, items []rtree.Item) Dataset {
 	return itemsDataset{tree: t, items: items}
 }
 
+// NetworkIndexed is implemented by datasets that keep their customers
+// grouped by road-network snap edge, built outside every solve's I/O
+// counters and timers: cca.Customers keeps one index per network,
+// shared by its clones.
+type NetworkIndexed interface {
+	NetworkIndex(m *netmetric.NetworkMetric) *netmetric.PointIndex
+}
+
+// IndexItems groups items by their snap edge on m.
+func IndexItems(m *netmetric.NetworkMetric, items []rtree.Item) *netmetric.PointIndex {
+	ids := make([]int64, len(items))
+	pts := make([]geo.Point, len(items))
+	for i, it := range items {
+		ids[i], pts[i] = it.ID, it.Pt
+	}
+	return m.IndexPoints(ids, pts)
+}
+
+// networkIndex returns data's snap-edge index on m and the wall time a
+// build spent inside this solve: a NetworkIndexed dataset hands out its
+// memoized index for free; a FromTreeItems dataset (every experiment
+// workload and sharded region) is indexed from its in-memory items,
+// which the solve pays for. Any other dataset gets no index.
+func networkIndex(data Dataset, m *netmetric.NetworkMetric) (*netmetric.PointIndex, time.Duration) {
+	switch d := data.(type) {
+	case NetworkIndexed:
+		return d.NetworkIndex(m), 0
+	case itemsDataset:
+		start := time.Now()
+		x := IndexItems(m, d.items)
+		return x, time.Since(start)
+	}
+	return nil, 0
+}
+
 // Options tunes a solve. The zero value selects every solver's paper
 // defaults.
 type Options struct {
@@ -189,7 +224,8 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	// in a provider-sourced table here — once, at the choke point all
 	// callers (CLIs, expr, cca.Engine, the sharded meta-solver's outer
 	// solve) pass through. Inner sharded sub-solves arrive with the
-	// *netmetric.Table already in place and skip the rewrap.
+	// *netmetric.Table already in place (as their metric and in
+	// Core.Table) and skip the rewrap.
 	table, buildWall := withDistTable(providers, data, &opts)
 	if buildWall > 0 {
 		span.AddTimed("table-build", buildWall)
@@ -244,6 +280,10 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 			settled, total := table.Settled()
 			span.SetInt("table_settled", int64(settled))
 			span.SetInt("table_nodes", int64(total))
+			// How far network expansion ran against what it used.
+			pushed, emitted := table.NNStats()
+			span.SetInt("nn_pushed", pushed)
+			span.SetInt("nn_emitted", emitted)
 		}
 	}
 	res.Solver = s.name
@@ -260,13 +300,20 @@ const DistTableMinPairs = 1 << 12
 // withDistTable swaps opts' metric for a provider-sourced distance
 // table (netmetric.Table) when the metric is a road network, the table
 // is enabled (core.Options.DistTable >= 0) and the instance is large
-// enough to amortize the sweeps. The build only allocates the rows;
-// each row's sweep advances during the solve, as far as its queries
-// reach. Results are byte-identical either way — the table returns the
-// same canonical floats as point queries — so this is purely a
-// performance decision. Returns the table (nil when skipped or
-// declined over budget) and the wall time the build consumed (0 when
-// skipped).
+// enough to amortize the sweeps, and passes the table on in
+// core.Options.Table. The build only allocates the rows; each row's
+// sweep advances during the solve, as far as the solver's network
+// expansion or its queries reach. The table returns the same canonical
+// floats as point queries, so solvers that only query it (ria, sspa,
+// hungarian, sa, ca) return byte-identical results either way. The
+// incremental solvers (ida, nia, greedy) switch their candidate stream
+// to network expansion, which reads no R-tree page and emits
+// equal-distance customers by id, where the R-tree refinement stream
+// emits them in heap order: with duplicate customer locations the two
+// paths may pick different (equally cheap) matchings. The engine's
+// result cache therefore keys on DistTable. Returns the table (nil when
+// skipped or declined over budget) and the wall time the build
+// consumed (0 when skipped).
 func withDistTable(providers []core.Provider, data Dataset, opts *Options) (*netmetric.Table, time.Duration) {
 	nm, ok := opts.Core.Metric.(*netmetric.NetworkMetric)
 	if !ok || opts.Core.DistTable < 0 || len(providers) == 0 ||
@@ -281,6 +328,7 @@ func withDistTable(providers []core.Provider, data Dataset, opts *Options) (*net
 	t := nm.BuildTable(pts, opts.Core.DistTable)
 	if t != nil {
 		opts.Core.Metric = t
+		opts.Core.Table = t
 	}
 	return t, time.Since(start)
 }

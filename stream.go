@@ -199,11 +199,13 @@ func (e *Engine) resultKeyFor(canonical string, in Instance) (resultKey, bool) {
 	// on purpose: it only alters wall-clock time (the sharded merge is
 	// deterministic across worker counts — pinned by the determinism
 	// suite), so instances differing only in it share a cache entry.
-	// DistTable is omitted for the same reason: the distance table
-	// returns byte-identical values to point queries (pinned by the
-	// network-backend conformance suite), so it never changes results.
 	put64(uint64(int64(o.Core.Shards)))
 	putF(o.Core.ShardBoundary)
+	// DistTable decides whether the incremental solvers stream by
+	// network expansion or by the R-tree: the two paths charge
+	// different page I/O and may assign equally distant customers
+	// differently, so a result from one never answers the other.
+	put64(uint64(int64(o.Core.DistTable)))
 
 	key := resultKey{dataset: in.Customers.id, metric: o.Core.Metric}
 	h.Sum(key.digest[:0])
