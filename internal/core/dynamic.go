@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/flowgraph"
 	"repro/internal/geo"
+	"repro/internal/rtree"
 )
 
 // Sentinel errors of the dynamic event API. Callers (the ccad session
@@ -80,15 +81,20 @@ type ChurnStats struct {
 // mode), so it suits the moderate |P| of online scenarios rather than
 // the disk-resident batch setting of RIA/NIA/IDA. Each arrival asks
 // the metric for its |Q| distances once and stores them as a cost row
-// that every later search, swap and cycle cancel reads back, so a
-// session's distance memory is |Q|·|live|·8 B of rows.
+// that every later search, swap and cycle cancel reads back. A
+// customer's graph index is its live position, so a session's whole
+// state — rows (|Q|·|live|·8 B), flows, assignments and search
+// scratch — is O(|Q|·|live|), however many customers have come and
+// gone. Only the id ledger grows with every arrival, because ids stay
+// unique for the whole session.
 type DynamicMatcher struct {
 	g         *flowgraph.Graph
 	providers []Provider
 	opts      DynamicOptions
 
-	ids  map[int64]int32 // live external id → customer index
-	seen map[int64]bool  // every id ever accepted (duplicate detection)
+	// ids maps every id ever accepted to its customer's live position,
+	// or to -1 once it departed (duplicate detection).
+	ids map[int64]int32
 
 	// exact records whether the current matching is known minimum-cost
 	// (no repair debt). While true, events that provably preserve
@@ -111,21 +117,11 @@ func NewDynamicMatcher(providers []Provider) *DynamicMatcher {
 func NewDynamicMatcherOpts(providers []Provider, opts DynamicOptions) *DynamicMatcher {
 	own := make([]Provider, len(providers))
 	copy(own, providers)
-	g := flowgraph.NewGraph(flowProviders(own), true)
-	// Churn invalidates potential-based reduced costs (a fresh
-	// customer's incident edges, or a reopened provider's, can be
-	// negative under old potentials), so the matcher searches with
-	// label-correcting Bellman-Ford over raw costs instead.
-	g.DisablePotentials()
-	if opts.Metric != nil {
-		g.SetMetric(opts.Metric)
-	}
 	return &DynamicMatcher{
-		g:         g,
+		g:         flowgraph.NewChurnGraph(flowProviders(own), opts.Metric),
 		providers: own,
 		opts:      opts,
 		ids:       make(map[int64]int32),
-		seen:      make(map[int64]bool),
 		exact:     true,
 	}
 }
@@ -143,10 +139,9 @@ func NewDynamicMatcherOpts(providers []Provider, opts DynamicOptions) *DynamicMa
 // now; later events may re-route or even evict it (fetch the current
 // state with Matching).
 func (m *DynamicMatcher) Arrive(pt geo.Point, id int64) (bool, error) {
-	if m.seen[id] {
+	if _, ok := m.ids[id]; ok {
 		return false, fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	m.seen[id] = true
 	c := m.g.AddCustomer(pt, 1, id)
 	m.ids[id] = c
 	m.stats.Events++
@@ -195,13 +190,17 @@ func (m *DynamicMatcher) Arrive(pt geo.Point, id int64) (bool, error) {
 // id that is not currently present is ErrUnknownID.
 func (m *DynamicMatcher) Depart(id int64) (bool, error) {
 	c, ok := m.ids[id]
-	if !ok {
+	if !ok || c < 0 {
 		return false, fmt.Errorf("%w: customer %d", ErrUnknownID, id)
 	}
-	delete(m.ids, id)
 	wasMatched := m.g.CustomerFull(c)
 	if err := m.g.RemoveCustomer(c); err != nil {
 		return false, err
+	}
+	m.ids[id] = -1
+	// The last customer moved into c's position.
+	if int(c) < m.g.LiveCount() {
+		m.ids[m.g.Customer(c).ExtID] = c
 	}
 	m.stats.Events++
 	m.stats.Departures++
@@ -372,6 +371,17 @@ func (m *DynamicMatcher) Exact() bool { return m.exact }
 
 // Live returns the number of customers currently present.
 func (m *DynamicMatcher) Live() int { return m.g.LiveCount() }
+
+// LiveCustomers returns the customers currently present, in no
+// particular order.
+func (m *DynamicMatcher) LiveCustomers() []rtree.Item {
+	out := make([]rtree.Item, m.g.LiveCount())
+	for i := range out {
+		c := m.g.Customer(int32(i))
+		out[i] = rtree.Item{ID: c.ExtID, Pt: c.Pt}
+	}
+	return out
+}
 
 // Capacity returns the current total provider capacity Σ q.k.
 func (m *DynamicMatcher) Capacity() int {

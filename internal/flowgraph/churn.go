@@ -1,6 +1,9 @@
 package flowgraph
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // This file holds the residual-graph primitives behind the full churn
 // model of the dynamic matcher: customer removal, provider capacity
@@ -13,60 +16,72 @@ import "fmt"
 // strictly reduces Ψ(M) at unchanged flow value, so the process
 // terminates, and a residual graph with no negative cycle certifies a
 // minimum-cost flow at its value — regardless of the order repairs ran
-// in. All of this requires DisablePotentials mode (raw edge costs).
-
-// IsLive reports whether customer c is still present (not removed).
-func (g *Graph) IsLive(c int32) bool {
-	return int(c) < len(g.livePos) && g.livePos[c] >= 0
-}
+// in. All of this runs on churn graphs (NewChurnGraph, raw edge costs).
 
 // LiveCount returns the number of customers currently present.
-func (g *Graph) LiveCount() int { return len(g.live) }
+func (g *Graph) LiveCount() int { return len(g.customers) }
 
-// LiveCustomers returns a fresh snapshot of the customers still
-// present, in live-list order (arbitrary after removals). The oracle
-// side of the churn conformance suite re-solves from this snapshot.
+// LiveCustomers returns a fresh copy of the customers present, in
+// index order (arbitrary after removals). The oracle side of the churn
+// conformance suite re-solves from this snapshot.
 func (g *Graph) LiveCustomers() []Customer {
-	out := make([]Customer, 0, len(g.live))
-	for _, c := range g.live {
-		out = append(out, g.customers[c])
-	}
-	return out
+	return append([]Customer(nil), g.customers...)
 }
+
+// Customer returns customer c.
+func (g *Graph) Customer(c int32) Customer { return g.customers[c] }
 
 // ProviderUsed returns the flow on e(s,q): how many assignments
 // provider q currently carries.
 func (g *Graph) ProviderUsed(q int32) int { return g.provUsed[q] }
 
-// RemoveCustomer deletes customer c from the graph: its assignments
-// are released (freeing provider capacity), its own capacity is zeroed
-// so it can never terminate a path again, and it is dropped from the
-// live list so the label-correcting searches stop visiting it. The
+// RemoveCustomer deletes customer c from a churn graph: its
+// assignments are released, freeing provider capacity, and the last
+// customer moves into index c with its flow, assignments and cost row,
+// so every per-customer slot stays dense over the customers present.
+// A caller that holds customer indices must follow the move. The
 // resulting matching is feasible but possibly neither maximum nor
 // minimum-cost; callers repair with augmenting searches and
 // CancelNegativeCycle.
 func (g *Graph) RemoveCustomer(c int32) error {
-	if !g.IsLive(c) {
-		return fmt.Errorf("flowgraph: remove: customer %d not live", c)
+	if !g.churn {
+		return errors.New("flowgraph: remove: only a churn graph removes customers")
+	}
+	last := int32(len(g.customers) - 1)
+	if c < 0 || c > last {
+		return fmt.Errorf("flowgraph: remove: customer %d not present", c)
 	}
 	for _, a := range g.assigned[c] {
 		g.provUsed[a.q]--
 	}
-	g.assigned[c] = g.assigned[c][:0]
-	g.custUsed[c] = 0
-	g.customers[c].Cap = 0
-	pos := g.livePos[c]
-	lastPos := len(g.live) - 1
-	last := g.live[lastPos]
-	g.live[pos] = last
-	g.livePos[last] = pos
-	g.live = g.live[:lastPos]
-	g.livePos[c] = -1
-	if g.hasRows() {
-		nq := len(g.providers)
-		copy(g.rows[int(pos)*nq:], g.rows[lastPos*nq:])
-		g.rows = g.rows[:lastPos*nq]
+	nq := len(g.providers)
+	g.customers[c] = g.customers[last]
+	g.custUsed[c] = g.custUsed[last]
+	// c's emptied assignment list stays behind the slice end, where
+	// AddCustomer reuses its backing array.
+	g.assigned[c], g.assigned[last] = g.assigned[last], g.assigned[c][:0]
+	g.assignedLen[c] = g.assignedLen[last]
+	g.tau[nq+int(c)] = g.tau[nq+int(last)]
+	copy(g.rows[int(c)*nq:], g.rows[int(last)*nq:])
+	g.customers = g.customers[:last]
+	g.custUsed = g.custUsed[:last]
+	g.assigned = g.assigned[:last]
+	g.assignedLen = g.assignedLen[:last]
+	g.tau = g.tau[:nq+int(last)]
+	g.rows = g.rows[:int(last)*nq]
+	// Drop c from the arrival order and rename the moved customer.
+	k := 0
+	for _, o := range g.order {
+		switch o {
+		case c:
+			continue
+		case last:
+			o = c
+		}
+		g.order[k] = o
+		k++
 	}
+	g.order = g.order[:k]
 	return nil
 }
 
@@ -96,10 +111,10 @@ func (g *Graph) SetProviderCap(q int32, newCap int) error {
 func (g *Graph) EvictLongestAssignment(q int32) (int32, error) {
 	best := int32(-1)
 	bestD := -1.0
-	for _, c := range g.live {
+	for c := range g.customers {
 		for _, a := range g.assigned[c] {
 			if a.q == q && a.dist > bestD {
-				bestD, best = a.dist, c
+				bestD, best = a.dist, int32(c)
 			}
 		}
 	}
@@ -114,24 +129,36 @@ func (g *Graph) EvictLongestAssignment(q int32) (int32, error) {
 	return best, nil
 }
 
-// CheckFlowConservation verifies the residual graph's flow invariants:
-// every provider's e(s,q) flow equals its assignment count, every live
-// customer's e(p,t) flow equals its assignment count and respects its
-// capacity, and removed customers carry nothing. The churn fuzz suite
-// calls this after every event.
+// CheckFlowConservation verifies the residual graph's flow invariants
+// and its size: every per-customer slice, and a churn graph's arrival
+// order (a permutation) and cost rows, cover exactly the LiveCount
+// customers present; every provider's e(s,q) flow equals its
+// assignment count and respects its capacity; every customer's e(p,t)
+// flow equals its assignment count and respects its capacity. The
+// churn fuzz suite calls this after every event.
 func (g *Graph) CheckFlowConservation() error {
-	perProv := make([]int, len(g.providers))
+	nq, n := len(g.providers), len(g.customers)
+	if len(g.custUsed) != n || len(g.assigned) != n || len(g.assignedLen) != n || len(g.tau) != nq+n {
+		return fmt.Errorf("flowgraph: %d customers, but custUsed %d, assigned %d, assignedLen %d, tau %d (want %d)",
+			n, len(g.custUsed), len(g.assigned), len(g.assignedLen), len(g.tau), nq+n)
+	}
+	if g.churn {
+		listed := make([]bool, n)
+		for _, c := range g.order {
+			if c < 0 || int(c) >= n || listed[c] {
+				return fmt.Errorf("flowgraph: arrival order %v is no permutation of %d customers", g.order, n)
+			}
+			listed[c] = true
+		}
+		if len(g.order) != n || len(g.rows) != nq*n {
+			return fmt.Errorf("flowgraph: %d customers, but %d in arrival order and %d row values (want %d)",
+				n, len(g.order), len(g.rows), nq*n)
+		}
+	}
+	perProv := make([]int, nq)
 	for c := range g.customers {
-		c32 := int32(c)
 		for _, a := range g.assigned[c] {
 			perProv[a.q]++
-		}
-		if !g.IsLive(c32) {
-			if len(g.assigned[c]) != 0 || g.custUsed[c] != 0 {
-				return fmt.Errorf("flowgraph: removed customer %d still carries %d assignments, custUsed %d",
-					c, len(g.assigned[c]), g.custUsed[c])
-			}
-			continue
 		}
 		if g.custUsed[c] != len(g.assigned[c]) {
 			return fmt.Errorf("flowgraph: customer %d custUsed %d != %d assignments",
@@ -171,39 +198,39 @@ func (g *Graph) CheckFlowConservation() error {
 // canceler would flip a zero-cost cycle back and forth forever. So the
 // threshold scales with the bound, floored at improveEps.
 func (g *Graph) cycleEps() float64 {
-	active := len(g.providers) + len(g.live) + 2
+	active := len(g.providers) + len(g.customers) + 2
 	return max(improveEps, float64(active)*g.maxDist*0x1p-50)
 }
 
 // CancelNegativeCycle finds one negative-cost cycle in the residual
-// graph — including cycles through the implicit source s (capacity
-// rebalancing between providers) and sink t (swapping which customer
-// is matched) — and cancels it, strictly reducing the matching cost at
-// unchanged size. It returns false when no such cycle exists, which
-// certifies the current matching is a minimum-cost flow at its value.
-// Requires DisablePotentials mode.
+// graph of a churn graph — including cycles through the implicit
+// source s (capacity rebalancing between providers) and sink t
+// (swapping which customer is matched) — and cancels it, strictly
+// reducing the matching cost at unchanged size. It returns false when
+// no such cycle exists, which certifies the current matching is a
+// minimum-cost flow at its value.
 //
 // The search is a Bellman–Ford pass from a virtual super-source (every
-// node starts at distance 0), over the explicit node set providers +
-// customers + s + t; a relaxation still firing after |V| rounds pins a
-// negative cycle, recovered by walking the prev chain.
+// node starts at distance 0), over the node set providers + customers
+// + s + t; a relaxation still firing after |V| rounds pins a negative
+// cycle, recovered by walking the prev chain. The pass borrows the
+// search state's labels, so it voids the path the last search found.
 func (g *Graph) CancelNegativeCycle() (bool, error) {
 	nq := len(g.providers)
 	n := nq + len(g.customers) + 2
 	sNode := NodeID(n - 2)
 	tNode := NodeID(n - 1)
-	dist := make([]float64, n)
-	prev := make([]NodeID, n)
-	for i := range prev {
-		prev[i] = -1
+	s := g.search
+	s.grow(n)
+	s.vmin = -1
+	dist, prev := s.alpha[:n], s.prev[:n]
+	for i := range dist {
+		dist[i], prev[i] = 0, -1
 	}
 	g.stats.Dijkstras++
-	// Removed customers have no residual edges, so convergence (and any
-	// cycle's length) is bounded by the active node count, not n.
-	active := nq + len(g.live) + 2
 	eps := g.cycleEps()
 	improved := NodeID(-1)
-	for round := 0; round <= active; round++ {
+	for round := 0; round <= n; round++ {
 		improved = -1
 		relax := func(u, v NodeID, w float64) {
 			if nd := dist[u] + w; nd < dist[v]-eps {
@@ -222,35 +249,23 @@ func (g *Graph) CancelNegativeCycle() (bool, error) {
 				relax(NodeID(q), sNode, 0)
 			}
 		}
-		for _, c := range g.live {
-			node := g.customerNode(c)
-			if g.complete {
-				for q := 0; q < nq; q++ {
-					q32 := int32(q)
-					if !g.forwardSaturated(c, q32) {
-						relax(NodeID(q), node, g.dist(q32, c))
-					}
+		for c := range g.customers {
+			c32 := int32(c)
+			node := g.customerNode(c32)
+			for q := 0; q < nq; q++ {
+				q32 := int32(q)
+				if !g.forwardSaturated(c32, q32) {
+					relax(NodeID(q), node, g.dist(q32, c32))
 				}
 			}
 			for _, a := range g.assigned[c] {
 				relax(node, NodeID(a.q), -a.dist)
 			}
-			if !g.CustomerFull(c) {
+			if !g.CustomerFull(c32) {
 				relax(node, tNode, 0)
 			}
 			if g.custUsed[c] > 0 {
 				relax(tNode, node, 0)
-			}
-		}
-		if !g.complete {
-			for q := 0; q < nq; q++ {
-				q32 := int32(q)
-				for _, he := range g.adj[q] {
-					if !g.IsLive(he.cust) || g.forwardSaturated(he.cust, q32) {
-						continue
-					}
-					relax(NodeID(q), g.customerNode(he.cust), he.dist)
-				}
 			}
 		}
 		if improved < 0 {
@@ -258,18 +273,19 @@ func (g *Graph) CancelNegativeCycle() (bool, error) {
 		}
 	}
 	// A node relaxed on the final round is reachable from a negative
-	// cycle; `active` prev-steps land inside it.
+	// cycle; n prev-steps land inside it.
 	v := improved
-	for i := 0; i < active; i++ {
+	for i := 0; i < n; i++ {
 		v = prev[v]
 	}
-	cycle := []NodeID{v}
+	cycle := append(s.visited[:0], v)
 	for u := prev[v]; u != v; u = prev[u] {
 		cycle = append(cycle, u)
-		if len(cycle) > active {
-			return false, fmt.Errorf("flowgraph: cycle walk exceeded %d nodes", active)
+		if len(cycle) > n {
+			return false, fmt.Errorf("flowgraph: cycle walk exceeded %d nodes", n)
 		}
 	}
+	s.visited = cycle
 	for _, w := range cycle {
 		if err := g.applyResidualEdge(prev[w], w, sNode, tNode); err != nil {
 			return false, err

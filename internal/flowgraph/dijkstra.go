@@ -25,6 +25,7 @@ type searchState struct {
 
 	heap   pqueue.Heap // Hd: the main Dijkstra frontier
 	repair pqueue.Heap // Hf: the PUA repair frontier
+	fifo   fifo        // the label-correcting searches' queue
 
 	tBest float64 // shortest known source→sink cost this iteration
 	vmin  NodeID  // finalized non-full customer realizing tBest
@@ -315,7 +316,7 @@ func (g *Graph) Augment() error {
 	}
 	g.custUsed[g.custIdx(s.vmin)]++
 
-	if g.noPotentials {
+	if g.churn {
 		return nil
 	}
 	// Potential update for visited nodes (the paper's Lines 8-9); nodes

@@ -15,10 +15,11 @@
 //   - an implicit complete-bipartite mode for the SSPA baseline, which
 //     visits every (q,p) pair without materializing O(|Q|·|P|) edges
 //     and asks the metric for each distance it reads;
-//   - a churn mode for the dynamic matcher (complete, potentials
-//     disabled) that stores each live customer's |Q| distances as a
-//     cost row, computed once on arrival, so repeated Bellman–Ford
-//     rounds read them back instead of re-querying the metric.
+//   - a churn mode for the dynamic matcher (NewChurnGraph): complete,
+//     searched over raw costs, with customers removable. A customer's
+//     index is its live position, and removal swap-removes its every
+//     slot, so the whole state, including each live customer's |Q|
+//     distances stored as a cost row on arrival, is O(|Q|·|live|).
 //
 // The graph is deliberately source/sink-free in memory: an s→q edge is
 // represented by the provider's remaining capacity, and a p→t edge by the
@@ -110,8 +111,7 @@ type Graph struct {
 	edgeCount int
 	// complete makes the graph the implicit complete bipartite graph.
 	// SSPA reads each distance from the metric (rows would cost it
-	// |Q|·|P| floats); the churn mode (complete with potentials
-	// disabled) reads them from rows.
+	// |Q|·|P| floats); the churn mode reads them from rows.
 	complete bool
 	// pairCap is the max instances per (q,p) pair; 0 means 1 (the
 	// paper's exact setting). CA's concise matching uses an unbounded
@@ -127,23 +127,22 @@ type Graph struct {
 	// distance; IDA keys heap entries of full providers by it (§3.3).
 	lastAlpha []float64
 
-	// noPotentials pins every τ at zero; shortest paths must then be
-	// found with SearchLabelCorrecting (see spfa.go).
-	noPotentials bool
+	// churn marks the dynamic matcher's graph (NewChurnGraph): every τ
+	// stays zero, shortest paths are found with the label-correcting
+	// searches (see spfa.go), and RemoveCustomer may delete customers,
+	// moving the last one into the freed index.
+	churn bool
 
-	// live lists the customer indices that are still present; livePos
-	// inverts it (-1 once removed). Batch solves never remove customers,
-	// so only the churn paths (RemoveCustomer, the label-correcting
-	// searches, CancelNegativeCycle) consult these — the potential-based
-	// Dijkstra paths are untouched.
-	live    []int32
-	livePos []int32
+	// order lists the churn mode's customer indices in arrival order,
+	// which removals scramble; Pairs and Cost walk it so the matching's
+	// order and its cost's summation order do not depend on which
+	// customers left. Batch graphs never remove a customer, so for
+	// them the index is the arrival order and order stays empty.
+	order []int32
 
 	// rows holds the churn mode's cost rows: the |Q| metric distances
-	// of the customer at live position i sit at rows[i·|Q| : (i+1)·|Q|],
-	// so the store is |Q|·|live| floats and RemoveCustomer swap-removes
-	// a row exactly as it does the live entry. Empty outside the churn
-	// mode.
+	// of customer c sit at rows[c·|Q| : (c+1)·|Q|], so the store is
+	// |Q|·|live| floats. Empty outside the churn mode.
 	rows []float64
 	// maxDist bounds every distance the rows hold; it scales the
 	// label-correcting searches' improvement threshold (cycleEps).
@@ -174,22 +173,20 @@ type graphArrays struct {
 	custUsed    []int
 	assigned    [][]assignment
 	assignedLen []float64
-	live        []int32
-	livePos     []int32
 }
 
 var arraysPool = sync.Pool{New: func() any { return &graphArrays{} }}
 
 // growZero returns s with length n and every element zeroed, reusing
-// its backing array when the capacity allows.
-func growZero[T int | float64](s []T, n int) []T {
+// its backing array when the capacity allows and growing it as append
+// does otherwise, so a slice resized by a slowly rising n reallocates
+// only a logarithmic number of times.
+func growZero[T int | int32 | float64 | bool](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
@@ -214,8 +211,6 @@ func acquireArrays(n int) *graphArrays {
 	a.custUsed = a.custUsed[:0]
 	a.assigned = a.assigned[:0]
 	a.assignedLen = a.assignedLen[:0]
-	a.live = a.live[:0]
-	a.livePos = a.livePos[:0]
 	return a
 }
 
@@ -240,13 +235,28 @@ func NewGraph(providers []Provider, complete bool) *Graph {
 		custUsed:    a.custUsed,
 		assigned:    a.assigned,
 		assignedLen: a.assignedLen,
-		live:        a.live,
-		livePos:     a.livePos,
 		complete:    complete,
 		metric:      geo.Euclidean,
 		arr:         a,
 	}
 	g.search = acquireSearchState(len(providers))
+	return g
+}
+
+// NewChurnGraph creates the dynamic matcher's graph over the given
+// providers, measured by metric (nil means geo.Euclidean): complete
+// over the customers present, searched over raw edge costs with every
+// τ pinned at zero, and open to removals (RemoveCustomer). Arrivals
+// would invalidate potential-based reduced costs (a new customer's
+// incident edges can be negative under the old potentials), so
+// shortest paths come from the label-correcting searches
+// (SearchLabelCorrecting, SwapArrival, CancelNegativeCycle), which
+// need none. Each customer's |Q| distances are computed once, on
+// arrival, and stored as its cost row.
+func NewChurnGraph(providers []Provider, metric geo.Metric) *Graph {
+	g := NewGraph(providers, true)
+	g.SetMetric(metric)
+	g.churn = true
 	return g
 }
 
@@ -288,21 +298,16 @@ func (g *Graph) Release() {
 		custUsed:    g.custUsed,
 		assigned:    g.assigned,
 		assignedLen: g.assignedLen,
-		live:        g.live,
-		livePos:     g.livePos,
 	}
 	arraysPool.Put(g.arr)
 	g.arr = nil
 	g.provUsed, g.adj, g.tau, g.lastAlpha = nil, nil, nil, nil
 	g.customers, g.custUsed, g.assigned, g.assignedLen = nil, nil, nil, nil
-	g.live, g.livePos, g.rows = nil, nil, nil
+	g.order, g.rows = nil, nil
 }
 
 // NumProviders returns |Q|.
 func (g *Graph) NumProviders() int { return len(g.providers) }
-
-// NumCustomers returns the number of customers currently in the graph.
-func (g *Graph) NumCustomers() int { return len(g.customers) }
 
 // EdgeCount returns |Esub|, the number of bipartite edges inserted.
 // In complete mode it returns |Q|·|P|.
@@ -325,9 +330,10 @@ func (g *Graph) TotalCapacity() int {
 	return total
 }
 
-// AddCustomer registers a customer and returns its node-local index.
-// In the churn mode it also computes the customer's cost row, the |Q|
-// metric calls the graph makes for it over its whole life.
+// AddCustomer registers a customer and returns its node-local index,
+// the next free one. In the churn mode it also computes the customer's
+// cost row, the |Q| metric calls the graph makes for it over its whole
+// life.
 func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 	g.customers = append(g.customers, Customer{Pt: pt, Cap: capacity, ExtID: extID})
 	g.custUsed = append(g.custUsed, 0)
@@ -343,10 +349,13 @@ func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 	g.assignedLen = append(g.assignedLen, 0)
 	g.tau = append(g.tau, 0)
 	c := int32(len(g.customers) - 1)
-	g.livePos = append(g.livePos, int32(len(g.live)))
-	g.live = append(g.live, c)
-	if g.hasRows() {
-		g.appendRow(pt)
+	if g.churn {
+		g.order = append(g.order, c)
+		for _, p := range g.providers {
+			d := g.metric.Dist(p.Pt, pt)
+			g.rows = append(g.rows, d)
+			g.maxDist = max(g.maxDist, d)
+		}
 	}
 	g.search.grow(len(g.providers) + len(g.customers))
 	return c
@@ -400,14 +409,24 @@ func (g *Graph) AssignedCount() int {
 	return total
 }
 
-// Pairs extracts the matching M: every (q,p) with a reversed edge.
+// arrival returns the index of the i-th oldest customer present.
+func (g *Graph) arrival(i int) int32 {
+	if g.churn {
+		return g.order[i]
+	}
+	return int32(i)
+}
+
+// Pairs extracts the matching M: every (q,p) with a reversed edge, in
+// the customers' arrival order.
 func (g *Graph) Pairs() []Pair {
 	var out []Pair
-	for c := range g.customers {
+	for i := range g.customers {
+		c := g.arrival(i)
 		for _, a := range g.assigned[c] {
 			out = append(out, Pair{
 				Provider: int(a.q),
-				Customer: c,
+				Customer: int(c),
 				CustID:   g.customers[c].ExtID,
 				CustPt:   g.customers[c].Pt,
 				Dist:     a.dist,
@@ -417,11 +436,12 @@ func (g *Graph) Pairs() []Pair {
 	return out
 }
 
-// Cost returns Ψ(M) of the current matching.
+// Cost returns Ψ(M) of the current matching, summed in the customers'
+// arrival order.
 func (g *Graph) Cost() float64 {
 	total := 0.0
-	for c := range g.customers {
-		for _, a := range g.assigned[c] {
+	for i := range g.customers {
+		for _, a := range g.assigned[g.arrival(i)] {
 			total += a.dist
 		}
 	}
@@ -521,26 +541,11 @@ func (g *Graph) LeaveFastPhase(lastLen float64) {
 	g.tauMax = lastLen
 }
 
-// hasRows reports whether the graph stores cost rows: the churn mode,
-// a complete graph searched over raw costs.
-func (g *Graph) hasRows() bool { return g.complete && g.noPotentials }
-
-// appendRow appends the cost row of a customer at pt, which must be
-// the customer at the next live position.
-func (g *Graph) appendRow(pt geo.Point) {
-	for _, p := range g.providers {
-		d := g.metric.Dist(p.Pt, pt)
-		g.rows = append(g.rows, d)
-		g.maxDist = max(g.maxDist, d)
-	}
-}
-
 // dist returns the metric distance between provider q and customer c,
-// from c's cost row in the churn mode. Rows exist only for live
-// customers; no caller reads a removed customer's distances.
+// from c's cost row in the churn mode.
 func (g *Graph) dist(q, c int32) float64 {
-	if g.hasRows() {
-		return g.rows[int(g.livePos[c])*len(g.providers)+int(q)]
+	if g.churn {
+		return g.rows[int(c)*len(g.providers)+int(q)]
 	}
 	return g.metric.Dist(g.providers[q].Pt, g.customers[c].Pt)
 }

@@ -15,8 +15,7 @@ func TestLabelCorrectingMatchesReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		providers := randProviders(2+rng.Intn(4), func(int) int { return 1 + rng.Intn(4) }, rng)
 		customers := randCustomers(1+rng.Intn(20), rng)
-		g := NewGraph(providers, true)
-		g.DisablePotentials()
+		g := NewChurnGraph(providers, nil)
 		for _, c := range customers {
 			g.AddCustomer(c.Pt, c.Cap, c.ExtID)
 		}
@@ -42,8 +41,7 @@ func TestLabelCorrectingMatchesReference(t *testing.T) {
 // out.
 func TestSwapArrival(t *testing.T) {
 	providers := []Provider{{Pt: geo.Point{X: 0, Y: 0}, Cap: 1}}
-	g := NewGraph(providers, true)
-	g.DisablePotentials()
+	g := NewChurnGraph(providers, nil)
 
 	far := g.AddCustomer(geo.Point{X: 10, Y: 0}, 1, 1)
 	if _, _, ok, err := g.SearchLabelCorrecting(); err != nil {
@@ -91,8 +89,7 @@ func TestSwapArrivalMultiHop(t *testing.T) {
 		{Pt: geo.Point{X: 0, Y: 0}, Cap: 1},
 		{Pt: geo.Point{X: 10, Y: 0}, Cap: 1},
 	}
-	g := NewGraph(providers, true)
-	g.DisablePotentials()
+	g := NewChurnGraph(providers, nil)
 	add := func(x float64, id int64) int32 { return g.AddCustomer(geo.Point{X: x, Y: 0}, 1, id) }
 	match := func() {
 		if _, _, ok, err := g.SearchLabelCorrecting(); err != nil {
@@ -128,14 +125,14 @@ func TestAccessors(t *testing.T) {
 	providers := []Provider{{Pt: geo.Point{X: 0, Y: 0}, Cap: 3}}
 	g := NewGraph(providers, false)
 	g.SetPairCapacity(5)
-	if g.NumProviders() != 1 || g.NumCustomers() != 0 {
+	if g.NumProviders() != 1 || g.LiveCount() != 0 {
 		t.Fatal("counts wrong")
 	}
 	if g.PairCapacity() != 5 {
 		t.Fatalf("PairCapacity = %d", g.PairCapacity())
 	}
 	c := g.AddCustomer(geo.Point{X: 1, Y: 0}, 2, 7)
-	if g.NumCustomers() != 1 {
+	if g.LiveCount() != 1 {
 		t.Fatal("customer count")
 	}
 	if g.ProviderRemaining(0) != 3 || g.CustomerRemaining(c) != 2 {
@@ -154,23 +151,13 @@ func TestAccessors(t *testing.T) {
 // The churn mode's row store follows the live set: after many
 // arrive/depart cycles it holds exactly |Q| values per live customer,
 // each the metric's distance for that customer, and its backing array
-// is sized by the peak live set, not by the arrivals ever made. The
-// mode is switched on after some customers have come and gone, so the
-// rows of those still live are built then.
+// is sized by the peak live set, not by the arrivals ever made.
 func TestChurnRowsTrackLiveSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	providers := randProviders(6, func(int) int { return 2 }, rng)
 	nq := len(providers)
-	g := NewGraph(providers, true)
-	for i := 0; i < 5; i++ {
-		g.AddCustomer(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 1, int64(i))
-	}
-	if err := g.RemoveCustomer(1); err != nil {
-		t.Fatal(err)
-	}
-	g.DisablePotentials()
-	g.DisablePotentials() // idempotent: no second set of rows
-	peak, arrivals := g.LiveCount(), 5
+	g := NewChurnGraph(providers, nil)
+	peak, arrivals := 0, 0
 	for round := 0; round < 400; round++ {
 		for i := rng.Intn(4); i > 0; i-- {
 			g.AddCustomer(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 1, int64(arrivals))
@@ -180,7 +167,7 @@ func TestChurnRowsTrackLiveSet(t *testing.T) {
 			peak = g.LiveCount()
 		}
 		for i := rng.Intn(4); i > 0 && g.LiveCount() > 0; i-- {
-			if err := g.RemoveCustomer(g.live[rng.Intn(g.LiveCount())]); err != nil {
+			if err := g.RemoveCustomer(int32(rng.Intn(g.LiveCount()))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -188,9 +175,9 @@ func TestChurnRowsTrackLiveSet(t *testing.T) {
 			t.Fatalf("round %d: %d row values for %d live customers × %d providers",
 				round, len(g.rows), g.LiveCount(), nq)
 		}
-		for _, c := range g.live {
+		for c := range g.LiveCount() {
 			for q := range providers {
-				if d, want := g.dist(int32(q), c), geo.Euclidean.Dist(providers[q].Pt, g.customers[c].Pt); d != want {
+				if d, want := g.dist(int32(q), int32(c)), geo.Euclidean.Dist(providers[q].Pt, g.customers[c].Pt); d != want {
 					t.Fatalf("round %d: row of customer %d provider %d holds %v, metric says %v", round, c, q, d, want)
 				}
 			}

@@ -186,15 +186,6 @@ func (s *Server) logEvent(sess *session, ev walEvent) error {
 		return fmt.Errorf("session persistence: %w", err)
 	}
 	s.stats.walFsync.ObserveDuration(time.Since(begin))
-	switch ev.Op {
-	case walOpArrive:
-		if sess.live == nil {
-			sess.live = make(map[int64]client.Customer)
-		}
-		sess.live[ev.ID] = client.Customer{ID: ev.ID, X: ev.X, Y: ev.Y}
-	case walOpDepart:
-		delete(sess.live, ev.ID)
-	}
 	sess.events++
 	if s.cfg.SnapshotEvery > 0 && sess.events%s.cfg.SnapshotEvery == 0 {
 		if err := s.writeSnapshot(sess); err != nil {
@@ -208,12 +199,13 @@ func (s *Server) logEvent(sess *session, ev walEvent) error {
 	return nil
 }
 
-// writeSnapshot checkpoints the session's live set and matching summary.
-// Called with sess.mu held.
+// writeSnapshot checkpoints the session's live set, as the matcher
+// holds it, and its matching summary. Called with sess.mu held.
 func (s *Server) writeSnapshot(sess *session) error {
-	live := make([]client.Customer, 0, len(sess.live))
-	for _, c := range sess.live {
-		live = append(live, c)
+	present := sess.m.LiveCustomers()
+	live := make([]client.Customer, len(present))
+	for i, c := range present {
+		live[i] = client.Customer{ID: c.ID, X: c.Pt.X, Y: c.Pt.Y}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].ID < live[j].ID })
 	snap := sessionSnapshot{
@@ -278,10 +270,6 @@ func (s *Server) replaySession(id string) (*session, error) {
 				return fmt.Errorf("record %d: arrive %d: %w", replayed, ev.ID, err)
 			}
 			sess.arrivals++
-			if sess.live == nil {
-				sess.live = make(map[int64]client.Customer)
-			}
-			sess.live[ev.ID] = client.Customer{ID: ev.ID, X: ev.X, Y: ev.Y}
 			sess.events++
 		case walOpDepart:
 			if sess.m == nil {
@@ -290,7 +278,6 @@ func (s *Server) replaySession(id string) (*session, error) {
 			if _, err := sess.m.Depart(ev.ID); err != nil {
 				return fmt.Errorf("record %d: depart %d: %w", replayed, ev.ID, err)
 			}
-			delete(sess.live, ev.ID)
 			sess.events++
 		case walOpResize:
 			if sess.m == nil {

@@ -3,12 +3,15 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +20,7 @@ import (
 	"repro/client"
 	"repro/internal/datagen"
 	"repro/internal/server"
+	"repro/internal/storage"
 )
 
 // crashableServer boots a server whose durable state can be abandoned
@@ -107,12 +111,50 @@ func applyChurnEvent(t *testing.T, c *client.Client, id string, ref *cca.Dynamic
 	}
 }
 
+// liveSet is a matcher's live customers in wire form, sorted by id as
+// the session checkpoint lists them.
+func liveSet(m *cca.DynamicMatcher) []client.Customer {
+	out := []client.Customer{}
+	for _, c := range m.LiveCustomers() {
+		out = append(out, client.Customer{ID: c.ID, X: c.Pt.X, Y: c.Pt.Y})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// checkSnapshotLive decodes the session's latest checkpoint and
+// requires its live set to be the one the reference matcher held after
+// the same number of events (want, keyed by event count).
+func checkSnapshotLive(t *testing.T, state, id string, want map[int][]client.Customer) {
+	t.Helper()
+	data, err := storage.ReadSnapshot(filepath.Join(state, "sessions", id+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Events int               `json:"events"`
+		Live   []client.Customer `json:"live"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	live, ok := want[snap.Events]
+	if !ok {
+		t.Fatalf("snapshot at %d events, none expected there", snap.Events)
+	}
+	if !reflect.DeepEqual(snap.Live, live) {
+		t.Fatalf("snapshot at %d events lists live %v, the session held %v", snap.Events, snap.Live, live)
+	}
+}
+
 // TestSessionCrashRecoveryConformance is the durability acceptance
 // test: for every churn scenario generator, a session driven over HTTP
 // with persistence on, crashed (no drain, no close), and recovered by a
 // fresh server boot must serve a /matching byte-identical to both the
 // pre-crash response and an uninterrupted in-process DynamicMatcher —
-// and must keep accepting churn events conformantly afterwards.
+// and must keep accepting churn events conformantly afterwards. Its
+// checkpoints, before the crash and after recovery, must list the live
+// set the session held when they were taken.
 func TestSessionCrashRecoveryConformance(t *testing.T) {
 	for _, scenario := range []string{"ridehail", "delivery", "evacuation", "diurnal"} {
 		t.Run(scenario, func(t *testing.T) {
@@ -130,11 +172,14 @@ func TestSessionCrashRecoveryConformance(t *testing.T) {
 				t.Fatal("session with a state dir must report persisted")
 			}
 			ref := cca.NewDynamicMatcherOpts(core, cca.DynamicOptions{})
+			live := map[int][]client.Customer{}
 			for i, ev := range w.Events[:split] {
 				applyChurnEvent(t, a.c, info.ID, ref, i, ev)
+				live[i+1] = liveSet(ref)
 			}
 			pre := rawMatching(t, a.url, info.ID)
 			crash()
+			checkSnapshotLive(t, state, info.ID, live)
 
 			b := testServer(t, server.Config{StateDir: state, SnapshotEvery: 16})
 			if n := b.srv.RecoveredSessions(); n != 1 {
@@ -150,7 +195,9 @@ func TestSessionCrashRecoveryConformance(t *testing.T) {
 			// matcher that never crashed.
 			for i, ev := range w.Events[split:] {
 				applyChurnEvent(t, b.c, info.ID, ref, split+i, ev)
+				live[split+i+1] = liveSet(ref)
 			}
+			checkSnapshotLive(t, state, info.ID, live)
 			res := ref.Matching()
 			got, err := b.c.Matching(context.Background(), info.ID)
 			if err != nil {

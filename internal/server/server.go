@@ -67,9 +67,9 @@ type Config struct {
 	MaxInstances int
 	// MaxArrivals bounds arrivals per session, and with them the live
 	// set and its cost rows (|Q| distances, 8 B each, per live
-	// customer). Each arrival also leaves a constant-size entry behind
-	// (the id ledger and per-customer slots) that departures do not
-	// reclaim, so an unbounded session would be an unbounded
+	// customer). Each arrival also leaves one id-ledger entry behind
+	// that departures do not reclaim, since ids stay unique for the
+	// whole session, so an unbounded session would be an unbounded
 	// allocation. Values < 1 select DefaultMaxArrivals.
 	MaxArrivals int
 	// DefaultTimeout bounds each instance's solve when the request does

@@ -39,11 +39,9 @@ type session struct {
 	// store instead of mutating a zombie.
 	gone bool
 	// log is the session's write-ahead log (nil = persistence off or
-	// unloaded). events counts churn events since creation; live tracks
-	// the live customer set for snapshots.
+	// unloaded). events counts churn events since creation.
 	log    *storage.Log
 	events int
-	live   map[int64]client.Customer
 	// lastTouch is the unix-nano time of the last handler access — the
 	// TTL sweeper's idleness clock.
 	lastTouch atomic.Int64
@@ -221,8 +219,8 @@ func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Each arrival permanently grows the in-memory matching graph, so
-	// the per-session arrival count is bounded like every other
+	// Each arrival permanently grows the matcher's id ledger, so the
+	// per-session arrival count is bounded like every other
 	// client-driven allocation; start a new session past the limit.
 	if sess.arrivals >= s.cfg.MaxArrivals {
 		sess.mu.Unlock()
