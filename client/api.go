@@ -228,10 +228,9 @@ type StreamEnvelope struct {
 // online session assigns arriving customers to.
 type SessionRequest struct {
 	Providers []Provider `json:"providers"`
-	// ReoptBudget bounds the repair work amortized per churn event
-	// (departures and resizes): at most this many improving cycle
-	// cancels run before the event returns, deferring the rest. 0 (the
-	// default) means unlimited — every event leaves the exact optimum.
+	// ReoptBudget is accepted for compatibility and selects nothing:
+	// every churn event leaves the exact optimum. A negative value is
+	// still rejected.
 	ReoptBudget int `json:"reopt_budget,omitempty"`
 	// Metric selects the session's distance backend with the same wire
 	// encoding as Instance: "" or "euclidean", or "network" with

@@ -292,13 +292,11 @@ func TestNetFloorsNameRow(t *testing.T) {
 	}
 }
 
-// churnRows is a healthy churn figure: exact row driftless, budget
-// rows under the ceiling, all sizes equal.
+// churnRows is a healthy churn figure: one exact row, driftless to
+// float noise.
 func churnRows() []expr.Row {
 	return []expr.Row{
 		{Label: "exact", Algo: "dynamic", CPU: 80 * time.Millisecond, Cost: 5010.7, Size: 21, Quality: 3e-16, Esub: 120, KeyUpd: 300},
-		{Label: "budget=1", Algo: "dynamic", CPU: 60 * time.Millisecond, Cost: 5010.7, Size: 21, Quality: 0.004, Esub: 100, KeyUpd: 300, Faults: 90},
-		{Label: "budget=8", Algo: "dynamic", CPU: 70 * time.Millisecond, Cost: 5010.7, Size: 21, Quality: 0.001, Esub: 118, KeyUpd: 300, Faults: 2},
 	}
 }
 
@@ -309,22 +307,8 @@ func TestChurnGatePasses(t *testing.T) {
 	}
 }
 
-// TestChurnDriftCeilingFails: a budgeted row drifting past the
-// documented 10% bound is a correctness regression, not noise.
-func TestChurnDriftCeilingFails(t *testing.T) {
-	rows := churnRows()
-	rows[1].Quality = 0.12
-	msgs := gateChurn(rows)
-	if len(msgs) == 0 {
-		t.Fatal("drift above the ceiling passed the gate")
-	}
-	if !containsAll(msgs, "budget=1", "ceiling") {
-		t.Errorf("findings do not name the drifted row: %v", msgs)
-	}
-}
-
-// TestChurnExactDriftFails: the unlimited-budget row must track the
-// oracle exactly — any drift there means the repair loop is broken.
+// TestChurnExactDriftFails: the exact row must track the oracle
+// exactly — any drift there means the repair is broken.
 func TestChurnExactDriftFails(t *testing.T) {
 	rows := churnRows()
 	rows[0].Quality = 1e-4
@@ -337,22 +321,8 @@ func TestChurnExactDriftFails(t *testing.T) {
 	}
 }
 
-// TestChurnSizeDivergenceFails: budgets bound only cost repair;
-// augmentation never defers, so sizes must agree across rows.
-func TestChurnSizeDivergenceFails(t *testing.T) {
-	rows := churnRows()
-	rows[2].Size = 20
-	msgs := gateChurn(rows)
-	if len(msgs) == 0 {
-		t.Fatal("size divergence passed the gate")
-	}
-	if !containsAll(msgs, "budget=8", "size") {
-		t.Errorf("findings do not name the diverged row: %v", msgs)
-	}
-}
-
-// TestChurnMissingExactRowFails: without the budget-0 reference the
-// figure cannot be gated at all.
+// TestChurnMissingExactRowFails: without the exact row the figure
+// cannot be gated at all.
 func TestChurnMissingExactRowFails(t *testing.T) {
 	rows := churnRows()[1:]
 	if msgs := gateChurn(rows); len(msgs) == 0 {

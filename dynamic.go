@@ -14,22 +14,20 @@ var (
 )
 
 // DynamicOptions configures a DynamicMatcher beyond the zero-value
-// behavior (Euclidean metric, unlimited re-optimization, no periodic
-// oracle).
+// behavior (Euclidean metric, no periodic oracle).
 type DynamicOptions = core.DynamicOptions
 
-// ChurnStats counts a matcher's event history and the quality drift
-// its re-optimization budget allowed.
+// ChurnStats counts a matcher's event history, the repairs it ran and
+// the drift its periodic oracle measured.
 type ChurnStats = core.ChurnStats
 
 // DynamicMatcher maintains a minimum-cost maximum matching under the
 // full churn model — customer arrivals and departures plus provider
 // capacity resizes — the incremental-assignment extension referenced
-// by the paper's related work ([11]) and future-work section. With an
-// unlimited re-opt budget the matching after every event is exactly
-// what the batch solver would compute on the live instance; with a
-// bounded budget it stays feasible and maximum while cost optimality
-// drifts within the repair debt the budget deferred.
+// by the paper's related work ([11]) and future-work section. The
+// matching after every event is exactly what the batch solver would
+// compute on the live instance, at the cost of one reduced-cost
+// Dijkstra per unit of capacity or demand the event changes.
 //
 // It holds the bipartite graph in memory and is meant for online,
 // moderate-|Q| workloads; use Solve for the disk-resident batch
@@ -37,7 +35,7 @@ type ChurnStats = core.ChurnStats
 type DynamicMatcher = core.DynamicMatcher
 
 // NewDynamicMatcher starts an empty matching over the given providers
-// with default options (Euclidean, unlimited re-optimization).
+// with default options (Euclidean).
 func NewDynamicMatcher(providers []Provider) *DynamicMatcher {
 	return core.NewDynamicMatcher(providers)
 }

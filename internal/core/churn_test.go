@@ -15,16 +15,9 @@ import (
 
 // The churn conformance suite replays randomized arrive/depart/resize
 // sequences against the Bellman–Ford full re-solve oracle. At every
-// step the matching must be feasible and maximum; with an unlimited
-// re-opt budget it must *be* the optimum (identical pair set under
-// Euclidean, cost-identical to float noise under the network metric);
-// with a bounded budget the cost drift must stay under the documented
-// ceiling.
-
-// churnDriftCeiling is the documented per-step drift bound for any
-// ReoptBudget >= 1 over the conformance workloads (README "Online
-// matching"). Measured maxima sit well under half of this.
-const churnDriftCeiling = 0.10
+// step the matching must be feasible, maximum, and *be* the optimum
+// (identical pair set under Euclidean, cost-identical to float noise
+// under the network metric).
 
 // churnMirror tracks the instance the matcher should currently hold,
 // for from-scratch oracle re-solves.
@@ -192,7 +185,8 @@ func applyChurnEvent(t *testing.T, m *DynamicMatcher, o *churnMirror, ev churnEv
 }
 
 // runChurnConformance replays events, checking the matcher against the
-// oracle after every single event.
+// oracle after every single event: equal size, cost equal to float
+// noise, and with exactPairs the oracle's very pairs.
 func runChurnConformance(t *testing.T, providers []Provider, events []churnEvent, opts DynamicOptions, exactPairs bool) {
 	t.Helper()
 	m := NewDynamicMatcherOpts(providers, opts)
@@ -208,33 +202,18 @@ func runChurnConformance(t *testing.T, providers []Provider, events []churnEvent
 		if m.Size() != len(refPairs) {
 			t.Fatalf("step %d (%+v): size %d, oracle %d", step, ev, m.Size(), len(refPairs))
 		}
-		cost := m.Cost()
-		if opts.ReoptBudget == 0 {
-			if math.Abs(cost-refCost) > 1e-9*(1+refCost) {
-				t.Fatalf("step %d (%+v): cost %v, oracle %v", step, ev, cost, refCost)
+		if cost := m.Cost(); math.Abs(cost-refCost) > 1e-9*(1+refCost) {
+			t.Fatalf("step %d (%+v): cost %v, oracle %v", step, ev, cost, refCost)
+		}
+		if exactPairs {
+			got, want := matcherPairSet(m), oraclePairSet(refPairs)
+			if len(got) != len(want) {
+				t.Fatalf("step %d: %d pairs vs oracle %d", step, len(got), len(want))
 			}
-			if exactPairs {
-				got, want := matcherPairSet(m), oraclePairSet(refPairs)
-				if len(got) != len(want) {
-					t.Fatalf("step %d: %d pairs vs oracle %d", step, len(got), len(want))
+			for k, d := range want {
+				if gd, ok := got[k]; !ok || gd != d {
+					t.Fatalf("step %d: pair %s missing or dist %v != oracle %v", step, k, got[k], d)
 				}
-				for k, d := range want {
-					if gd, ok := got[k]; !ok || gd != d {
-						t.Fatalf("step %d: pair %s missing or dist %v != oracle %v", step, k, got[k], d)
-					}
-				}
-			}
-		} else {
-			if cost < refCost-1e-9*(1+refCost) {
-				t.Fatalf("step %d: cost %v below oracle optimum %v — infeasible oracle or broken recount", step, cost, refCost)
-			}
-			drift := 0.0
-			if refCost > 0 {
-				drift = (cost - refCost) / refCost
-			}
-			if drift > churnDriftCeiling {
-				t.Fatalf("step %d: drift %.4f exceeds documented ceiling %.2f (cost %v, opt %v)",
-					step, drift, churnDriftCeiling, cost, refCost)
 			}
 		}
 	}
@@ -251,9 +230,9 @@ func churnProviders(rng *rand.Rand, nq, lo, hi int) []Provider {
 	return out
 }
 
-// Unlimited budget, Euclidean: every step must be the exact optimum,
-// pair-for-pair. Tight (total capacity ~ a third of peak live set) and
-// loose capacity regimes; >= 1k events total across the seeds.
+// Euclidean: every step must be the exact optimum, pair-for-pair.
+// Tight (total capacity ~ a third of peak live set) and loose capacity
+// regimes; >= 1k events total across the seeds.
 func TestChurnConformanceEuclideanExact(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -265,6 +244,9 @@ func TestChurnConformanceEuclideanExact(t *testing.T) {
 		{"loose", 2, 6, 3, 6, 400},
 		{"single-provider", 3, 1, 1, 2, 200},
 		{"many-providers", 4, 12, 1, 2, 300},
+		{"scarce-101", 101, 6, 1, 3, 400},
+		{"scarce-102", 102, 6, 1, 3, 400},
+		{"scarce-108", 108, 6, 1, 3, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -276,8 +258,8 @@ func TestChurnConformanceEuclideanExact(t *testing.T) {
 	}
 }
 
-// Unlimited budget under the road-network metric: cost must match the
-// oracle exactly (to float noise) at every step. Pair sets are not
+// Under the road-network metric the cost must match the oracle exactly
+// (to float noise) at every step. Pair sets are not
 // compared — network distances can tie across distinct assignments.
 func TestChurnConformanceNetworkExact(t *testing.T) {
 	net := datagen.NewNetwork(12, geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 100, Y: 100}}, 2008)
@@ -301,22 +283,9 @@ func TestChurnConformanceNetworkExact(t *testing.T) {
 	runChurnConformance(t, providers, events, DynamicOptions{Metric: metric}, false)
 }
 
-// Bounded budgets: feasibility and maximality stay exact at every
-// step, and the cost drift stays under the documented ceiling.
-func TestChurnConformanceBudgeted(t *testing.T) {
-	for _, budget := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(100 + budget)))
-			providers := churnProviders(rng, 6, 1, 3)
-			events := genChurnEvents(rng, 400, 6, 5)
-			runChurnConformance(t, providers, events, DynamicOptions{ReoptBudget: budget}, false)
-		})
-	}
-}
-
-// The named datagen scenarios replay exactly against the oracle under
-// an unlimited budget — the generators emit only valid event streams
-// and the matcher stays optimal through all of them.
+// The named datagen scenarios replay exactly against the oracle — the
+// generators emit only valid event streams and the matcher stays
+// optimal through all of them.
 func TestChurnScenariosMatchOracle(t *testing.T) {
 	space := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 100, Y: 100}}
 	net := datagen.NewNetwork(8, space, 2008)
@@ -463,44 +432,27 @@ func TestChurnResizeShrinkEvictsAndGrowReadmits(t *testing.T) {
 	}
 }
 
-// Drift bookkeeping: with an unlimited budget the periodic oracle must
-// read (near) zero drift; with budget 1 under heavy churn the deferred
-// counter moves and MaxDrift stays under the ceiling.
+// Drift bookkeeping: the periodic oracle must fire and read (near)
+// zero drift.
 func TestChurnDriftStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	providers := churnProviders(rng, 6, 1, 3)
 	events := genChurnEvents(rng, 300, 6, 5)
 
-	exact := NewDynamicMatcherOpts(providers, DynamicOptions{OracleEvery: 25})
+	m := NewDynamicMatcherOpts(providers, DynamicOptions{OracleEvery: 25})
 	o := newChurnMirror(providers)
 	for _, ev := range events {
-		applyChurnEvent(t, exact, o, ev)
+		applyChurnEvent(t, m, o, ev)
 	}
-	st := exact.Stats()
+	st := m.Stats()
 	if st.OracleChecks == 0 {
 		t.Fatal("OracleEvery never fired")
 	}
 	if st.MaxDrift > 1e-9 {
-		t.Fatalf("unlimited budget drifted: MaxDrift %v", st.MaxDrift)
+		t.Fatalf("matcher drifted: MaxDrift %v", st.MaxDrift)
 	}
-	if !exact.Exact() {
-		t.Fatal("unlimited-budget matcher lost exactness")
-	}
-
-	budgeted := NewDynamicMatcherOpts(providers, DynamicOptions{ReoptBudget: 1, OracleEvery: 10})
-	o2 := newChurnMirror(providers)
-	for _, ev := range events {
-		applyChurnEvent(t, budgeted, o2, ev)
-	}
-	st2 := budgeted.Stats()
-	if st2.OracleChecks == 0 {
-		t.Fatal("budgeted OracleEvery never fired")
-	}
-	if st2.MaxDrift > churnDriftCeiling {
-		t.Fatalf("budget=1 MaxDrift %v exceeds ceiling %v", st2.MaxDrift, churnDriftCeiling)
-	}
-	if st2.Events != len(events) {
-		t.Fatalf("events %d, want %d", st2.Events, len(events))
+	if st.Events != len(events) {
+		t.Fatalf("events %d, want %d", st.Events, len(events))
 	}
 }
 
@@ -518,56 +470,51 @@ func (m *countingMetric) Dist(p, q geo.Point) float64 {
 // The churn graph computes a customer's |Q| distances once, on
 // arrival, and every later read comes from its cost row: Arrive asks
 // the metric exactly |Q| times, while Depart, ResizeProvider, Matching
-// and Cost never ask it, under an unlimited and a tight budget. The
-// stream must reach swaps at full capacity, departures of matched
-// customers and shrinking resizes that evict, or the pin proves
-// nothing about those paths.
+// and Cost never ask it. The stream must reach swaps at full capacity,
+// departures of matched customers and shrinking resizes that evict,
+// or the pin proves nothing about those paths.
 func TestChurnMetricCallsPerEvent(t *testing.T) {
-	for _, budget := range []int{0, 1} {
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(31))
-			providers := churnProviders(rng, 7, 1, 3)
-			events := genChurnEvents(rng, 600, len(providers), 4)
-			metric := &countingMetric{Metric: geo.Euclidean}
-			m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric, ReoptBudget: budget})
-			nq := len(providers)
-			evictions, matchedDeparts := 0, 0
-			for step, ev := range events {
-				before := metric.calls
-				want := 0
-				switch ev.kind {
-				case 0:
-					if _, err := m.Arrive(ev.pt, ev.id); err != nil {
-						t.Fatal(err)
-					}
-					want = nq
-				case 1:
-					wasMatched, err := m.Depart(ev.id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if wasMatched {
-						matchedDeparts++
-					}
-				case 2:
-					if m.g.ProviderUsed(int32(ev.provider)) > ev.newCap {
-						evictions++
-					}
-					if err := m.ResizeProvider(ev.provider, ev.newCap); err != nil {
-						t.Fatal(err)
-					}
-				}
-				m.Matching()
-				m.Cost()
-				if got := metric.calls - before; got != want {
-					t.Fatalf("step %d (%+v): %d Dist calls, want %d", step, ev, got, want)
-				}
+	rng := rand.New(rand.NewSource(31))
+	providers := churnProviders(rng, 7, 1, 3)
+	events := genChurnEvents(rng, 600, len(providers), 4)
+	metric := &countingMetric{Metric: geo.Euclidean}
+	m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric})
+	nq := len(providers)
+	evictions, matchedDeparts := 0, 0
+	for step, ev := range events {
+		before := metric.calls
+		want := 0
+		switch ev.kind {
+		case 0:
+			if _, err := m.Arrive(ev.pt, ev.id); err != nil {
+				t.Fatal(err)
 			}
-			st := m.Stats()
-			if st.Swaps == 0 || st.Cycles == 0 || matchedDeparts == 0 || evictions == 0 {
-				t.Fatalf("stream misses a path: %+v, %d matched departures, %d evicting resizes",
-					st, matchedDeparts, evictions)
+			want = nq
+		case 1:
+			wasMatched, err := m.Depart(ev.id)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			if wasMatched {
+				matchedDeparts++
+			}
+		case 2:
+			if m.g.ProviderUsed(int32(ev.provider)) > ev.newCap {
+				evictions++
+			}
+			if err := m.ResizeProvider(ev.provider, ev.newCap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Matching()
+		m.Cost()
+		if got := metric.calls - before; got != want {
+			t.Fatalf("step %d (%+v): %d Dist calls, want %d", step, ev, got, want)
+		}
+	}
+	st := m.Stats()
+	if st.Swaps == 0 || st.Cycles == 0 || matchedDeparts == 0 || evictions == 0 {
+		t.Fatalf("stream misses a path: %+v, %d matched departures, %d evicting resizes",
+			st, matchedDeparts, evictions)
 	}
 }

@@ -22,39 +22,31 @@ var (
 )
 
 // DynamicOptions configures a DynamicMatcher beyond the zero-value
-// behavior (Euclidean metric, unlimited re-optimization, no periodic
-// oracle).
+// behavior (Euclidean metric, no periodic oracle).
 type DynamicOptions struct {
 	// Metric is the edge-cost backend; nil means Euclidean.
 	Metric geo.Metric
-	// ReoptBudget bounds the repair work amortized per event: after an
-	// event's mandatory fix-ups (the arrival's own augmenting path or
-	// swap, a departure's capacity release, a resize's evictions, and
-	// the augmentations that keep the matching maximum), at most
-	// ReoptBudget negative residual cycles are canceled before the
-	// event returns; remaining debt carries to later events. 0 means
-	// unlimited: every event leaves a minimum-cost maximum matching.
-	// The matching stays feasible and maximum under any budget — only
-	// cost optimality drifts, which Drift/ChurnStats track.
-	ReoptBudget int
 	// OracleEvery, when positive, re-solves from scratch every n events
 	// and records the cost drift in ChurnStats. The oracle is O(γ·V·E)
 	// Bellman–Ford — a measurement tool, not a production setting.
 	OracleEvery int
 }
 
-// ChurnStats counts a matcher's event history and the quality drift
-// its re-optimization budget allowed.
+// ChurnStats counts a matcher's event history, the repairs it ran and
+// the drift its periodic oracle measured.
 type ChurnStats struct {
 	Events     int // arrivals + departures + resizes accepted
 	Arrivals   int
 	Departures int
 	Resizes    int
 
-	Augments int // augmenting paths applied (arrivals + repairs)
-	Swaps    int // full-capacity arrival swap-ins
-	Cycles   int // negative residual cycles canceled
-	Deferred int // events that exhausted ReoptBudget with debt left
+	Augments int // repairs that grew the matching (arrivals, capacity growth)
+	Swaps    int // full-capacity arrivals swapped in
+	// Cycles counts the repairs that kept the size and moved flow, each
+	// a residual cycle: swap-ins, a departed customer's unit re-routed
+	// to a waiting customer, an evicting shrink served elsewhere, and
+	// added capacity that draws customers from other providers.
+	Cycles int
 
 	OracleChecks int
 	LastDrift    float64 // (cost − opt) / opt at the last oracle check
@@ -67,26 +59,26 @@ type ChurnStats struct {
 // points to in its related work ([11], Toroslu & Üçoluk: Incremental
 // Assignment Problem) and future-work discussion.
 //
-// Arrivals ride the successive-shortest-path invariant: augmenting a
-// new customer along one shortest path (or, at full capacity,
-// canceling the best cycle through its sink edge) preserves
-// optimality. Departures and resizes break that invariant — released
-// flow or fresh source capacity can create negative residual cycles —
-// so those events repair in two stages: restore maximality with
-// augmenting searches (always run, so Size always equals the
-// from-scratch optimum's), then cancel negative cycles until none
-// remain or the per-event ReoptBudget is spent.
+// The matcher carries potentials across events, as SSPA carries them
+// across iterations, so every event leaves the exact optimum at the
+// cost of one reduced-cost Dijkstra per unit of capacity or demand it
+// changes: an arrival augments, or at full capacity swaps in along
+// the cheapest residual cycle through its sink edge; a departure
+// re-routes the unit its provider was left with to a waiting customer,
+// or back to the source; a shrink below the usage takes each excess
+// unit off along the cheapest path into the provider; growth routes
+// each new unit of a full provider like a departure's.
 //
 // The matcher keeps the full bipartite graph in memory (complete
 // mode), so it suits the moderate |P| of online scenarios rather than
 // the disk-resident batch setting of RIA/NIA/IDA. Each arrival asks
 // the metric for its |Q| distances once and stores them as a cost row
-// that every later search, swap and cycle cancel reads back. A
-// customer's graph index is its live position, so a session's whole
-// state — rows (|Q|·|live|·8 B), flows, assignments and search
-// scratch — is O(|Q|·|live|), however many customers have come and
-// gone. Only the id ledger grows with every arrival, because ids stay
-// unique for the whole session.
+// that every later search reads back. A customer's graph index is its
+// live position, so a session's whole state — rows (|Q|·|live|·8 B),
+// potentials, flows, assignments and search scratch — is
+// O(|Q|·|live|), however many customers have come and gone. Only the
+// id ledger grows with every arrival, because ids stay unique for the
+// whole session.
 type DynamicMatcher struct {
 	g         *flowgraph.Graph
 	providers []Provider
@@ -96,17 +88,11 @@ type DynamicMatcher struct {
 	// or to -1 once it departed (duplicate detection).
 	ids map[int64]int32
 
-	// exact records whether the current matching is known minimum-cost
-	// (no repair debt). While true, events that provably preserve
-	// optimality skip the cycle scan entirely — the arrival fast path
-	// stays one search per event.
-	exact bool
-
 	stats ChurnStats
 }
 
 // NewDynamicMatcher starts an empty matching over the given providers
-// with default options (Euclidean, unlimited re-optimization).
+// with default options (Euclidean).
 func NewDynamicMatcher(providers []Provider) *DynamicMatcher {
 	return NewDynamicMatcherOpts(providers, DynamicOptions{})
 }
@@ -122,18 +108,16 @@ func NewDynamicMatcherOpts(providers []Provider, opts DynamicOptions) *DynamicMa
 		providers: own,
 		opts:      opts,
 		ids:       make(map[int64]int32),
-		exact:     true,
 	}
 }
 
 // Arrive adds a customer and restores optimality. While provider
 // capacity remains, the new customer is matched along one shortest
 // augmenting path. Once capacity is exhausted the matching size cannot
-// grow, but the arrival can still improve its composition: Arrive then
-// cancels the minimum-cost residual cycle through the new customer,
-// which (when negative) swaps out a more expensive customer. Ids must
-// be unique across the session — re-arriving a departed id is
-// ErrDuplicateID.
+// grow, but the arrival can still improve its composition: the
+// cheapest residual cycle through the new customer, when negative,
+// swaps out a more expensive customer. Ids must be unique across the
+// session — re-arriving a departed id is ErrDuplicateID.
 //
 // The returned flag reports whether this customer is matched right
 // now; later events may re-route or even evict it (fetch the current
@@ -146,55 +130,35 @@ func (m *DynamicMatcher) Arrive(pt geo.Point, id int64) (bool, error) {
 	m.ids[id] = c
 	m.stats.Events++
 	m.stats.Arrivals++
-	for {
-		augmented, err := m.searchAugment()
-		if err != nil {
-			return false, err
-		}
-		if augmented {
-			break
-		}
-		// No free capacity: try swapping in via the new customer's best
-		// residual cycle.
-		swapped, err := m.g.SwapArrival(c)
-		if errors.Is(err, flowgraph.ErrNegativeCycle) {
-			if err := m.forceCancel(); err != nil {
-				return false, err
-			}
-			continue
-		}
-		if err != nil {
-			return false, err
-		}
-		if swapped {
-			m.stats.Swaps++
-		}
-		break
+	swapped, err := m.g.Admit(c)
+	if err != nil {
+		return false, err
 	}
-	// From an exact state the arrival step itself preserves optimality;
-	// only outstanding debt from earlier budgeted events needs work.
-	if !m.exact {
-		if err := m.reoptimize(); err != nil {
-			return false, err
-		}
+	matched := m.g.CustomerFull(c)
+	switch {
+	case swapped:
+		m.stats.Swaps++
+		m.stats.Cycles++
+	case matched:
+		m.stats.Augments++
 	}
 	m.maybeOracle()
-	return m.g.CustomerFull(c), nil
+	return matched, nil
 }
 
-// Depart removes a previously arrived customer, releasing any provider
-// capacity it held, and repairs the matching: a freed slot may admit a
-// waiting customer (augment), and released flow may leave the rest
-// mis-routed (cancel cycles, subject to ReoptBudget). It returns
-// whether the customer was matched at the moment it left. Departing an
-// id that is not currently present is ErrUnknownID.
+// Depart removes a previously arrived customer and repairs the
+// matching: the unit of capacity it held goes to a waiting customer
+// if any (possibly re-routing others), else back to the source, moving
+// others only where that is cheaper. It returns whether the customer
+// was matched at the moment it left. Departing an id that is not
+// currently present is ErrUnknownID.
 func (m *DynamicMatcher) Depart(id int64) (bool, error) {
 	c, ok := m.ids[id]
 	if !ok || c < 0 {
 		return false, fmt.Errorf("%w: customer %d", ErrUnknownID, id)
 	}
-	wasMatched := m.g.CustomerFull(c)
-	if err := m.g.RemoveCustomer(c); err != nil {
+	q, err := m.g.RemoveCustomer(c)
+	if err != nil {
 		return false, err
 	}
 	m.ids[id] = -1
@@ -204,23 +168,25 @@ func (m *DynamicMatcher) Depart(id int64) (bool, error) {
 	}
 	m.stats.Events++
 	m.stats.Departures++
-	if !wasMatched && m.exact {
-		// Dropping an unmatched customer only deletes forward edges; no
-		// residual cycle or augmenting path can appear.
-		m.maybeOracle()
-		return false, nil
-	}
-	if err := m.repair(); err != nil {
-		return false, err
+	if q >= 0 {
+		toSink, err := m.g.Reroute(q)
+		if err != nil {
+			return false, err
+		}
+		if toSink {
+			m.stats.Cycles++
+		}
 	}
 	m.maybeOracle()
-	return wasMatched, nil
+	return q >= 0, nil
 }
 
 // ResizeProvider changes provider i's capacity. Shrinking below the
-// provider's current usage evicts its longest assignment edges (the
-// evicted customers stay in the pool and are re-routed by the repair);
-// growing opens augmenting opportunities for waiting customers. An
+// provider's current usage takes each excess unit off along the
+// cheapest path into it: served elsewhere when another provider has
+// room, otherwise by unmatching a customer (who stays in the pool).
+// Growing a full provider routes each new unit to a waiting customer,
+// or draws customers from other providers where that is cheaper. An
 // index out of range is ErrUnknownID; a negative capacity is a plain
 // validation error.
 func (m *DynamicMatcher) ResizeProvider(i, newCap int) error {
@@ -234,100 +200,36 @@ func (m *DynamicMatcher) ResizeProvider(i, newCap int) error {
 	if err := m.g.SetProviderCap(q, newCap); err != nil {
 		return err
 	}
+	oldCap := m.providers[i].Cap
 	m.providers[i].Cap = newCap
 	m.stats.Events++
 	m.stats.Resizes++
 	for m.g.ProviderUsed(q) > newCap {
-		if _, err := m.g.EvictLongestAssignment(q); err != nil {
+		kept, err := m.g.Shed(q)
+		if err != nil {
 			return err
 		}
+		if kept {
+			m.stats.Cycles++
+		}
 	}
-	if err := m.repair(); err != nil {
-		return err
+	// Each unit added while q is full is one more s→q edge; once q
+	// hands a unit straight back it has room, and the rest change no
+	// residual edge.
+	for k := oldCap; k < newCap && m.g.ProviderUsed(q) == k; k++ {
+		toSink, err := m.g.Reroute(q)
+		if err != nil {
+			return err
+		}
+		switch {
+		case toSink:
+			m.stats.Augments++
+		case m.g.ProviderUsed(q) > k:
+			m.stats.Cycles++
+		}
 	}
 	m.maybeOracle()
 	return nil
-}
-
-// repair restores the two-stage invariant after a capacity-releasing
-// event: augmenting paths until the matching is maximum again (never
-// budgeted — feasibility and size are exact under any budget), then
-// negative-cycle cancels under the budget.
-func (m *DynamicMatcher) repair() error {
-	for {
-		augmented, err := m.searchAugment()
-		if err != nil {
-			return err
-		}
-		if !augmented {
-			break
-		}
-	}
-	return m.reoptimize()
-}
-
-// searchAugment runs one shortest-augmenting-path step, returning
-// whether a path was found and applied. When the search trips over a
-// negative cycle left by deferred budget debt, the cycle is canceled
-// immediately and the search retried: correctness cannot be deferred,
-// so the budget governs only the voluntary optimization pass.
-func (m *DynamicMatcher) searchAugment() (bool, error) {
-	for {
-		_, _, ok, err := m.g.SearchLabelCorrecting()
-		if errors.Is(err, flowgraph.ErrNegativeCycle) {
-			if err := m.forceCancel(); err != nil {
-				return false, err
-			}
-			continue
-		}
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-		if err := m.g.Augment(); err != nil {
-			return false, err
-		}
-		m.stats.Augments++
-		return true, nil
-	}
-}
-
-// forceCancel cancels one negative cycle a search just reported. The
-// canceler not finding one would mean the detection epsilons diverged
-// (see flowgraph.cycleEps) — fail loudly rather than spin.
-func (m *DynamicMatcher) forceCancel() error {
-	found, err := m.g.CancelNegativeCycle()
-	if err != nil {
-		return err
-	}
-	if !found {
-		return errors.New("dynamic: search reported a negative cycle the canceler cannot find")
-	}
-	m.stats.Cycles++
-	return nil
-}
-
-// reoptimize cancels negative residual cycles until none remain or the
-// per-event budget is exhausted, tracking whether the state is exact.
-func (m *DynamicMatcher) reoptimize() error {
-	for i := 0; ; i++ {
-		if m.opts.ReoptBudget > 0 && i >= m.opts.ReoptBudget {
-			m.exact = false
-			m.stats.Deferred++
-			return nil
-		}
-		found, err := m.g.CancelNegativeCycle()
-		if err != nil {
-			return err
-		}
-		if !found {
-			m.exact = true
-			return nil
-		}
-		m.stats.Cycles++
-	}
 }
 
 // maybeOracle runs the periodic full re-solve when configured.
@@ -340,7 +242,7 @@ func (m *DynamicMatcher) maybeOracle() {
 // OracleDrift re-solves the current live instance from scratch with
 // the Bellman–Ford reference solver and returns the relative cost
 // drift (cost − opt) / opt of the incremental matching, recording it
-// in ChurnStats. Zero (to float noise) whenever the matcher is exact.
+// in ChurnStats. Zero, to float noise: every event leaves the optimum.
 func (m *DynamicMatcher) OracleDrift() float64 {
 	_, opt := flowgraph.RefSolveMetric(flowProviders(m.providers), m.g.LiveCustomers(), 1, m.g.Metric())
 	cost := m.g.Cost()
@@ -364,10 +266,6 @@ func (m *DynamicMatcher) OracleDrift() float64 {
 
 // Stats returns the event and repair counters accumulated so far.
 func (m *DynamicMatcher) Stats() ChurnStats { return m.stats }
-
-// Exact reports whether the current matching is known minimum-cost
-// (no repair debt outstanding from budgeted events).
-func (m *DynamicMatcher) Exact() bool { return m.exact }
 
 // Live returns the number of customers currently present.
 func (m *DynamicMatcher) Live() int { return m.g.LiveCount() }

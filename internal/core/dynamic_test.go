@@ -237,7 +237,7 @@ func TestDynamicLaterArrivalReRoutes(t *testing.T) {
 // Eviction + re-route combined, pinned against the batch oracle after
 // every arrival: a capacity-1 chain where each newcomer cascades the
 // previous assignments. Catches any optimality drift in the swap path
-// (SwapArrival) that single-step tests cannot see.
+// (flowgraph.Admit) that single-step tests cannot see.
 func TestDynamicEvictionCascadeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	providers := randDynProviders(3, 1, rng) // Γ = 3: exhausted quickly

@@ -12,12 +12,17 @@ import (
 
 // FuzzDynamicChurn fuzzes full churn event streams — arrivals,
 // departures, capacity resizes (including shocks to zero) — under
-// fuzzed re-opt budgets and either metric (bit 3 of the budget byte
-// picks the 6×6 road network FuzzExactSolvers uses, over a space ten
-// times wider; inputs with it clear, the committed corpus included,
-// run Euclidean), checking the invariants that must hold regardless of
-// budget:
+// either metric: bit 3 of the last byte picks the 6×6 road network
+// FuzzExactSolvers uses, over a space ten times wider. That byte once
+// also chose a re-optimization budget; its other bits now select
+// nothing, so the committed corpus inputs keep their instances. After
+// every event it checks:
 //
+//   - an optimality certificate: every residual edge has a
+//     non-negative reduced cost (CheckReducedCosts), one Bellman–Ford
+//     pass finds no negative cycle (CancelNegativeCycle), and Size()
+//     is min(Σcap, live), so the matching is a minimum-cost maximum
+//     one;
 //   - capacity conservation after every resize (no provider carries
 //     more than its current capacity);
 //   - no orphaned assignments after a departure (departed customers
@@ -28,8 +33,8 @@ import (
 //   - duplicate-id arrivals and unknown-id departs/resizes fail with
 //     the sentinel errors and leave the matching untouched.
 //
-// The Bellman–Ford oracle is deliberately absent here (too slow for a
-// fuzz loop); optimality is the conformance suite's job.
+// The from-scratch re-solve oracle is deliberately absent here (too
+// slow for a fuzz loop); the conformance suite compares against it.
 func FuzzDynamicChurn(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(60), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(120), uint8(1))
@@ -43,13 +48,12 @@ func FuzzDynamicChurn(f *testing.F) {
 	// only memoize canonical distances.
 	space := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 	network := netmetric.FromNetwork(datagen.NewNetwork(6, space, 6))
-	f.Fuzz(func(t *testing.T, seed int64, nqRaw, nRaw, budgetRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nqRaw, nRaw, modeRaw uint8) {
 		nq := 1 + int(nqRaw)%12
 		n := int(nRaw)
-		budget := int(budgetRaw) % 4 // 0 = unlimited, 1..3 = tight budgets
 		var metric geo.Metric = geo.Euclidean
 		scale := 1.0
-		if budgetRaw&8 != 0 {
+		if modeRaw&8 != 0 {
 			metric, scale = network, 10
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -65,7 +69,7 @@ func FuzzDynamicChurn(f *testing.F) {
 			events[i].pt = geo.Point{X: events[i].pt.X * scale, Y: events[i].pt.Y * scale}
 		}
 
-		m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric, ReoptBudget: budget})
+		m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric})
 		o := newChurnMirror(providers)
 		departed := []int64{}
 		for step, ev := range events {
@@ -80,6 +84,7 @@ func FuzzDynamicChurn(f *testing.F) {
 			if m.Live() != len(o.order) {
 				t.Fatalf("step %d: Live() %d, mirror has %d", step, m.Live(), len(o.order))
 			}
+			checkOptimal(t, step, m, scale)
 		}
 
 		st := m.Stats()
@@ -123,4 +128,21 @@ func FuzzDynamicChurn(f *testing.F) {
 		}
 		checkFeasible(t, len(events), m, o, metric)
 	})
+}
+
+// checkOptimal certifies the matcher's matching as a minimum-cost
+// maximum one: non-negative reduced costs on every residual edge (to
+// float drift, which grows with the coordinates' scale), no negative
+// residual cycle, and the maximum size.
+func checkOptimal(t *testing.T, step int, m *DynamicMatcher, scale float64) {
+	t.Helper()
+	if err := m.g.CheckReducedCosts(1e-6 * scale); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	if found, err := m.g.CancelNegativeCycle(); err != nil || found {
+		t.Fatalf("step %d: residual graph has a negative cycle (found %v, err %v)", step, found, err)
+	}
+	if want := min(m.Capacity(), m.Live()); m.Size() != want {
+		t.Fatalf("step %d: size %d, want min(capacity %d, live %d)", step, m.Size(), m.Capacity(), m.Live())
+	}
 }

@@ -9,33 +9,25 @@ import (
 	"repro/internal/datagen"
 )
 
-// churnBudgets is the ChurnDrift sweep: the unlimited row first (the
-// trajectory's CPU anchor and exactness reference), then tightening
-// re-opt budgets.
-var churnBudgets = []int{0, 1, 2, 8}
-
 // ChurnDrift is the online-matching trajectory behind BENCH_churn.json:
 // one ride-hailing churn session (arrivals, departures, capacity
-// resizes; 10K events at scale 1) replayed through the dynamic matcher
-// under a sweep of re-opt budgets, with a periodic Bellman–Ford full
-// re-solve measuring how far each budget lets cost optimality drift.
+// resizes; 10K events at scale 1) replayed through the dynamic matcher,
+// with a periodic Bellman–Ford full re-solve checking that every event
+// left the optimum.
 //
-// Row fields, reused from the batch sweeps:
+// Its one row, labeled "exact", reuses the batch sweeps' fields:
 //
-//	Label    "exact" (budget 0, every event leaves the optimum) or
-//	         "budget=k"
 //	CPU      summed event-application time (oracle checks excluded)
 //	Cost     final Ψ(M) — deterministic, gated exactly by benchgate
-//	Size     final matching size — identical across budgets, because
-//	         augmentation is never budgeted
-//	Quality  MaxDrift: worst (Ψ − Ψopt)/Ψopt seen at any oracle check
-//	Esub     negative residual cycles canceled across the session
-//	KeyUpd   augmenting paths applied
-//	Faults   events that exhausted the budget and deferred debt
+//	Size     final matching size
+//	Quality  MaxDrift: worst (Ψ − Ψopt)/Ψopt seen at any oracle check,
+//	         0 to float noise
+//	Esub     repairs that kept the size and moved flow (ChurnStats.Cycles)
+//	KeyUpd   repairs that grew the matching (ChurnStats.Augments)
 //
 // The replayed stream and the repair algorithm are deterministic, so
 // every non-CPU field round-trips exactly across machines; cmd/
-// benchgate pins them and enforces the drift ceiling in CI.
+// benchgate pins them and requires zero drift in CI.
 func ChurnDrift(s float64, out io.Writer) ([]Row, error) {
 	p := Default(s)
 	events := int(10000 * s)
@@ -45,9 +37,8 @@ func ChurnDrift(s float64, out io.Writer) ([]Row, error) {
 	// The ridehail live pool is set by the scenario's lifetimes (~25
 	// customers in steady state), not by the stream length, so the
 	// fleet size is fixed rather than scaled: 6 providers ≈ 20 slots
-	// keep capacity scarce, the regime where departures and resizes
-	// actually strand repair debt and budgets bind. Scale governs the
-	// session length only.
+	// keep capacity scarce, the regime where departures re-route and
+	// arrivals swap. Scale governs the session length only.
 	const fleet = 6
 	n := datagen.NewNetwork(32, Space, p.Seed)
 	w, err := datagen.NewChurn("ridehail", n, datagen.ChurnConfig{
@@ -65,25 +56,21 @@ func ChurnDrift(s float64, out io.Writer) ([]Row, error) {
 		oracleEvery = 1
 	}
 
-	var rows []Row
-	for _, budget := range churnBudgets {
-		row, err := runChurnSession(providers, w.Events, budget, oracleEvery)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+	row, err := runChurnSession(providers, w.Events, oracleEvery)
+	if err != nil {
+		return nil, err
 	}
+	rows := []Row{row}
 	PrintRows(out, fmt.Sprintf("Online churn drift: ridehail, %d events, |Q|=%d, oracle every %d events",
 		events, len(providers), oracleEvery), rows, true)
-	fmt.Fprintf(out, "Quality = worst cost drift vs full re-solve; Esub = cycles canceled; KeyUpd = augmenting paths; Faults = deferred events\n")
+	fmt.Fprintf(out, "Quality = worst cost drift vs full re-solve; Esub = size-keeping repairs; KeyUpd = augmenting repairs\n")
 	return rows, nil
 }
 
-// runChurnSession replays one event stream under one budget. Oracle
-// checks run outside the timed sections, so CPU measures only the
-// incremental repair work the budget is supposed to bound.
-func runChurnSession(providers []core.Provider, events []datagen.Event, budget, oracleEvery int) (Row, error) {
-	m := core.NewDynamicMatcherOpts(providers, core.DynamicOptions{ReoptBudget: budget})
+// runChurnSession replays one event stream. Oracle checks run outside
+// the timed sections, so CPU measures only the incremental repairs.
+func runChurnSession(providers []core.Provider, events []datagen.Event, oracleEvery int) (Row, error) {
+	m := core.NewDynamicMatcher(providers)
 	var cpu time.Duration
 	for i, ev := range events {
 		start := time.Now()
@@ -105,12 +92,8 @@ func runChurnSession(providers []core.Provider, events []datagen.Event, budget, 
 		}
 	}
 	st := m.Stats()
-	label := "exact"
-	if budget > 0 {
-		label = fmt.Sprintf("budget=%d", budget)
-	}
 	return Row{
-		Label:   label,
+		Label:   "exact",
 		Algo:    "dynamic",
 		CPU:     cpu,
 		Cost:    m.Cost(),
@@ -118,6 +101,5 @@ func runChurnSession(providers []core.Provider, events []datagen.Event, budget, 
 		Quality: st.MaxDrift,
 		Esub:    st.Cycles,
 		KeyUpd:  st.Augments,
-		Faults:  st.Deferred,
 	}, nil
 }

@@ -3,30 +3,27 @@ package flowgraph
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
 )
 
-// Label-correcting iterations over raw costs must solve the same MCF as
-// the potential-based Dijkstra iterations.
-func TestLabelCorrectingMatchesReference(t *testing.T) {
+// Arrivals admitted one by one into a churn graph, each repaired by
+// one search, must reach the minimum-cost matching the reference
+// solver finds, with every residual edge non-negative after each.
+func TestChurnArrivalsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 20; trial++ {
 		providers := randProviders(2+rng.Intn(4), func(int) int { return 1 + rng.Intn(4) }, rng)
 		customers := randCustomers(1+rng.Intn(20), rng)
 		g := NewChurnGraph(providers, nil)
-		for _, c := range customers {
-			g.AddCustomer(c.Pt, c.Cap, c.ExtID)
-		}
-		for {
-			if _, _, ok, err := g.SearchLabelCorrecting(); err != nil {
+		for i, c := range customers {
+			if _, err := g.Admit(g.AddCustomer(c.Pt, 1, c.ExtID)); err != nil {
 				t.Fatal(err)
-			} else if !ok {
-				break
 			}
-			if err := g.Augment(); err != nil {
-				t.Fatal(err)
+			if err := g.CheckReducedCosts(1e-9); err != nil {
+				t.Fatalf("trial %d arrival %d: %v", trial, i, err)
 			}
 		}
 		_, want := RefSolve(providers, customers)
@@ -36,32 +33,30 @@ func TestLabelCorrectingMatchesReference(t *testing.T) {
 	}
 }
 
-// SwapArrival: with zero remaining capacity, a strictly closer customer
-// must displace the most expensive one; a farther customer must be left
-// out.
+// admit adds a customer at (x, 0) to a churn graph and admits it.
+func admit(t *testing.T, g *Graph, x float64, id int64) (int32, bool) {
+	t.Helper()
+	c := g.AddCustomer(geo.Point{X: x, Y: 0}, 1, id)
+	swapped, err := g.Admit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, swapped
+}
+
+// Admit at zero remaining capacity: a strictly closer customer must
+// displace the most expensive one; a farther customer must be left out.
 func TestSwapArrival(t *testing.T) {
 	providers := []Provider{{Pt: geo.Point{X: 0, Y: 0}, Cap: 1}}
 	g := NewChurnGraph(providers, nil)
 
-	far := g.AddCustomer(geo.Point{X: 10, Y: 0}, 1, 1)
-	if _, _, ok, err := g.SearchLabelCorrecting(); err != nil {
-		t.Fatal(err)
-	} else if !ok {
-		t.Fatal("first customer must match")
-	}
-	if err := g.Augment(); err != nil {
-		t.Fatal(err)
-	}
-	if g.Cost() != 10 {
-		t.Fatalf("cost %v want 10", g.Cost())
+	far, swapped := admit(t, g, 10, 1)
+	if swapped || !g.CustomerFull(far) || g.Cost() != 10 {
+		t.Fatalf("first customer must match by augmenting: swapped %v cost %v", swapped, g.Cost())
 	}
 
 	// A closer customer arrives with no capacity left: swap in.
-	near := g.AddCustomer(geo.Point{X: 2, Y: 0}, 1, 2)
-	swapped, err := g.SwapArrival(near)
-	if err != nil {
-		t.Fatal(err)
-	}
+	near, swapped := admit(t, g, 2, 2)
 	if !swapped {
 		t.Fatal("closer customer should swap in")
 	}
@@ -71,13 +66,12 @@ func TestSwapArrival(t *testing.T) {
 	}
 
 	// A farther customer arrives: no improvement, no swap.
-	worse := g.AddCustomer(geo.Point{X: 50, Y: 0}, 1, 3)
-	swapped, err = g.SwapArrival(worse)
-	if err != nil {
-		t.Fatal(err)
-	}
+	worse, swapped := admit(t, g, 50, 3)
 	if swapped || g.Cost() != 2 || g.CustomerFull(worse) {
 		t.Fatalf("farther customer must not swap (swapped=%v cost=%v)", swapped, g.Cost())
+	}
+	if err := g.CheckReducedCosts(1e-9); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -90,34 +84,46 @@ func TestSwapArrivalMultiHop(t *testing.T) {
 		{Pt: geo.Point{X: 10, Y: 0}, Cap: 1},
 	}
 	g := NewChurnGraph(providers, nil)
-	add := func(x float64, id int64) int32 { return g.AddCustomer(geo.Point{X: x, Y: 0}, 1, id) }
-	match := func() {
-		if _, _, ok, err := g.SearchLabelCorrecting(); err != nil {
-			t.Fatal(err)
-		} else if !ok {
-			t.Fatal("no path")
-		}
-		if err := g.Augment(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add(4, 1) // between the providers, nearer q1
-	match()
-	add(11, 2) // near q2
-	match()
+	admit(t, g, 4, 1)  // between the providers, nearer q1
+	admit(t, g, 11, 2) // near q2
 	// Both providers full: matching is {q1:4 (cost 4), q2:11 (cost 1)} = 5.
 	if math.Abs(g.Cost()-5) > 1e-9 {
 		t.Fatalf("setup cost %v want 5", g.Cost())
 	}
 	// A customer at 0.5 arrives: optimal is {q1:0.5, q2:11} = 1.5,
 	// evicting customer 1 entirely.
-	cNew := add(0.5, 3)
-	swapped, err := g.SwapArrival(cNew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !swapped || math.Abs(g.Cost()-1.5) > 1e-9 {
+	if _, swapped := admit(t, g, 0.5, 3); !swapped || math.Abs(g.Cost()-1.5) > 1e-9 {
 		t.Fatalf("swap: %v cost %v want 1.5", swapped, g.Cost())
+	}
+}
+
+// CheckReducedCosts must see the pair edges of a complete graph, in
+// both directions: after an exact SSPA run, a matched customer's τ
+// lowered below its provider's breaks only its reversed pair edge
+// (its sink edge is saturated), and an unmatched customer's τ lowered
+// breaks only its forward pair edges.
+func TestCheckReducedCostsCompleteMode(t *testing.T) {
+	providers := []Provider{{Pt: geo.Point{X: 0, Y: 0}, Cap: 1}}
+	customers := []Customer{
+		{Pt: geo.Point{X: 3, Y: 0}, Cap: 1, ExtID: 1},
+		{Pt: geo.Point{X: 8, Y: 0}, Cap: 1, ExtID: 2},
+	}
+	g := runSSPA(t, providers, customers)
+	if !g.CustomerFull(0) || g.CustomerFull(1) {
+		t.Fatal("setup: the nearer customer must be the one matched")
+	}
+	for c, want := range []string{"p0->q0", "q0->p1"} {
+		node := g.customerNode(int32(c))
+		saved := g.tau[node]
+		g.tau[node] = saved + []float64{1, -100}[c]
+		err := g.CheckReducedCosts(1e-9)
+		g.tau[node] = saved
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("customer %d with a corrupted τ: got %v, want a negative %s", c, err, want)
+		}
+	}
+	if err := g.CheckReducedCosts(1e-9); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -167,7 +173,7 @@ func TestChurnRowsTrackLiveSet(t *testing.T) {
 			peak = g.LiveCount()
 		}
 		for i := rng.Intn(4); i > 0 && g.LiveCount() > 0; i-- {
-			if err := g.RemoveCustomer(int32(rng.Intn(g.LiveCount()))); err != nil {
+			if _, err := g.RemoveCustomer(int32(rng.Intn(g.LiveCount()))); err != nil {
 				t.Fatal(err)
 			}
 		}

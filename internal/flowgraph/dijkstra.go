@@ -25,7 +25,6 @@ type searchState struct {
 
 	heap   pqueue.Heap // Hd: the main Dijkstra frontier
 	repair pqueue.Heap // Hf: the PUA repair frontier
-	fifo   fifo        // the label-correcting searches' queue
 
 	tBest float64 // shortest known source→sink cost this iteration
 	vmin  NodeID  // finalized non-full customer realizing tBest
@@ -316,9 +315,6 @@ func (g *Graph) Augment() error {
 	}
 	g.custUsed[g.custIdx(s.vmin)]++
 
-	if g.churn {
-		return nil
-	}
 	// Potential update for visited nodes (the paper's Lines 8-9); nodes
 	// finalized above the final sp cost keep their potential, matching
 	// the min(α, cost) form that preserves non-negative reduced costs.
@@ -340,36 +336,49 @@ func (g *Graph) Augment() error {
 
 // CheckReducedCosts verifies that every residual edge has non-negative
 // reduced cost under the current potentials — the invariant Dijkstra
-// correctness rests on. Test helper; tol absorbs float drift.
+// correctness rests on: the edges into and out of s and t, and every
+// pair edge in both directions, which in the complete mode means every
+// (q, p) pair. Test helper; tol absorbs float drift.
 func (g *Graph) CheckReducedCosts(tol float64) error {
 	for q := range g.providers {
 		q32 := int32(q)
-		if !g.ProviderFull(q32) {
-			if w := g.tau[q] - g.sTau; w < -tol {
-				return fmt.Errorf("edge s->q%d has reduced cost %g", q, w)
+		if w := g.tau[q] - g.sTau; !g.ProviderFull(q32) && w < -tol {
+			return fmt.Errorf("edge s->q%d has reduced cost %g", q, w)
+		}
+		if w := g.sTau - g.tau[q]; g.provUsed[q] > 0 && w < -tol {
+			return fmt.Errorf("edge q%d->s has reduced cost %g", q, w)
+		}
+		pair := func(c int32, d float64) error {
+			node := g.customerNode(c)
+			if w := -d - g.tau[node] + g.tau[q]; g.instanceCount(c, q32) > 0 && w < -tol {
+				return fmt.Errorf("edge p%d->q%d has reduced cost %g", c, q, w)
 			}
+			if w := d - g.tau[q] + g.tau[node]; !g.forwardSaturated(c, q32) && w < -tol {
+				return fmt.Errorf("edge q%d->p%d has reduced cost %g", q, c, w)
+			}
+			return nil
+		}
+		if g.complete {
+			for c := range g.customers {
+				if err := pair(int32(c), g.dist(q32, int32(c))); err != nil {
+					return err
+				}
+			}
+			continue
 		}
 		for _, he := range g.adj[q] {
-			node := g.customerNode(he.cust)
-			if g.instanceCount(he.cust, q32) > 0 {
-				// Reversed edge p->q exists.
-				if w := -he.dist - g.tau[node] + g.tau[q]; w < -tol {
-					return fmt.Errorf("edge p%d->q%d has reduced cost %g", he.cust, q, w)
-				}
-			}
-			if !g.forwardSaturated(he.cust, q32) {
-				if w := he.dist - g.tau[q] + g.tau[node]; w < -tol {
-					return fmt.Errorf("edge q%d->p%d has reduced cost %g", q, he.cust, w)
-				}
+			if err := pair(he.cust, he.dist); err != nil {
+				return err
 			}
 		}
 	}
 	for c := range g.customers {
-		if !g.CustomerFull(int32(c)) {
-			node := g.customerNode(int32(c))
-			if w := -g.tau[node]; w < -tol {
-				return fmt.Errorf("edge p%d->t has reduced cost %g", c, w)
-			}
+		node := g.customerNode(int32(c))
+		if w := g.tTau - g.tau[node]; !g.CustomerFull(int32(c)) && w < -tol {
+			return fmt.Errorf("edge p%d->t has reduced cost %g", c, w)
+		}
+		if w := g.tau[node] - g.tTau; g.custUsed[c] > 0 && w < -tol {
+			return fmt.Errorf("edge t->p%d has reduced cost %g", c, w)
 		}
 	}
 	return nil

@@ -16,15 +16,18 @@
 //     visits every (q,p) pair without materializing O(|Q|·|P|) edges
 //     and asks the metric for each distance it reads;
 //   - a churn mode for the dynamic matcher (NewChurnGraph): complete,
-//     searched over raw costs, with customers removable. A customer's
-//     index is its live position, and removal swap-removes its every
-//     slot, so the whole state, including each live customer's |Q|
-//     distances stored as a cost row on arrival, is O(|Q|·|live|).
+//     with customers removable, carrying potentials for s and t as well
+//     so that every event is repaired by one reduced-cost Dijkstra per
+//     unit it changes (churn.go). A customer's index is its live
+//     position, and removal swap-removes its every slot, so the whole
+//     state, including each live customer's τ and its |Q| distances
+//     stored as a cost row on arrival, is O(|Q|·|live|).
 //
 // The graph is deliberately source/sink-free in memory: an s→q edge is
 // represented by the provider's remaining capacity, and a p→t edge by the
 // customer's remaining capacity, since no s→t shortest path ever re-enters
-// s or leaves t.
+// s or leaves t. The churn mode's repair searches, which do, give s and t
+// node ids for the search only (churn.go).
 package flowgraph
 
 import (
@@ -84,7 +87,7 @@ type assignment struct {
 
 // Stats counts the work the graph performed.
 type Stats struct {
-	Dijkstras   int // full searches started (BeginIteration calls)
+	Dijkstras   int // searches started (BeginIteration, churn repairs)
 	Resumes     int // resumed searches after edge insertions
 	Pops        int // nodes finalized across all searches
 	Relaxations int // edges relaxed across all searches
@@ -121,16 +124,16 @@ type Graph struct {
 
 	tau    []float64 // node potentials, indexed by NodeID
 	sTau   float64   // potential of the source
+	tTau   float64   // potential of the sink; moves only in the churn mode
 	tauMax float64   // max provider potential (Theorem 1's τmax)
 
 	// lastAlpha persists each provider's most recent finalized Dijkstra
 	// distance; IDA keys heap entries of full providers by it (§3.3).
 	lastAlpha []float64
 
-	// churn marks the dynamic matcher's graph (NewChurnGraph): every τ
-	// stays zero, shortest paths are found with the label-correcting
-	// searches (see spfa.go), and RemoveCustomer may delete customers,
-	// moving the last one into the freed index.
+	// churn marks the dynamic matcher's graph (NewChurnGraph): events
+	// are repaired by route (churn.go), and RemoveCustomer may delete
+	// customers, moving the last one into the freed index.
 	churn bool
 
 	// order lists the churn mode's customer indices in arrival order,
@@ -145,7 +148,8 @@ type Graph struct {
 	// |Q|·|live| floats. Empty outside the churn mode.
 	rows []float64
 	// maxDist bounds every distance the rows hold; it scales the
-	// label-correcting searches' improvement threshold (cycleEps).
+	// threshold below which a residual cycle counts as negative
+	// (cycleEps).
 	maxDist float64
 
 	// metric computes edge costs (default geo.Euclidean). See geo.Metric
@@ -245,14 +249,12 @@ func NewGraph(providers []Provider, complete bool) *Graph {
 
 // NewChurnGraph creates the dynamic matcher's graph over the given
 // providers, measured by metric (nil means geo.Euclidean): complete
-// over the customers present, searched over raw edge costs with every
-// τ pinned at zero, and open to removals (RemoveCustomer). Arrivals
-// would invalidate potential-based reduced costs (a new customer's
-// incident edges can be negative under the old potentials), so
-// shortest paths come from the label-correcting searches
-// (SearchLabelCorrecting, SwapArrival, CancelNegativeCycle), which
-// need none. Each customer's |Q| distances are computed once, on
-// arrival, and stored as its cost row.
+// over the customers present and open to removals (RemoveCustomer).
+// It carries potentials for every node, s and t included, under which
+// each residual edge has a non-negative reduced cost between events,
+// so each event is repaired by one Dijkstra per unit of capacity or
+// demand it changes (Admit, Reroute, Shed). Each customer's |Q|
+// distances are computed once, on arrival, and stored as its cost row.
 func NewChurnGraph(providers []Provider, metric geo.Metric) *Graph {
 	g := NewGraph(providers, true)
 	g.SetMetric(metric)
@@ -333,7 +335,9 @@ func (g *Graph) TotalCapacity() int {
 // AddCustomer registers a customer and returns its node-local index,
 // the next free one. In the churn mode it also computes the customer's
 // cost row, the |Q| metric calls the graph makes for it over its whole
-// life.
+// life, and sets its τ to max(τ(t), max_q τ(q) − d(q,c)): the least
+// value that keeps every edge q→c non-negative and, once the customer
+// is matched, t→c too.
 func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 	g.customers = append(g.customers, Customer{Pt: pt, Cap: capacity, ExtID: extID})
 	g.custUsed = append(g.custUsed, 0)
@@ -351,11 +355,14 @@ func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 	c := int32(len(g.customers) - 1)
 	if g.churn {
 		g.order = append(g.order, c)
-		for _, p := range g.providers {
+		tau := g.tTau
+		for q, p := range g.providers {
 			d := g.metric.Dist(p.Pt, pt)
 			g.rows = append(g.rows, d)
 			g.maxDist = max(g.maxDist, d)
+			tau = max(tau, g.tau[q]-d)
 		}
+		g.tau[g.customerNode(c)] = tau
 	}
 	g.search.grow(len(g.providers) + len(g.customers))
 	return c

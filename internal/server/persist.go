@@ -44,12 +44,12 @@ const (
 // every log is a walOpCreate carrying the session's full configuration
 // (providers, metric, options); every later record is one churn event.
 // Coordinates travel through encoding/json, which round-trips float64
-// exactly, so replay feeds the matcher bit-identical inputs.
+// exactly, so replay feeds the matcher bit-identical inputs. Create
+// records may also carry "reopt_budget", which decoding ignores.
 type walEvent struct {
 	Op string `json:"op"`
 	// walOpCreate: the session header.
 	Providers    []client.Provider `json:"providers,omitempty"`
-	ReoptBudget  int               `json:"reopt_budget,omitempty"`
 	Metric       string            `json:"metric,omitempty"`
 	NetGrid      int               `json:"net_grid,omitempty"`
 	NetSeed      int64             `json:"net_seed,omitempty"`
@@ -99,6 +99,8 @@ func (s *Server) buildMatcher(req client.SessionRequest) (*cca.DynamicMatcher, i
 	if len(req.Providers) == 0 {
 		return nil, 0, fmt.Errorf("no providers")
 	}
+	// reopt_budget selects nothing (every event leaves the exact
+	// optimum), but keeps its validation so no request changes status.
 	if req.ReoptBudget < 0 {
 		return nil, 0, fmt.Errorf("reopt_budget must be >= 0, got %d", req.ReoptBudget)
 	}
@@ -111,7 +113,7 @@ func (s *Server) buildMatcher(req client.SessionRequest) (*cca.DynamicMatcher, i
 		providers[i] = cca.Provider{Pt: cca.Point{X: q.X, Y: q.Y}, Cap: q.Cap}
 		capacity += q.Cap
 	}
-	opts := cca.DynamicOptions{ReoptBudget: req.ReoptBudget}
+	var opts cca.DynamicOptions
 	switch strings.ToLower(req.Metric) {
 	case "", "euclidean":
 	case "network":
@@ -148,7 +150,6 @@ func (s *Server) attachWAL(sess *session, req client.SessionRequest) error {
 	header := walEvent{
 		Op:           walOpCreate,
 		Providers:    req.Providers,
-		ReoptBudget:  req.ReoptBudget,
 		Metric:       req.Metric,
 		NetGrid:      req.NetGrid,
 		NetSeed:      req.NetSeed,
@@ -250,7 +251,6 @@ func (s *Server) replaySession(id string) (*session, error) {
 			}
 			req := client.SessionRequest{
 				Providers:    ev.Providers,
-				ReoptBudget:  ev.ReoptBudget,
 				Metric:       ev.Metric,
 				NetGrid:      ev.NetGrid,
 				NetSeed:      ev.NetSeed,

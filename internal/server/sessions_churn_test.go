@@ -36,10 +36,12 @@ func sessionProviders(w *datagen.ChurnWorkload) ([]cca.Provider, []client.Provid
 }
 
 // TestSessionChurnConformance replays a generated churn stream through
-// the HTTP session endpoints and through an in-process DynamicMatcher
-// with the same options, asserting every response's size/cost/flags
-// equal the in-process values exactly — the wire format round-trips
-// float64 losslessly, so any divergence is a real behavioral drift.
+// the HTTP session endpoints and through an in-process DynamicMatcher,
+// asserting every response's size/cost/flags equal the in-process
+// values exactly — the wire format round-trips float64 losslessly, so
+// any divergence is a real behavioral drift. A session created with a
+// reopt_budget (still accepted on the wire, but selecting nothing)
+// must answer exactly as one created without.
 func TestSessionChurnConformance(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -58,7 +60,7 @@ func TestSessionChurnConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := cca.NewDynamicMatcherOpts(core, cca.DynamicOptions{ReoptBudget: tc.budget})
+			ref := cca.NewDynamicMatcher(core)
 
 			for i, ev := range w.Events {
 				switch ev.Kind {
