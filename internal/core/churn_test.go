@@ -244,15 +244,27 @@ func TestChurnConformanceEuclideanExact(t *testing.T) {
 		{"loose", 2, 6, 3, 6, 400},
 		{"single-provider", 3, 1, 1, 2, 200},
 		{"many-providers", 4, 12, 1, 2, 300},
-		{"scarce-101", 101, 6, 1, 3, 400},
-		{"scarce-102", 102, 6, 1, 3, 400},
-		{"scarce-108", 108, 6, 1, 3, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			providers := churnProviders(rng, tc.nq, tc.lo, tc.hi)
 			events := genChurnEvents(rng, tc.events, tc.nq, tc.hi+2)
+			runChurnConformance(t, providers, events, DynamicOptions{}, true)
+		})
+	}
+}
+
+// The scarce-capacity streams that once ran under re-opt budgets 1, 2
+// and 8 (six providers of capacity 1–3, 400 events, seed 100+budget).
+// The matcher has no budget any more, so each is now held to the exact
+// optimum, pair-for-pair; the cases keep their names and streams.
+func TestChurnConformanceBudgeted(t *testing.T) {
+	for _, budget := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(100 + budget)))
+			providers := churnProviders(rng, 6, 1, 3)
+			events := genChurnEvents(rng, 400, 6, 5)
 			runChurnConformance(t, providers, events, DynamicOptions{}, true)
 		})
 	}
@@ -474,47 +486,50 @@ func (m *countingMetric) Dist(p, q geo.Point) float64 {
 // departures of matched customers and shrinking resizes that evict,
 // or the pin proves nothing about those paths.
 func TestChurnMetricCallsPerEvent(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	providers := churnProviders(rng, 7, 1, 3)
-	events := genChurnEvents(rng, 600, len(providers), 4)
-	metric := &countingMetric{Metric: geo.Euclidean}
-	m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric})
-	nq := len(providers)
-	evictions, matchedDeparts := 0, 0
-	for step, ev := range events {
-		before := metric.calls
-		want := 0
-		switch ev.kind {
-		case 0:
-			if _, err := m.Arrive(ev.pt, ev.id); err != nil {
-				t.Fatal(err)
+	// budget=0 named the unbounded re-optimization, the only one left.
+	t.Run("budget=0", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		providers := churnProviders(rng, 7, 1, 3)
+		events := genChurnEvents(rng, 600, len(providers), 4)
+		metric := &countingMetric{Metric: geo.Euclidean}
+		m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric})
+		nq := len(providers)
+		evictions, matchedDeparts := 0, 0
+		for step, ev := range events {
+			before := metric.calls
+			want := 0
+			switch ev.kind {
+			case 0:
+				if _, err := m.Arrive(ev.pt, ev.id); err != nil {
+					t.Fatal(err)
+				}
+				want = nq
+			case 1:
+				wasMatched, err := m.Depart(ev.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wasMatched {
+					matchedDeparts++
+				}
+			case 2:
+				if m.g.ProviderUsed(int32(ev.provider)) > ev.newCap {
+					evictions++
+				}
+				if err := m.ResizeProvider(ev.provider, ev.newCap); err != nil {
+					t.Fatal(err)
+				}
 			}
-			want = nq
-		case 1:
-			wasMatched, err := m.Depart(ev.id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wasMatched {
-				matchedDeparts++
-			}
-		case 2:
-			if m.g.ProviderUsed(int32(ev.provider)) > ev.newCap {
-				evictions++
-			}
-			if err := m.ResizeProvider(ev.provider, ev.newCap); err != nil {
-				t.Fatal(err)
+			m.Matching()
+			m.Cost()
+			if got := metric.calls - before; got != want {
+				t.Fatalf("step %d (%+v): %d Dist calls, want %d", step, ev, got, want)
 			}
 		}
-		m.Matching()
-		m.Cost()
-		if got := metric.calls - before; got != want {
-			t.Fatalf("step %d (%+v): %d Dist calls, want %d", step, ev, got, want)
+		st := m.Stats()
+		if st.Swaps == 0 || st.Cycles == 0 || matchedDeparts == 0 || evictions == 0 {
+			t.Fatalf("stream misses a path: %+v, %d matched departures, %d evicting resizes",
+				st, matchedDeparts, evictions)
 		}
-	}
-	st := m.Stats()
-	if st.Swaps == 0 || st.Cycles == 0 || matchedDeparts == 0 || evictions == 0 {
-		t.Fatalf("stream misses a path: %+v, %d matched departures, %d evicting resizes",
-			st, matchedDeparts, evictions)
-	}
+	})
 }
