@@ -140,15 +140,6 @@ func BenchmarkBaselineScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexPolicy — STR vs quadratic vs R* index construction.
-func BenchmarkIndexPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expr.NewConfig().IndexPolicy(benchScale, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkThetaSensitivity — RIA's θ trade-off (§3.2 motivation).
 func BenchmarkThetaSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {

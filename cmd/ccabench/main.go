@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", `figure to regenerate: 8..18, "ablation", "theta", "baselines", "index", "shard", "net", "churn", or "all"`)
+	fig := flag.String("fig", "all", `figure to regenerate: 8..18, "ablation", "theta", "baselines", "shard", "net", "churn", or "all"`)
 	scale := flag.Float64("scale", 0.05, "cardinality scale factor (1.0 = paper size)")
 	algos := flag.String("algos", "", "comma-separated solver names swept by the exact figures\n(default "+
 		strings.Join(expr.NewConfig().ExactAlgos, ",")+"; registered: "+strings.Join(solver.Names(), ",")+")")
@@ -131,12 +131,11 @@ figure tables (-fig is ignored)`)
 		"ablation":  wrap("ablation", cfg.Ablation),
 		"theta":     wrap("theta", cfg.ThetaSensitivity),
 		"baselines": wrap("baselines", cfg.BaselineScaling),
-		"index":     wrap("index", cfg.IndexPolicy),
 		"shard":     wrap("shard", cfg.ShardScaling),
 		"net":       wrap("net", cfg.NetBackends),
 		"churn":     wrap("churn", expr.ChurnDrift),
 	}
-	order := []string{"8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "ablation", "theta", "baselines", "index", "shard", "net", "churn"}
+	order := []string{"8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "ablation", "theta", "baselines", "shard", "net", "churn"}
 
 	var selected []string
 	if *fig == "all" {

@@ -3,11 +3,6 @@ package expr
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/core"
-	"repro/internal/datagen"
-	"repro/internal/rtree"
-	"repro/internal/storage"
 )
 
 // BaselineScaling reproduces §2.1's claim that the classical main-memory
@@ -66,83 +61,6 @@ func (c Config) BaselineScaling(s float64, out io.Writer) ([]Row, error) {
 	}
 	if out != nil {
 		PrintRows(out, fmt.Sprintf("Baseline scaling (§2.1): Hungarian vs SSPA vs IDA (scale %g)", s), rows, false)
-	}
-	return rows, nil
-}
-
-// IndexPolicy compares the R-tree construction policies' effect on IDA's
-// I/O: STR bulk loading (the evaluation default), dynamic insertion with
-// Guttman's quadratic split, and dynamic insertion with the R* split
-// [2]. Expected shape: STR (packed, square MBRs) needs the least I/O;
-// R* beats quadratic on clustered data; the matching cost is identical
-// under all three (the index changes access paths, not the optimum).
-func (c Config) IndexPolicy(s float64, out io.Writer) ([]Row, error) {
-	p := Default(s)
-	net := datagen.NewNetwork(32, Space, p.Seed)
-	qpts := net.Points(datagen.Config{N: p.NQ, Dist: p.DistQ, Seed: p.Seed + 1})
-	ppts := net.Points(datagen.Config{N: p.NP, Dist: p.DistP, Seed: p.Seed + 2})
-	providers := make([]core.Provider, p.NQ)
-	for i := range providers {
-		providers[i] = core.Provider{Pt: qpts[i], Cap: p.K}
-	}
-	items := datagen.Items(ppts)
-
-	build := func(kind string) (*rtree.Tree, *storage.Buffer, error) {
-		store := storage.NewMemStore(storage.DefaultPageSize)
-		loadBuf := storage.NewBuffer(store, 1<<20)
-		var (
-			tree *rtree.Tree
-			err  error
-		)
-		switch kind {
-		case "STR":
-			tree, err = rtree.Bulk(loadBuf, items)
-		case "quadratic":
-			tree, err = rtree.NewWithPolicy(loadBuf, rtree.Quadratic)
-		case "R*":
-			tree, err = rtree.NewWithPolicy(loadBuf, rtree.RStar)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if kind != "STR" {
-			for _, it := range items {
-				if err := tree.Insert(it); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		if err := tree.Flush(); err != nil {
-			return nil, nil, err
-		}
-		frames := store.NumPages() / 100
-		if frames < 4 {
-			frames = 4
-		}
-		buf := storage.NewBuffer(store, frames)
-		queryTree, err := rtree.Open(buf)
-		return queryTree, buf, err
-	}
-
-	kinds := []string{"STR", "quadratic", "R*"}
-	rows, err := c.runPoints(len(kinds), func(i int) ([]Row, error) {
-		tree, buf, err := build(kinds[i])
-		if err != nil {
-			return nil, err
-		}
-		w := &Workload{Providers: providers, Tree: tree, Buffer: buf, Items: items}
-		row, err := runExact("IDA", w, c.coreOptions(p))
-		if err != nil {
-			return nil, err
-		}
-		row.Label = kinds[i]
-		return []Row{row}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if out != nil {
-		PrintRows(out, fmt.Sprintf("Index construction policy vs IDA I/O (scale %g)", s), rows, false)
 	}
 	return rows, nil
 }

@@ -32,29 +32,3 @@ func TestBaselineScalingAgreement(t *testing.T) {
 		}
 	}
 }
-
-// The three index construction policies must not change the matching
-// cost; STR (packed) must not lose to the dynamic builds on I/O.
-func TestIndexPolicyInvariants(t *testing.T) {
-	t.Parallel()
-	rows, err := NewConfig().IndexPolicy(testScale, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("want 3 rows, got %d", len(rows))
-	}
-	base := rows[0]
-	if base.Label != "STR" {
-		t.Fatalf("first row should be STR, got %s", base.Label)
-	}
-	for _, r := range rows[1:] {
-		if math.Abs(r.Cost-base.Cost) > 1e-6*(1+base.Cost) {
-			t.Fatalf("%s changed the optimal cost: %v vs %v", r.Label, r.Cost, base.Cost)
-		}
-		if base.Faults > r.Faults+r.Faults/5 {
-			t.Fatalf("STR should not need much more I/O than %s: %d vs %d faults",
-				r.Label, base.Faults, r.Faults)
-		}
-	}
-}

@@ -113,23 +113,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// Area returns the area of r (0 for empty or degenerate rectangles).
-func (r Rect) Area() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.Max.X - r.Min.X) * (r.Max.Y - r.Min.Y)
-}
-
-// Perimeter returns half the perimeter (the margin) of r, the quantity
-// minimized by R*-style split heuristics.
-func (r Rect) Perimeter() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.Max.X - r.Min.X) + (r.Max.Y - r.Min.Y)
-}
-
 // Diagonal returns the length of r's diagonal. The approximation methods
 // of the paper (SA and CA, §4) bound group MBR diagonals by δ.
 func (r Rect) Diagonal() float64 {
@@ -142,11 +125,6 @@ func (r Rect) Diagonal() float64 {
 // Center returns the geometric center of r.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Enlargement returns the area increase required for r to include s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
 }
 
 // MinDist returns the minimum Euclidean distance between p and any point

@@ -66,8 +66,8 @@ func TestEmptyRect(t *testing.T) {
 	if got := r.Union(e); got != r {
 		t.Errorf("union empty: got %v want %v", got, r)
 	}
-	if e.Area() != 0 || e.Diagonal() != 0 || e.Perimeter() != 0 {
-		t.Error("empty rect should have zero measures")
+	if e.Diagonal() != 0 {
+		t.Error("empty rect should have zero diagonal")
 	}
 	if e.Contains(Point{0, 0}) {
 		t.Error("empty rect contains nothing")
@@ -119,27 +119,11 @@ func TestRectPredicates(t *testing.T) {
 
 func TestRectMeasures(t *testing.T) {
 	r := Rect{Point{1, 2}, Point{4, 6}}
-	if got := r.Area(); !almostEqual(got, 12) {
-		t.Errorf("Area = %v want 12", got)
-	}
-	if got := r.Perimeter(); !almostEqual(got, 7) {
-		t.Errorf("Perimeter = %v want 7", got)
-	}
 	if got := r.Diagonal(); !almostEqual(got, 5) {
 		t.Errorf("Diagonal = %v want 5", got)
 	}
 	if got := r.Center(); got != (Point{2.5, 4}) {
 		t.Errorf("Center = %v", got)
-	}
-}
-
-func TestEnlargement(t *testing.T) {
-	r := Rect{Point{0, 0}, Point{2, 2}}
-	if got := r.Enlargement(Rect{Point{1, 1}, Point{2, 2}}); !almostEqual(got, 0) {
-		t.Errorf("contained rect should not enlarge, got %v", got)
-	}
-	if got := r.Enlargement(Rect{Point{0, 0}, Point{4, 2}}); !almostEqual(got, 4) {
-		t.Errorf("Enlargement = %v want 4", got)
 	}
 }
 
@@ -265,15 +249,16 @@ func TestSplitLongestHalvesDiagonalEventually(t *testing.T) {
 			break
 		}
 	}
+	areaOf := func(r Rect) float64 { return (r.Max.X - r.Min.X) * (r.Max.Y - r.Min.Y) }
 	var area float64
 	for _, p := range parts {
 		if p.Diagonal() > delta {
 			t.Fatalf("part %v still exceeds delta", p)
 		}
-		area += p.Area()
+		area += areaOf(p)
 	}
-	if !almostEqual(area, r.Area()) {
-		t.Fatalf("splits must cover the rectangle: area %v want %v", area, r.Area())
+	if !almostEqual(area, areaOf(r)) {
+		t.Fatalf("splits must cover the rectangle: area %v want %v", area, areaOf(r))
 	}
 }
 

@@ -128,7 +128,7 @@ func TestANNSharesIO(t *testing.T) {
 }
 
 func TestANNEmptyTree(t *testing.T) {
-	tr := memTree(t, 256, 16)
+	tr := emptyTree(t, 256, 16)
 	src := NewANNSearch(tr, []geo.Point{{X: 1, Y: 1}}, testSpace, 0)
 	if _, _, ok, _ := src.Next(0); ok {
 		t.Fatal("empty tree must yield nothing")

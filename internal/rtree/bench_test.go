@@ -27,21 +27,6 @@ func BenchmarkBulkLoad10K(b *testing.B) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	tr, err := New(storage.NewBuffer(storage.NewMemStore(1024), 1<<20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := Item{ID: int64(i), Pt: geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}}
-		if err := tr.Insert(it); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRangeSearch(b *testing.B) {
 	tr, err := Bulk(storage.NewBuffer(storage.NewMemStore(1024), 1<<20), benchItems(20000))
 	if err != nil {

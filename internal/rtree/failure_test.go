@@ -88,28 +88,50 @@ func TestSearchSurfacesReadErrors(t *testing.T) {
 	}
 }
 
-func TestInsertSurfacesWriteErrors(t *testing.T) {
-	// A store whose writes fail after construction.
-	ws := &writeFailStore{MemStore: storage.NewMemStore(256)}
-	buf := storage.NewBuffer(ws, 64)
-	tr, err := New(buf)
+// A disk that dies while the tree is being packed must fail Bulk (and a
+// later Flush), whether the failing write is the empty tree's root, a
+// leaf or a directory page.
+func TestBulkSurfacesWriteErrors(t *testing.T) {
+	items := randItems(3000, 73)
+	leaves := (len(items) + LeafCapacity(1024) - 1) / LeafCapacity(1024)
+	for _, tc := range []struct {
+		items  []Item
+		budget int // successful writes before the disk dies
+	}{
+		{nil, 0},            // the empty leaf root
+		{items, 0},          // the first leaf
+		{items, leaves / 2}, // a leaf in the middle
+		{items, leaves},     // the first directory page
+	} {
+		ws := &writeFailStore{MemStore: storage.NewMemStore(1024), budget: tc.budget}
+		if _, err := Bulk(storage.NewBuffer(ws, 64), tc.items); !errors.Is(err, errDiskDied) {
+			t.Fatalf("%d items, write budget %d: Bulk must surface the write failure, got %v",
+				len(tc.items), tc.budget, err)
+		}
+	}
+
+	ws := &writeFailStore{MemStore: storage.NewMemStore(1024), budget: 1 << 30}
+	tr, err := Bulk(storage.NewBuffer(ws, 64), items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.fail = true
-	if err := tr.Insert(Item{ID: 1, Pt: geo.Point{X: 1, Y: 1}}); !errors.Is(err, errDiskDied) {
-		t.Fatalf("Insert must surface write failure, got %v", err)
+	ws.budget = 0
+	if err := tr.Flush(); !errors.Is(err, errDiskDied) {
+		t.Fatalf("Flush must surface the write failure, got %v", err)
 	}
 }
 
+// writeFailStore fails every write once its budget of successful writes
+// is spent.
 type writeFailStore struct {
 	*storage.MemStore
-	fail bool
+	budget int
 }
 
 func (w *writeFailStore) Write(id storage.PageID, data []byte) error {
-	if w.fail {
+	if w.budget <= 0 {
 		return errDiskDied
 	}
+	w.budget--
 	return w.MemStore.Write(id, data)
 }

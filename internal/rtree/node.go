@@ -2,7 +2,8 @@
 // the spatial access method the paper assumes for the customer set P
 // (§2.3). It provides:
 //
-//   - STR bulk loading and dynamic insertion/deletion (Guttman splits),
+//   - STR bulk loading into a read-only tree (the assignment only ever
+//     reads P, so the tree is packed once and never updated),
 //   - range and annular range search (used by RIA, §3.1),
 //   - best-first incremental nearest neighbor search in the style of
 //     Hjaltason & Samet (used by NIA/IDA, §3.2–3.3),
@@ -61,13 +62,6 @@ type node struct {
 	leaf   bool
 	items  []Item     // when leaf
 	childs []dirEntry // when directory
-}
-
-func (n *node) count() int {
-	if n.leaf {
-		return len(n.items)
-	}
-	return len(n.childs)
 }
 
 // subtreeCount returns the number of points under this node.

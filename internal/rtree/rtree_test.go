@@ -12,9 +12,9 @@ import (
 	"repro/internal/storage"
 )
 
-func memTree(t *testing.T, pageSize, frames int) *Tree {
+func emptyTree(t *testing.T, pageSize, frames int) *Tree {
 	t.Helper()
-	tr, err := New(storage.NewBuffer(storage.NewMemStore(pageSize), frames))
+	tr, err := Bulk(storage.NewBuffer(storage.NewMemStore(pageSize), frames), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,56 @@ func TestDecodeCorruptPage(t *testing.T) {
 	}
 }
 
-func TestInsertAndAll(t *testing.T) {
-	tr := memTree(t, 256, 1024)
-	items := randItems(500, 1)
-	for _, it := range items {
-		if err := tr.Insert(it); err != nil {
-			t.Fatal(err)
+// STR packing must yield a valid tree holding exactly the loaded points
+// at every page size, including the empty tree, a single full leaf, one
+// point past it (the first directory level) and one point past a full
+// directory of full leaves (the second directory level).
+func TestBulkLoad(t *testing.T) {
+	for _, pageSize := range []int{256, 512, 1024} {
+		leafCap, dirCap := LeafCapacity(pageSize), DirCapacity(pageSize)
+		for _, tc := range []struct{ n, height int }{
+			{0, 1}, {1, 1}, {leafCap, 1}, {leafCap + 1, 2}, {leafCap*dirCap + 1, 3},
+		} {
+			items := randItems(tc.n, int64(tc.n))
+			tr, err := Bulk(storage.NewBuffer(storage.NewMemStore(pageSize), 1024), items)
+			if err != nil {
+				t.Fatalf("page %d, n=%d: %v", pageSize, tc.n, err)
+			}
+			if tr.Size() != tc.n || tr.Height() != tc.height {
+				t.Fatalf("page %d, n=%d: size %d height %d, want height %d",
+					pageSize, tc.n, tr.Size(), tr.Height(), tc.height)
+			}
+			if _, err := tr.checkInvariants(); err != nil {
+				t.Fatalf("page %d, n=%d: %v", pageSize, tc.n, err)
+			}
+			got, err := tr.All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != tc.n {
+				t.Fatalf("page %d, n=%d: All returned %d", pageSize, tc.n, len(got))
+			}
+			want := make(map[int64]geo.Point, tc.n)
+			for _, it := range items {
+				want[it.ID] = it.Pt
+			}
+			for _, it := range got {
+				if p, ok := want[it.ID]; !ok || p != it.Pt {
+					t.Fatalf("page %d, n=%d: All returned %+v, duplicated or not loaded", pageSize, tc.n, it)
+				}
+				delete(want, it.ID)
+			}
 		}
+	}
+}
+
+// Points enter a tree only through Bulk; a loaded tree must report its
+// size, pass the invariants and list every point exactly once.
+func TestInsertAndAll(t *testing.T) {
+	items := randItems(500, 1)
+	tr, err := Bulk(storage.NewBuffer(storage.NewMemStore(256), 1024), items)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if tr.Size() != 500 {
 		t.Fatalf("Size = %d", tr.Size())
@@ -129,25 +172,39 @@ func TestInsertAndAll(t *testing.T) {
 	}
 }
 
-func TestBulkLoad(t *testing.T) {
-	for _, n := range []int{0, 1, 42, 43, 1000, 5000} {
-		items := randItems(n, int64(n))
-		tr := bulkTree(t, items)
-		if tr.Size() != n {
-			t.Fatalf("n=%d: Size = %d", n, tr.Size())
+// Random point sets of random size, loaded by Bulk at the smallest page
+// size, must yield valid trees whose All returns the loaded points.
+func TestInsertProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 50 + rng.Intn(300)
+		items := make([]Item, n)
+		pts := make(map[int64]geo.Point, n)
+		for i := range items {
+			items[i] = Item{ID: int64(i), Pt: geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}}
+			pts[items[i].ID] = items[i].Pt
 		}
-		if n > 0 {
-			if _, err := tr.checkInvariants(); err != nil {
-				t.Fatalf("n=%d: %v", n, err)
-			}
-		}
-		got, err := tr.All()
+		tr, err := Bulk(storage.NewBuffer(storage.NewMemStore(256), 1024), items)
 		if err != nil {
-			t.Fatal(err)
+			return false
 		}
-		if len(got) != n {
-			t.Fatalf("n=%d: All returned %d", n, len(got))
+		if _, err := tr.checkInvariants(); err != nil {
+			return false
 		}
+		all, err := tr.All()
+		if err != nil || len(all) != n {
+			return false
+		}
+		for _, it := range all {
+			if pts[it.ID] != it.Pt {
+				return false
+			}
+			delete(pts, it.ID)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -295,85 +352,10 @@ func TestNNIteratorFullOrder(t *testing.T) {
 }
 
 func TestNNIteratorEmptyTree(t *testing.T) {
-	tr := memTree(t, 256, 16)
+	tr := emptyTree(t, 256, 16)
 	it := tr.NewNNIterator(geo.Point{X: 1, Y: 2})
 	if _, _, ok := it.Next(); ok {
 		t.Fatal("empty tree must yield nothing")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	items := randItems(800, 17)
-	tr := memTree(t, 256, 1024)
-	for _, it := range items {
-		if err := tr.Insert(it); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(18))
-	perm := rng.Perm(len(items))
-	// Delete half the items in random order.
-	for _, i := range perm[:400] {
-		ok, err := tr.Delete(items[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("item %d not found for deletion", items[i].ID)
-		}
-	}
-	if tr.Size() != 400 {
-		t.Fatalf("Size after deletes = %d", tr.Size())
-	}
-	if _, err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Deleted items must be gone; survivors must remain.
-	all, err := tr.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	alive := make(map[int64]bool)
-	for _, it := range all {
-		alive[it.ID] = true
-	}
-	for n, i := range perm {
-		if n < 400 && alive[items[i].ID] {
-			t.Fatalf("deleted item %d still present", items[i].ID)
-		}
-		if n >= 400 && !alive[items[i].ID] {
-			t.Fatalf("surviving item %d lost", items[i].ID)
-		}
-	}
-	// Deleting a missing item reports false.
-	ok, err := tr.Delete(Item{ID: 99999, Pt: geo.Point{X: 1, Y: 1}})
-	if err != nil || ok {
-		t.Fatalf("Delete(missing) = %v, %v", ok, err)
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	items := randItems(300, 19)
-	tr := memTree(t, 256, 1024)
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	for _, it := range items {
-		ok, err := tr.Delete(it)
-		if err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v, %v", it.ID, ok, err)
-		}
-	}
-	if tr.Size() != 0 {
-		t.Fatalf("Size = %d after deleting everything", tr.Size())
-	}
-	// The tree must still accept inserts.
-	if err := tr.Insert(Item{ID: 1, Pt: geo.Point{X: 5, Y: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := tr.RangeSearch(geo.Point{X: 5, Y: 5}, 1)
-	if len(got) != 1 {
-		t.Fatal("reuse after full deletion failed")
 	}
 }
 
@@ -507,35 +489,43 @@ func TestIOAccounting(t *testing.T) {
 	}
 }
 
-func TestInsertProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 50 + rng.Intn(300)
-		tr := memTree(t, 256, 1024)
-		pts := make(map[int64]geo.Point, n)
-		for i := 0; i < n; i++ {
-			it := Item{ID: int64(i), Pt: geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}}
-			pts[it.ID] = it.Pt
-			if err := tr.Insert(it); err != nil {
-				return false
-			}
-		}
-		if _, err := tr.checkInvariants(); err != nil {
-			return false
-		}
-		all, err := tr.All()
-		if err != nil || len(all) != n {
-			return false
-		}
-		for _, it := range all {
-			if pts[it.ID] != it.Pt {
-				return false
-			}
-		}
-		return true
+func TestKNN(t *testing.T) {
+	items := randItems(800, 211)
+	tr := bulkTree(t, items)
+	q := geo.Point{X: 400, Y: 600}
+	got, err := tr.KNN(q, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+	if len(got) != 10 {
+		t.Fatalf("KNN returned %d", len(got))
+	}
+	// Verify against brute force.
+	best := append([]Item(nil), items...)
+	for i := 0; i < 10; i++ {
+		min := i
+		for j := i + 1; j < len(best); j++ {
+			if q.Dist(best[j].Pt) < q.Dist(best[min].Pt) {
+				min = j
+			}
+		}
+		best[i], best[min] = best[min], best[i]
+		if got[i].ID != best[i].ID {
+			// Ties can permute; compare distances instead.
+			if d1, d2 := q.Dist(got[i].Pt), q.Dist(best[i].Pt); d1 != d2 {
+				t.Fatalf("rank %d: got dist %v want %v", i, d1, d2)
+			}
+		}
+	}
+	// k larger than the tree returns everything.
+	all, err := tr.KNN(q, 10000)
+	if err != nil || len(all) != 800 {
+		t.Fatalf("oversized k: %d items, %v", len(all), err)
+	}
+	// k=0 returns nothing.
+	none, err := tr.KNN(q, 0)
+	if err != nil || len(none) != 0 {
+		t.Fatalf("k=0: %v %v", none, err)
 	}
 }
 

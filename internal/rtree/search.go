@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"errors"
+
 	"repro/internal/geo"
 	"repro/internal/pqueue"
 	"repro/internal/storage"
@@ -193,6 +195,8 @@ func (t *Tree) Children(e Entry) ([]Entry, error) {
 	return out, nil
 }
 
+var errOnlyLeaf = errors.New("rtree: operation requires a leaf entry")
+
 // LeafItems returns the points stored in a leaf entry.
 func (t *Tree) LeafItems(e Entry) ([]Item, error) {
 	n, err := t.readNode(e.page)
@@ -249,4 +253,20 @@ func (t *Tree) all(id storage.PageID, out *[]Item) error {
 		}
 	}
 	return nil
+}
+
+// KNN returns the k points of the tree closest to q in ascending
+// distance order (fewer if the tree holds fewer points) — the K-nearest
+// neighbor query of §2.3, evaluated with the best-first algorithm [7].
+func (t *Tree) KNN(q geo.Point, k int) ([]Item, error) {
+	it := t.NewNNIterator(q)
+	out := make([]Item, 0, k)
+	for len(out) < k {
+		item, _, ok := it.Next()
+		if !ok {
+			break
+		}
+		out = append(out, item)
+	}
+	return out, it.Err()
 }

@@ -4,57 +4,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/geo"
 	"repro/internal/storage"
 )
 
-// MinFillRatio is the minimum node occupancy after deletions; nodes that
-// underflow are dissolved and their entries reinserted.
-const MinFillRatio = 0.4
-
-// Tree is a paged R-tree of points. Page 0 of the underlying store is a
-// metadata page; tree nodes occupy the remaining pages. All node reads go
-// through the LRU buffer so that I/O statistics reflect the access
-// pattern.
+// Tree is a read-only paged R-tree of points, built once by Bulk (or
+// reopened by Open). Page 0 of the underlying store is a metadata page;
+// tree nodes occupy the remaining pages. All node reads go through the
+// LRU buffer so that I/O statistics reflect the access pattern.
 type Tree struct {
-	buf     *storage.Buffer
-	root    storage.PageID
-	height  int // 1 = root is a leaf
-	size    int
-	leafCap int
-	dirCap  int
-	policy  SplitPolicy // dynamic-insert heuristics (Quadratic default)
+	buf    *storage.Buffer
+	root   storage.PageID
+	height int // 1 = root is a leaf
+	size   int
 }
 
 const metaMagic = 0x52545245 // "RTRE"
-
-// New creates an empty tree on buf's store. The store must be fresh
-// (page 0 and onward unallocated).
-func New(buf *storage.Buffer) (*Tree, error) {
-	t := &Tree{
-		buf:     buf,
-		leafCap: LeafCapacity(buf.Store().PageSize()),
-		dirCap:  DirCapacity(buf.Store().PageSize()),
-	}
-	if t.leafCap < 2 || t.dirCap < 2 {
-		return nil, fmt.Errorf("rtree: page size %d too small", buf.Store().PageSize())
-	}
-	if _, err := buf.Alloc(); err != nil { // meta page
-		return nil, err
-	}
-	rootID, err := buf.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	t.root = rootID
-	t.height = 1
-	if err := t.writeNode(&node{id: rootID, leaf: true}); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
 
 // Open loads a tree previously persisted with Flush from buf's store.
 func Open(buf *storage.Buffer) (*Tree, error) {
@@ -66,12 +31,10 @@ func Open(buf *storage.Buffer) (*Tree, error) {
 		return nil, errors.New("rtree: store does not contain an R-tree")
 	}
 	t := &Tree{
-		buf:     buf,
-		root:    storage.PageID(binary.LittleEndian.Uint32(data[4:8])),
-		height:  int(binary.LittleEndian.Uint32(data[8:12])),
-		size:    int(binary.LittleEndian.Uint64(data[12:20])),
-		leafCap: LeafCapacity(buf.Store().PageSize()),
-		dirCap:  DirCapacity(buf.Store().PageSize()),
+		buf:    buf,
+		root:   storage.PageID(binary.LittleEndian.Uint32(data[4:8])),
+		height: int(binary.LittleEndian.Uint32(data[8:12])),
+		size:   int(binary.LittleEndian.Uint64(data[12:20])),
 	}
 	return t, nil
 }
@@ -113,97 +76,4 @@ func (t *Tree) writeNode(n *node) error {
 		return err
 	}
 	return t.buf.Write(n.id, data)
-}
-
-// Insert adds item to the tree.
-func (t *Tree) Insert(item Item) error {
-	self, sib, err := t.insert(t.root, item, t.height)
-	if err != nil {
-		return err
-	}
-	if sib != nil {
-		if err := t.growRoot(self, *sib); err != nil {
-			return err
-		}
-	}
-	t.size++
-	return nil
-}
-
-// growRoot replaces the root with a new directory node over two entries.
-func (t *Tree) growRoot(a, b dirEntry) error {
-	id, err := t.buf.Alloc()
-	if err != nil {
-		return err
-	}
-	root := &node{id: id, childs: []dirEntry{a, b}}
-	if err := t.writeNode(root); err != nil {
-		return err
-	}
-	t.root = id
-	t.height++
-	return nil
-}
-
-// insert descends to a leaf, adds the item and splits on overflow.
-// It returns the (updated) entry describing the visited node and, when a
-// split occurred, the entry of the new sibling.
-func (t *Tree) insert(id storage.PageID, item Item, level int) (dirEntry, *dirEntry, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return dirEntry{}, nil, err
-	}
-	if level == 1 {
-		if !n.leaf {
-			return dirEntry{}, nil, fmt.Errorf("rtree: expected leaf at page %d", id)
-		}
-		n.items = append(n.items, item)
-		if len(n.items) <= t.leafCap {
-			if err := t.writeNode(n); err != nil {
-				return dirEntry{}, nil, err
-			}
-			return dirEntry{child: n.id, count: len(n.items), mbr: n.mbr()}, nil, nil
-		}
-		return t.splitLeaf(n)
-	}
-	if n.leaf {
-		return dirEntry{}, nil, fmt.Errorf("rtree: unexpected leaf at level %d (page %d)", level, id)
-	}
-	var best int
-	if t.policy == RStar {
-		best = t.chooseSubtreeRStar(n, item.Pt, level == 2)
-	} else {
-		best = t.chooseSubtree(n, item.Pt)
-	}
-	self, sib, err := t.insert(n.childs[best].child, item, level-1)
-	if err != nil {
-		return dirEntry{}, nil, err
-	}
-	n.childs[best] = self
-	if sib != nil {
-		n.childs = append(n.childs, *sib)
-	}
-	if len(n.childs) <= t.dirCap {
-		if err := t.writeNode(n); err != nil {
-			return dirEntry{}, nil, err
-		}
-		return dirEntry{child: n.id, count: n.subtreeCount(), mbr: n.mbr()}, nil, nil
-	}
-	return t.splitDir(n)
-}
-
-// chooseSubtree picks the child whose MBR needs the least enlargement to
-// cover p (ties by smaller area), per Guttman's ChooseLeaf.
-func (t *Tree) chooseSubtree(n *node, p geo.Point) int {
-	best := 0
-	bestEnl := math.Inf(1)
-	bestArea := math.Inf(1)
-	for i, c := range n.childs {
-		enl := c.mbr.Enlargement(geo.RectFromPoint(p))
-		area := c.mbr.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -225,6 +226,12 @@ func (s *Server) writeSnapshot(sess *session) error {
 	return storage.WriteSnapshot(s.sessionSnapPath(sess.id), data)
 }
 
+// snapshotCostTolerance is the relative gap a replayed cost may keep
+// from a current snapshot's. An equally optimal matching that ties
+// exactly on a road network can sum its distances a few ulps apart,
+// which is far below 1e-9 relative; a real divergence is far above it.
+const snapshotCostTolerance = 1e-9
+
 // replaySession rebuilds one session from its WAL, feeding every record
 // through the same DynamicMatcher event API the live handlers use.
 // Replay is lenient the way recovery must be: a torn final record was
@@ -305,14 +312,17 @@ func (s *Server) replaySession(id string) (*session, error) {
 	sess.touch()
 	// Cross-check against the latest checkpoint when it is current: a
 	// replay that caught up to the snapshot's event count must agree on
-	// the matching summary, or the state diverged (corruption).
+	// the matching summary, or the state diverged (corruption): the size
+	// exactly, the cost within snapshotCostTolerance.
 	if data, err := storage.ReadSnapshot(s.sessionSnapPath(id)); err == nil {
 		var snap sessionSnapshot
 		if json.Unmarshal(data, &snap) == nil && snap.Events == sess.events {
-			if snap.Size != sess.m.Size() || snap.Cost != sess.m.Cost() {
+			cost := sess.m.Cost()
+			if snap.Size != sess.m.Size() ||
+				math.Abs(snap.Cost-cost) > snapshotCostTolerance*math.Max(1, math.Abs(snap.Cost)) {
 				l.Close()
 				return nil, fmt.Errorf("session %s: replay diverged from snapshot (size %d/%d, cost %v/%v)",
-					id, sess.m.Size(), snap.Size, sess.m.Cost(), snap.Cost)
+					id, sess.m.Size(), snap.Size, cost, snap.Cost)
 			}
 		}
 	}

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -380,6 +382,98 @@ func TestSessionWALReoptBudgetReplays(t *testing.T) {
 	}
 	if _, err := h.c.Arrive(context.Background(), id, client.ArriveRequest{ID: 1 << 40, X: 1, Y: 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionSnapshotCrossCheck: recovery checks a replay against a
+// current snapshot. A snapshot cost a few ulps off (an equally optimal
+// matching summed in another order) recovers and is served; a different
+// size, or a cost off by 1e-6 relative, is refused as divergence.
+func TestSessionSnapshotCrossCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mangle func(size int, cost float64) (int, float64)
+		served bool
+	}{
+		{"cost-ulps", func(n int, c float64) (int, float64) {
+			for i := 0; i < 3; i++ {
+				c = math.Nextafter(c, math.Inf(1))
+			}
+			return n, c
+		}, true},
+		{"size", func(n int, c float64) (int, float64) { return n + 1, c }, false},
+		{"cost-1e-6", func(n int, c float64) (int, float64) { return n, c * (1 + 1e-6) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := t.TempDir()
+			a, crash := crashableServer(t, server.Config{StateDir: state, SnapshotEvery: 1})
+			info, err := a.c.NewSession(context.Background(), client.SessionRequest{
+				Providers: []client.Provider{{X: 0, Y: 0, Cap: 2}, {X: 100, Y: 100, Cap: 1}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, pt := range [][2]float64{{3, 4}, {90, 90}, {50, 50}} {
+				if _, err := a.c.Arrive(context.Background(), info.ID,
+					client.ArriveRequest{ID: int64(id + 1), X: pt[0], Y: pt[1]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pre := rawMatching(t, a.url, info.ID)
+			crash()
+
+			// The last event fell on a checkpoint, so the snapshot is
+			// current; rewrite its summary.
+			path := filepath.Join(state, "sessions", info.ID+".snap")
+			data, err := storage.ReadSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap map[string]json.RawMessage
+			var size int
+			var cost float64
+			if err := json.Unmarshal(data, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(snap["size"], &size); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(snap["cost"], &cost); err != nil {
+				t.Fatal(err)
+			}
+			size, cost = tc.mangle(size, cost)
+			snap["size"] = json.RawMessage(strconv.Itoa(size))
+			snap["cost"] = json.RawMessage(strconv.FormatFloat(cost, 'g', -1, 64))
+			if data, err = json.Marshal(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := storage.WriteSnapshot(path, data); err != nil {
+				t.Fatal(err)
+			}
+
+			b := testServer(t, server.Config{StateDir: state})
+			if tc.served {
+				if n := b.srv.RecoveredSessions(); n != 1 {
+					t.Fatalf("recovered %d sessions, want 1", n)
+				}
+				if post := rawMatching(t, b.url, info.ID); !bytes.Equal(pre, post) {
+					t.Fatalf("matching changed across recovery:\n got %s\nwant %s", post, pre)
+				}
+				return
+			}
+			if n := b.srv.RecoveredSessions(); n != 0 {
+				t.Fatalf("recovered %d sessions, want the diverged one refused", n)
+			}
+			resp, err := http.Get(b.url + "/v1/sessions/" + info.ID + "/matching")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "replay diverged") {
+				t.Fatalf("diverged session: status %d: %s", resp.StatusCode, body)
+			}
+		})
 	}
 }
 
