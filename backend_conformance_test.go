@@ -27,8 +27,8 @@ func backendFingerprint(res *SolverResult) string {
 
 // TestNetworkBackendConformance pins the contract of the network
 // distance backends: switching the network metric's point-query search
-// (plain Dijkstra vs contraction hierarchy), turning the landmark lower
-// bound on or off, or pre-resolving the provider distance table must
+// (plain Dijkstra vs contraction hierarchy) or pre-resolving the
+// provider distance table must
 // change *nothing* about any solver's output — not a pair, not an ulp
 // of cost. Every path computes the same canonical forward relaxation,
 // so their floats are identical, not merely close; the solvers are
@@ -54,23 +54,19 @@ func TestNetworkBackendConformance(t *testing.T) {
 
 	backends := []struct {
 		name      string
-		landmarks int // SetLandmarks argument
 		distTable int // core.Options.DistTable
 		ch        int // SetCH argument (0 = off; the 256-node grid is below auto)
 	}{
-		{"dijkstra", 0, -1, 0},   // landmarks off, plain forward Dijkstra
-		{"table", -1, 0, 0},      // bulk many-to-many table, auto budget
-		{"table-plain", 0, 0, 0}, // table without landmarks
-		{"ch", -1, -1, 1},        // contraction-hierarchy point queries
-		{"ch-plain", 0, -1, 1},   // hierarchy without landmarks
-		{"ch+table", -1, 0, 1},   // table with the hierarchy on for point queries
+		{"dijkstra", -1, 0}, // plain forward Dijkstra
+		{"table", 0, 0},     // bulk many-to-many table, auto budget
+		{"ch", -1, 1},       // contraction-hierarchy point queries
+		{"ch+table", 0, 1},  // table with the hierarchy on for point queries
 	}
 
 	for _, algo := range []string{"ida", "sspa", "greedy", "sharded:ida"} {
 		var ref, refBackend string
 		for _, b := range backends {
 			metric := netmetric.FromNetwork(net)
-			metric.SetLandmarks(b.landmarks)
 			metric.SetCH(b.ch)
 			opts := &SolverOptions{}
 			opts.Core.Metric = metric

@@ -272,7 +272,7 @@ func (c *Customers) KNN(q Point, k int) ([]Customer, error) {
 // NetworkIndex returns the customers grouped by their snap edge on
 // m's road network, the index network solves expand over (see
 // solver.NetworkIndexed). It is built on first use per road network —
-// metrics that differ only in landmarks or the hierarchy share one —
+// metrics that differ only in the hierarchy share one —
 // and shared by every clone of the dataset; the build reads the pages
 // through a private buffer, so no handle's I/O counters or cache see
 // it. It returns nil once the dataset is closed or unreadable.

@@ -77,20 +77,16 @@ type Instance struct {
 	Metric  string `json:"metric,omitempty"`
 	NetGrid int    `json:"net_grid,omitempty"`
 	NetSeed int64  `json:"net_seed,omitempty"`
-	// NetLandmarks configures the landmark lower bound for "network":
-	// 0 selects the server default, -1 disables it (a Euclidean bound),
-	// positive values pick the landmark count (bounded by the server).
-	// Landmarks only tighten the lower bound exact NN refinement prunes
-	// with; point queries never use them. Part of the network's
-	// identity — like NetGrid/NetSeed, not an Options field — because
-	// landmark state lives on the shared per-network metric. Distances
-	// are byte-identical either way.
+	// NetLandmarks is accepted for compatibility and selects nothing:
+	// exact NN refinement prunes with the Euclidean lower bound alone.
+	// Values outside [-1, 64] are still rejected.
 	NetLandmarks int `json:"net_landmarks,omitempty"`
 	// NetCH configures contraction-hierarchy point queries for
 	// "network": 0 selects automatic mode (on for networks of at least
 	// DefaultCHMinNodes nodes), 1 forces the hierarchy on, -1 disables
-	// it. Part of the network's identity for the same reason as
-	// NetLandmarks. Distances are byte-identical either way.
+	// it. Part of the network's identity — like NetGrid/NetSeed, not an
+	// Options field — because the hierarchy lives on the shared
+	// per-network metric. Distances are byte-identical either way.
 	NetCH int `json:"net_ch,omitempty"`
 	// Options tunes the solve (nil = defaults).
 	Options *Options `json:"options,omitempty"`
@@ -234,10 +230,11 @@ type SessionRequest struct {
 	ReoptBudget int `json:"reopt_budget,omitempty"`
 	// Metric selects the session's distance backend with the same wire
 	// encoding as Instance: "" or "euclidean", or "network" with
-	// NetGrid/NetSeed (defaults 32/2008) and the NetLandmarks / NetCH
-	// knobs. The session shares the server's per-network metric memo
-	// with batch solves, and every incremental assignment measures
-	// shortest-path distance over that road network.
+	// NetGrid/NetSeed (defaults 32/2008) and the NetCH knob
+	// (NetLandmarks, as on Instance, selects nothing). The session
+	// shares the server's per-network metric memo with batch solves,
+	// and every incremental assignment measures shortest-path distance
+	// over that road network.
 	Metric       string `json:"metric,omitempty"`
 	NetGrid      int    `json:"net_grid,omitempty"`
 	NetSeed      int64  `json:"net_seed,omitempty"`

@@ -43,9 +43,6 @@ independent figure points through the shared scheduler concurrently
 	shards := flag.Int("shards", 0, `region count threaded into every sweep for sharded:* solvers
 (0 = the shard layer's automatic count); pick solvers with -algos,
 e.g. -algos ida,sharded:ida -shards 8`)
-	landmarks := flag.Int("landmarks", -1, `landmark count for -metric network workloads: -1 = automatic by
-network size, 0 = none (Euclidean bound); landmarks only tighten the
-NN-refinement lower bound, never a distance`)
 	table := flag.String("table", "auto", `provider-sourced distance table (on-demand sweeps) threaded into
 every sweep's options: "auto" (size-gated), "off", or a float64-cell memory budget`)
 	ch := flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network
@@ -73,7 +70,6 @@ figure tables (-fig is ignored)`)
 
 	cfg := expr.NewConfig()
 	cfg.Shards = *shards
-	cfg.Landmarks = *landmarks
 	var err error
 	if cfg.Metric, err = expr.ParseMetric(*metric); err != nil {
 		fmt.Fprintf(os.Stderr, "ccabench: %v\n", err)

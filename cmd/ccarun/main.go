@@ -38,11 +38,9 @@ func main() {
 		metric   = flag.String("metric", "euclidean", `distance backend: "euclidean" or "network"
 (network = shortest-path over the synthetic road network; use the same
 -netgrid/-netseed the workload was generated with)`)
-		netGrid   = flag.Int("netgrid", 32, "road network grid size for -metric network (ccagen's -grid)")
-		netSeed   = flag.Int64("netseed", 2008, "road network seed for -metric network (ccagen's -seed)")
-		landmarks = flag.Int("landmarks", -1, `landmark count for -metric network: -1 = automatic by network size,
-0 = none (Euclidean bound); landmarks only tighten the NN-refinement lower bound, never a distance`)
-		ch = flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network:
+		netGrid = flag.Int("netgrid", 32, "road network grid size for -metric network (ccagen's -grid)")
+		netSeed = flag.Int64("netseed", 2008, "road network seed for -metric network (ccagen's -seed)")
+		ch      = flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network:
 "auto" (on at `+fmt.Sprint(netmetric.DefaultCHMinNodes)+`+ nodes), "off", or "on"`)
 		distTable = flag.String("disttable", "auto", `provider-sourced distance table for -metric network (one
 on-demand sweep per provider snap-edge endpoint, advanced only as far as the solve's queries):
@@ -92,7 +90,6 @@ units (0 = 5% of the space diagonal); wider = closer to exact, slower`)
 		// uses the same grid/seed/space recipe) and measure edge costs as
 		// shortest-path travel distances over it.
 		netMetric = cca.RoadNetworkMetric(*netGrid, expr.Space, *netSeed).(*netmetric.NetworkMetric)
-		netMetric.SetLandmarks(*landmarks)
 		chMode, err := netmetric.ParseCHMode(*ch)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ccarun: -ch %v\n", err)
@@ -141,8 +138,8 @@ units (0 = 5% of the space diagonal); wider = closer to exact, slower`)
 			q, f := netMetric.CHStats()
 			chState = fmt.Sprintf("on (%d queries, %d fallbacks)", q, f)
 		}
-		fmt.Printf("metric         network (%d nodes, %d edges; %d landmarks; ch %s; node-cache hit rate %.1f%%)\n",
-			netMetric.NumNodes(), netMetric.NumEdges(), netMetric.Landmarks(), chState, 100*st.NodeHitRate())
+		fmt.Printf("metric         network (%d nodes, %d edges; ch %s; node-cache hit rate %.1f%%)\n",
+			netMetric.NumNodes(), netMetric.NumEdges(), chState, 100*st.NodeHitRate())
 	} else {
 		fmt.Printf("metric         euclidean\n")
 	}

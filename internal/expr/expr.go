@@ -48,14 +48,10 @@ type Config struct {
 	// (shortest-path distance over the same road network the points are
 	// generated on). Case-insensitive; see ParseMetric.
 	Metric string
-	// Landmarks is the landmark count of network workloads: -1 =
-	// automatic by network size, 0 = none (a Euclidean NN-refinement
-	// bound), positive = explicit count. Purely a performance knob —
-	// distances are byte-identical either way.
-	Landmarks int
 	// CH is the contraction-hierarchy mode of network workloads, in
 	// NetworkMetric.SetCH's encoding: -1 = automatic by network size,
-	// 0 = off, 1 = on. Also purely a performance knob.
+	// 0 = off, 1 = on. Purely a performance knob — distances are
+	// byte-identical either way.
 	CH int
 	// DistTable is threaded into every sweep's core.Options.DistTable
 	// (0 auto, -1 off, positive = budget in float64 cells).
@@ -73,12 +69,11 @@ type Config struct {
 }
 
 // NewConfig returns the default configuration: the Euclidean metric,
-// automatic landmarks, hierarchy, table and shard count, RIA/NIA/IDA
+// automatic hierarchy, table and shard count, RIA/NIA/IDA
 // in the exact figures, and one worker.
 func NewConfig() Config {
 	return Config{
 		Metric:     geo.Euclidean.Name(),
-		Landmarks:  -1,
 		CH:         -1,
 		ExactAlgos: []string{"RIA", "NIA", "IDA"},
 	}
@@ -177,7 +172,6 @@ func (c Config) BuildOnGrid(p Params, grid int) (*Workload, error) {
 	var metric geo.Metric
 	if name == netmetric.Name {
 		m := netmetric.FromNetwork(net)
-		m.SetLandmarks(c.Landmarks)
 		m.SetCH(c.CH)
 		metric = m
 	}

@@ -15,16 +15,15 @@ import (
 // capacities), solved cold by IDA under every network-distance backend
 // plus the Euclidean baseline for context. Each network row rebuilds a
 // fresh metric, so nothing is amortized across rows — the CPU column is
-// the full cold cost including landmark/hierarchy/table preprocessing
+// the full cold cost including hierarchy/table preprocessing
 // (the solver charges table builds to CPUTime; the sweeps run inside
 // the solve's Dist calls).
 //
 // Rows:
 //
 //	euclid    straight-line distance (the paper's setting)
-//	dijkstra  canonical plain forward Dijkstra point queries, landmarks
-//	          disabled — the reference benchgate's floors are stated
-//	          against
+//	dijkstra  canonical plain forward Dijkstra point queries — the
+//	          reference benchgate's floors are stated against
 //	ch        contraction-hierarchy point queries (table disabled, so
 //	          the row isolates the cold point-query win)
 //	table     the provider-sourced distance table (one on-demand sweep
@@ -67,7 +66,7 @@ func (c Config) NetBackends(s float64, out io.Writer) ([]Row, error) {
 		table int                              // core.Options.DistTable for the row
 	}{
 		{"euclid", nil, 0},
-		{"dijkstra", func(m *netmetric.NetworkMetric) { m.SetLandmarks(0); m.SetCH(0) }, -1},
+		{"dijkstra", func(m *netmetric.NetworkMetric) { m.SetCH(0) }, -1},
 		{"ch", func(m *netmetric.NetworkMetric) { m.SetCH(1) }, -1},
 		{"table", func(m *netmetric.NetworkMetric) { m.SetCH(0) }, 0},
 	}
@@ -92,9 +91,9 @@ func (c Config) NetBackends(s float64, out io.Writer) ([]Row, error) {
 			// Cold point-query latency on a *second* fresh metric, so the
 			// measurement never warms the solve (which stays cold) and the
 			// solve never warms the measurement. This is the per-query
-			// figure benchgate's CH floor gates on; preprocessing (landmark
-			// selection, hierarchy construction) is excluded — the CPU
-			// column already charges it to the cold solve.
+			// figure benchgate's CH floor gates on; preprocessing (hierarchy
+			// construction) is excluded — the CPU column already charges it
+			// to the cold solve.
 			mq := netmetric.FromNetwork(datagen.NewNetwork(netGrid, Space, p.Seed))
 			b.setup(mq)
 			row.QueryNS = coldQueryNS(mq, w)
@@ -133,9 +132,8 @@ const queryProbes = 256
 // i mod |Q| with customer i, so every probe is a pair the metric has
 // never answered (caches empty, cones unbuilt). One untimed warmup
 // query on customer points outside the probe range forces the one-off
-// preprocessing (landmark selection, hierarchy construction) first —
-// those are charged to the cold-solve CPU column, not to the per-query
-// figure this feeds benchgate's CH floor.
+// hierarchy construction first — it is charged to the cold-solve CPU
+// column, not to the per-query figure this feeds benchgate's CH floor.
 func coldQueryNS(m geo.Metric, w *Workload) time.Duration {
 	if len(w.Providers) == 0 || len(w.Items) <= queryProbes+1 {
 		return 0

@@ -56,15 +56,6 @@ func EmptyRect() Rect {
 // RectFromPoint returns the degenerate rectangle covering exactly p.
 func RectFromPoint(p Point) Rect { return Rect{p, p} }
 
-// RectFromPoints returns the MBR of a non-empty point slice.
-func RectFromPoints(pts []Point) Rect {
-	r := EmptyRect()
-	for _, p := range pts {
-		r = r.ExtendPoint(p)
-	}
-	return r
-}
-
 // IsEmpty reports whether r contains no points (as produced by EmptyRect).
 func (r Rect) IsEmpty() bool { return r.Min.X > r.Max.X || r.Min.Y > r.Max.Y }
 

@@ -77,20 +77,6 @@ func TestEmptyRect(t *testing.T) {
 	}
 }
 
-func TestRectFromPoints(t *testing.T) {
-	pts := []Point{{3, 1}, {0, 5}, {2, 2}}
-	r := RectFromPoints(pts)
-	want := Rect{Point{0, 1}, Point{3, 5}}
-	if r != want {
-		t.Fatalf("got %v want %v", r, want)
-	}
-	for _, p := range pts {
-		if !r.Contains(p) {
-			t.Errorf("MBR should contain %v", p)
-		}
-	}
-}
-
 func TestRectPredicates(t *testing.T) {
 	r := Rect{Point{0, 0}, Point{10, 10}}
 	tests := []struct {
@@ -156,7 +142,7 @@ func TestMinDistAdmissible(t *testing.T) {
 		q := Point{mod1000(px), mod1000(py)}
 		a := Point{mod1000(ax), mod1000(ay)}
 		b := Point{mod1000(bx), mod1000(by)}
-		r := RectFromPoints([]Point{a, b})
+		r := EmptyRect().ExtendPoint(a).ExtendPoint(b)
 		md := r.MinDist(q)
 		return md <= q.Dist(a)+1e-9 && md <= q.Dist(b)+1e-9 &&
 			md <= q.Dist(r.Center())+1e-9
@@ -196,8 +182,8 @@ func TestMinDistRectAdmissibleForMembers(t *testing.T) {
 	f := func(qx, qy, gx, gy, ex1, ey1, ex2, ey2 float64) bool {
 		member := Point{mod1000(qx), mod1000(qy)}
 		other := Point{mod1000(gx), mod1000(gy)}
-		group := RectFromPoints([]Point{member, other})
-		e := RectFromPoints([]Point{{mod1000(ex1), mod1000(ey1)}, {mod1000(ex2), mod1000(ey2)}})
+		group := EmptyRect().ExtendPoint(member).ExtendPoint(other)
+		e := EmptyRect().ExtendPoint(Point{mod1000(ex1), mod1000(ey1)}).ExtendPoint(Point{mod1000(ex2), mod1000(ey2)})
 		return group.MinDistRect(e) <= e.MinDist(member)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -286,7 +272,10 @@ func TestCentroidInsideMBR(t *testing.T) {
 		}
 		w := []float64{mod1000(w1), mod1000(w2), mod1000(w3)}
 		c := Centroid(pts, w)
-		r := RectFromPoints(pts)
+		r := EmptyRect()
+		for _, p := range pts {
+			r = r.ExtendPoint(p)
+		}
 		// Tiny tolerance for floating error at the boundary.
 		grow := Rect{Point{r.Min.X - 1e-9, r.Min.Y - 1e-9}, Point{r.Max.X + 1e-9, r.Max.Y + 1e-9}}
 		return grow.Contains(c)

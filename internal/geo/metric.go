@@ -19,28 +19,6 @@ type Metric interface {
 	Dist(p, q Point) float64
 }
 
-// LowerBounder is an optional Metric extension: a cheap admissible
-// lower bound on Dist. Every Metric already lower-bounds to Euclidean
-// distance (the contract above); a LowerBounder can do better — e.g.
-// the road-network metric's ALT landmark bound — and filter-and-refine
-// consumers (rtree.RefinedNN) key their candidate heaps with it to
-// shrink the refinement frontier. LowerBound(p,q) <= Dist(p,q) must
-// hold strictly in float arithmetic, and a tighter bound must never
-// cost more than a small constant factor over the Euclidean distance,
-// or the "cheap filter" premise breaks.
-type LowerBounder interface {
-	LowerBound(p, q Point) float64
-}
-
-// LowerBoundOf returns m's LowerBound when it implements LowerBounder,
-// and the Euclidean fallback otherwise (nil-safe).
-func LowerBoundOf(m Metric) func(p, q Point) float64 {
-	if lb, ok := m.(LowerBounder); ok {
-		return lb.LowerBound
-	}
-	return func(p, q Point) float64 { return p.Dist(q) }
-}
-
 // EuclideanMetric is the straight-line L2 metric — the paper's setting
 // and the default everywhere.
 type EuclideanMetric struct{}

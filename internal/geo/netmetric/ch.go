@@ -94,8 +94,8 @@ func ParseCHMode(s string) (int, error) {
 
 // SetCH configures the contraction-hierarchy backend: v > 0 forces it
 // on, v == 0 disables it, v < 0 restores automatic mode (on for
-// networks of at least DefaultCHMinNodes nodes). Like SetLandmarks it
-// must run during setup, before the metric is shared across
+// networks of at least DefaultCHMinNodes nodes). Like SetCacheCapacity
+// it must run during setup, before the metric is shared across
 // goroutines: it drops any built hierarchy without synchronization.
 func (m *NetworkMetric) SetCH(v int) {
 	switch {
@@ -129,8 +129,8 @@ func (m *NetworkMetric) CHStats() (queries, fallbacks uint64) {
 }
 
 // hierarchy returns the lazily built contraction hierarchy, or nil
-// when disabled. Like landmarks(), concurrent first callers block on
-// one sync.Once, so a shared metric pays the contraction exactly once.
+// when disabled. Concurrent first callers block on one sync.Once, so
+// a shared metric pays the contraction exactly once.
 func (m *NetworkMetric) hierarchy() *chState {
 	if !m.CH() {
 		return nil

@@ -122,15 +122,8 @@ type NetworkMetric struct {
 
 	grid snapGrid
 
-	// Landmark state behind LowerBound, built lazily on first use (see
-	// landmarks.go). lmCount is the configured landmark count; 0 keeps
-	// the bound Euclidean, negative selects AutoLandmarks by node count.
-	lmCount int
-	lmOnce  *sync.Once
-	lm      *landmarkState
-
-	// Contraction-hierarchy state, built lazily like the landmarks
-	// (see ch.go). chMode: −1 auto by network size, 0 off, 1 on.
+	// Contraction-hierarchy state, built lazily on first use (see
+	// ch.go). chMode: −1 auto by network size, 0 off, 1 on.
 	chMode                 int
 	chOnce                 *sync.Once
 	ch                     *chState
@@ -170,8 +163,6 @@ func New(nodes []geo.Point, edges [][2]int32) (*NetworkMetric, error) {
 	m := &NetworkMetric{
 		nodes:     append([]geo.Point(nil), nodes...),
 		realEdges: len(edges),
-		lmCount:   -1, // automatic: AutoLandmarks by node count
-		lmOnce:    new(sync.Once),
 		chMode:    -1, // automatic: on at DefaultCHMinNodes nodes
 		chOnce:    new(sync.Once),
 		nodeCache: lru.NewSharded[[2]int32, float64](DefaultNodeCacheSize, cacheShards),
@@ -213,8 +204,8 @@ func (m *NetworkMetric) Bridges() int { return len(m.edges) - m.realEdges }
 
 // SameNetwork reports whether m and o are built over the same road
 // network: equal nodes and edges, bridges included. Metrics that differ
-// only in landmarks or the hierarchy snap every point identically, so
-// they can share a PointIndex.
+// only in the hierarchy snap every point identically, so they can share
+// a PointIndex.
 func (m *NetworkMetric) SameNetwork(o *NetworkMetric) bool {
 	return m == o || m.realEdges == o.realEdges &&
 		slices.Equal(m.nodes, o.nodes) && slices.Equal(m.edges, o.edges)
@@ -239,6 +230,19 @@ func (m *NetworkMetric) SetCacheCapacity(snapEntries, nodeEntries int) {
 	m.nodeCache = lru.NewSharded[[2]int32, float64](nodeEntries, cacheShards)
 	m.pairCache = lru.NewSharded[pointPair, float64](min(DefaultPairCacheSize, nodeEntries*2), cacheShards)
 }
+
+// DefaultLandmarks selects nothing: NN refinement keys on the Euclidean
+// distance alone. It exists only so perfbench/, which passes it to
+// SetLandmarks, still builds.
+//
+// Deprecated: selects nothing; do not use.
+const DefaultLandmarks = 8
+
+// SetLandmarks does nothing. It exists only so perfbench/, which calls
+// it, still builds.
+//
+// Deprecated: no landmark lower bound exists; do not use.
+func (m *NetworkMetric) SetLandmarks(int) {}
 
 // Stats returns a snapshot of the cache counters.
 func (m *NetworkMetric) Stats() CacheStats {

@@ -95,7 +95,7 @@ func (m *NetworkMetric) forwardDijkstra(src, dst int32) float64 {
 // final — stale entries included — because every later relaxation
 // starts from a popped key >= that minimum and adds a non-negative
 // length. This is the package's one bulk relax loop: table rows
-// (table.go) advance it on demand, landmark vectors run it to the end.
+// (table.go) advance it on demand.
 //
 // order records the nodes in the order the sweep settled them, so
 // their labels are non-decreasing along it (every push adds a
@@ -174,7 +174,8 @@ func (m *NetworkMetric) labels(s *sweep, e [2]int32) [2]float64 {
 
 // sssp runs a fresh sweep from src to completion: the canonical
 // single-source vector over the full routing graph (real edges plus
-// bridges) ends up in s.dist.
+// bridges) ends up in s.dist. The table tests and fuzzers check rows
+// against it.
 func (m *NetworkMetric) sssp(s *sweep, src int32) {
 	s.start(src, len(m.nodes))
 	m.settle(s, -1)

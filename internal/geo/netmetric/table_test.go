@@ -26,34 +26,29 @@ func testPairs(m *NetworkMetric, n int, seed int64) [][2]int32 {
 
 // TestManyToManyMatchesPointQueries pins byte-identity of the bulk
 // path: every sources×targets Table.Dist must equal the point-query
-// Dist exactly, with landmarks on and off.
+// Dist exactly.
 func TestManyToManyMatchesPointQueries(t *testing.T) {
 	net := datagen.NewNetwork(12, space, 2008)
 	sources := net.Points(datagen.Config{N: 24, Dist: datagen.Uniform, Seed: 4})
 	targets := net.Points(datagen.Config{N: 200, Dist: datagen.Clustered, Seed: 5})
-	for _, lmk := range []int{DefaultLandmarks, 0} {
-		bulk := FromNetwork(net)
-		bulk.SetLandmarks(lmk)
-		tab := bulk.BuildTable(sources, 0)
-		if tab == nil {
-			t.Fatal("BuildTable declined within default budget")
-		}
-		point := FromNetwork(net)
-		point.SetLandmarks(lmk)
-		for i, s := range sources {
-			for j, q := range targets {
-				want := point.Dist(s, q)
-				if got := tab.Dist(s, q); got != want {
-					t.Fatalf("landmarks=%d Table.Dist[%d][%d]=%v != Dist=%v", lmk, i, j, got, want)
-				}
+	tab := FromNetwork(net).BuildTable(sources, 0)
+	if tab == nil {
+		t.Fatal("BuildTable declined within default budget")
+	}
+	point := FromNetwork(net)
+	for i, s := range sources {
+		for j, q := range targets {
+			want := point.Dist(s, q)
+			if got := tab.Dist(s, q); got != want {
+				t.Fatalf("Table.Dist[%d][%d]=%v != Dist=%v", i, j, got, want)
 			}
 		}
-		// Uncovered sources fall back to point queries, byte-identically.
-		for j := 0; j+1 < len(targets); j += 7 {
-			want := point.Dist(targets[j], targets[j+1])
-			if got := tab.Dist(targets[j], targets[j+1]); got != want {
-				t.Fatalf("landmarks=%d fallback Table.Dist=%v != Dist=%v", lmk, got, want)
-			}
+	}
+	// Uncovered sources fall back to point queries, byte-identically.
+	for j := 0; j+1 < len(targets); j += 7 {
+		want := point.Dist(targets[j], targets[j+1])
+		if got := tab.Dist(targets[j], targets[j+1]); got != want {
+			t.Fatalf("fallback Table.Dist=%v != Dist=%v", got, want)
 		}
 	}
 }

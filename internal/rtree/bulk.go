@@ -8,22 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-func sortItemsByX(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Pt.X < items[j].Pt.X })
-}
-
-func sortItemsByY(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Pt.Y < items[j].Pt.Y })
-}
-
-func sortEntriesByX(es []dirEntry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].mbr.Center().X < es[j].mbr.Center().X })
-}
-
-func sortEntriesByY(es []dirEntry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].mbr.Center().Y < es[j].mbr.Center().Y })
-}
-
 // Bulk builds a tree from items using sort-tile-recursive (STR) packing:
 // items are sorted by x, cut into vertical slices, each slice sorted by y
 // and packed into full leaves; directory levels are packed the same way
@@ -39,7 +23,10 @@ func Bulk(buf *storage.Buffer, items []Item) (*Tree, error) {
 	if _, err := buf.Alloc(); err != nil { // meta page
 		return nil, err
 	}
-	entries, err := t.packLeaves(items, leafCap)
+	entries, err := packSTR(t, items, leafCap,
+		func(it Item) float64 { return it.Pt.X },
+		func(it Item) float64 { return it.Pt.Y },
+		func(id storage.PageID, run []Item) *node { return &node{id: id, leaf: true, items: run} })
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +43,10 @@ func Bulk(buf *storage.Buffer, items []Item) (*Tree, error) {
 	height := 1
 	// Pack directory levels until a single root remains.
 	for len(entries) > 1 {
-		entries, err = t.packDir(entries, dirCap)
+		entries, err = packSTR(t, entries, dirCap,
+			func(e dirEntry) float64 { return e.mbr.Center().X },
+			func(e dirEntry) float64 { return e.mbr.Center().Y },
+			func(id storage.PageID, run []dirEntry) *node { return &node{id: id, childs: run} })
 		if err != nil {
 			return nil, err
 		}
@@ -68,67 +58,28 @@ func Bulk(buf *storage.Buffer, items []Item) (*Tree, error) {
 	return t, nil
 }
 
-func (t *Tree) packLeaves(items []Item, cap int) ([]dirEntry, error) {
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
-	sortItemsByX(sorted)
-	nLeaves := (len(sorted) + cap - 1) / cap
-	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
-	sliceSize := nSlices * cap
+// packSTR writes one STR level: elems (copied) are sorted by x, cut
+// into ⌈√pages⌉ vertical slices of whole pages, each slice is sorted by
+// y, and every run of cap consecutive elements becomes one page built
+// by makeNode. It returns the level's entries in page order.
+func packSTR[T any](t *Tree, elems []T, cap int, x, y func(T) float64,
+	makeNode func(id storage.PageID, run []T) *node) ([]dirEntry, error) {
+	sorted := make([]T, len(elems))
+	copy(sorted, elems)
+	sort.Slice(sorted, func(i, j int) bool { return x(sorted[i]) < x(sorted[j]) })
+	nPages := (len(sorted) + cap - 1) / cap
+	sliceSize := int(math.Ceil(math.Sqrt(float64(nPages)))) * cap
 
 	var entries []dirEntry
 	for s := 0; s < len(sorted); s += sliceSize {
-		end := s + sliceSize
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		slice := sorted[s:end]
-		sortItemsByY(slice)
+		slice := sorted[s:min(s+sliceSize, len(sorted))]
+		sort.Slice(slice, func(i, j int) bool { return y(slice[i]) < y(slice[j]) })
 		for o := 0; o < len(slice); o += cap {
-			oe := o + cap
-			if oe > len(slice) {
-				oe = len(slice)
-			}
 			id, err := t.buf.Alloc()
 			if err != nil {
 				return nil, err
 			}
-			n := &node{id: id, leaf: true, items: slice[o:oe]}
-			if err := t.writeNode(n); err != nil {
-				return nil, err
-			}
-			entries = append(entries, dirEntry{child: id, count: len(n.items), mbr: n.mbr()})
-		}
-	}
-	return entries, nil
-}
-
-func (t *Tree) packDir(children []dirEntry, cap int) ([]dirEntry, error) {
-	sorted := make([]dirEntry, len(children))
-	copy(sorted, children)
-	sortEntriesByX(sorted)
-	nNodes := (len(sorted) + cap - 1) / cap
-	nSlices := int(math.Ceil(math.Sqrt(float64(nNodes))))
-	sliceSize := nSlices * cap
-
-	var entries []dirEntry
-	for s := 0; s < len(sorted); s += sliceSize {
-		end := s + sliceSize
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		slice := sorted[s:end]
-		sortEntriesByY(slice)
-		for o := 0; o < len(slice); o += cap {
-			oe := o + cap
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			id, err := t.buf.Alloc()
-			if err != nil {
-				return nil, err
-			}
-			n := &node{id: id, childs: slice[o:oe]}
+			n := makeNode(id, slice[o:min(o+cap, len(slice))])
 			if err := t.writeNode(n); err != nil {
 				return nil, err
 			}

@@ -12,17 +12,13 @@ import (
 // non-Euclidean backends — e.g. road-network shortest-path distance).
 //
 // It is the filter-and-refine step of spatial query processing: the base
-// source streams candidates keyed by the cheap lower bound; each lands
-// on a per-query refinement heap keyed by the best cheap lower bound
-// available — the metric's geo.LowerBounder when it implements one
-// (the network metric's ALT landmark bound), the Euclidean distance
-// otherwise. The true metric distance is computed lazily, only when a
-// candidate surfaces at the top of the heap; a candidate is emitted once
-// its true distance is no greater than the lower bound of every
+// source streams candidates keyed by the cheap lower bound, and each
+// lands on a per-query refinement heap under the Euclidean distance the
+// base reported. The true metric distance is computed lazily, only when
+// a candidate surfaces at the top of the heap; a candidate is emitted
+// once its true distance is no greater than the lower bound of every
 // candidate the base source has not yet produced (the Euclidean key of
 // the most recent base candidate) and of everything still on the heap.
-// Tight bounds therefore shrink both the refinement frontier and the
-// number of exact Dist evaluations.
 //
 // Wrapping the shared ANN search (§3.4.2) preserves its I/O sharing: the
 // refinement heaps sit on top of whatever page traversal the base does.
@@ -30,7 +26,6 @@ type RefinedNN struct {
 	base      NNSource
 	queries   []geo.Point
 	metric    geo.Metric
-	lb        func(p, q geo.Point) float64
 	res       []pqueue.Heap // indexed refinement heap per query; handles index ents
 	ents      [][]refEntry
 	lastLB    []float64 // last lower bound the base reported per query
@@ -45,15 +40,15 @@ type refEntry struct {
 }
 
 // NewRefinedNN wraps base, re-keying its stream by metric distance. base
-// must yield each query's candidates in ascending Euclidean order (both
-// PerQueryNN and ANNSearch do), and metric must satisfy the lower-bound
-// contract; otherwise the emitted order is undefined.
+// must yield each query's candidates in ascending Euclidean order with
+// their Euclidean distances (both PerQueryNN and ANNSearch do), and
+// metric must satisfy the lower-bound contract; otherwise the emitted
+// order is undefined.
 func NewRefinedNN(base NNSource, queries []geo.Point, metric geo.Metric) *RefinedNN {
 	s := &RefinedNN{
 		base:      base,
 		queries:   queries,
 		metric:    metric,
-		lb:        geo.LowerBoundOf(metric),
 		res:       make([]pqueue.Heap, len(queries)),
 		ents:      make([][]refEntry, len(queries)),
 		lastLB:    make([]float64, len(queries)),
@@ -100,7 +95,7 @@ func (s *RefinedNN) Next(qi int) (Item, float64, bool, error) {
 			continue
 		}
 		s.lastLB[qi] = lb
-		h.Push(int32(len(s.ents[qi])), s.lb(s.queries[qi], item.Pt))
+		h.Push(int32(len(s.ents[qi])), lb)
 		s.ents[qi] = append(s.ents[qi], refEntry{item: item})
 	}
 }

@@ -1,12 +1,22 @@
-package rtree
+package rtree_test
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/geo"
+	"repro/internal/geo/netmetric"
+	"repro/internal/rtree"
+	"repro/internal/storage"
 )
+
+// The refinement tests live in the external package so they can run
+// RefinedNN over the real road-network metric (netmetric imports rtree).
+
+var refineSpace = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 
 // warpedMetric is a deliberately non-Euclidean test metric that honors
 // the lower-bound contract: Dist = euclid * (1.5 + 0.5·sin(x_p+x_q)),
@@ -19,30 +29,72 @@ func (warpedMetric) Dist(p, q geo.Point) float64 {
 	return p.Dist(q) * (1.5 + 0.5*math.Sin(p.X+q.X))
 }
 
-func refinedOver(tr *Tree, queries []geo.Point, ann bool) *RefinedNN {
-	var base NNSource
-	if ann {
-		base = NewANNSearch(tr, queries, testSpace, 4)
-	} else {
-		base = NewPerQueryNN(tr, queries)
+func randPoints(n int, seed int64) []geo.Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geo.Point, n)
+	for i := range pts {
+		pts[i] = geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 	}
-	return NewRefinedNN(base, queries, warpedMetric{})
+	return pts
+}
+
+func itemsOf(pts []geo.Point) []rtree.Item {
+	items := make([]rtree.Item, len(pts))
+	for i, p := range pts {
+		items[i] = rtree.Item{ID: int64(i), Pt: p}
+	}
+	return items
+}
+
+func packedTree(t *testing.T, items []rtree.Item) *rtree.Tree {
+	t.Helper()
+	tr, err := rtree.Bulk(storage.NewBuffer(storage.NewMemStore(1024), 1024), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func refinedOver(tr *rtree.Tree, queries []geo.Point, m geo.Metric, ann bool) *rtree.RefinedNN {
+	var base rtree.NNSource
+	if ann {
+		base = rtree.NewANNSearch(tr, queries, refineSpace, 4)
+	} else {
+		base = rtree.NewPerQueryNN(tr, queries)
+	}
+	return rtree.NewRefinedNN(base, queries, m)
 }
 
 // RefinedNN must stream every item exactly once, in ascending *metric*
 // order, with the metric distance as the reported key — over both base
-// sources.
+// sources, under a warped metric and under the road-network metric. The
+// network points sit on a 16-grid's edges, and a fifth of them are
+// duplicated, so exact ties in both the Euclidean key and the network
+// distance occur; there every key's bits must equal metric.Dist.
 func TestRefinedNNMatchesBruteForce(t *testing.T) {
-	items := randItems(600, 51)
-	queries := randQueries(6, 53)
-	m := warpedMetric{}
-	for name, ann := range map[string]bool{"per-query": false, "ann": true} {
-		t.Run(name, func(t *testing.T) {
-			src := refinedOver(bulkTree(t, items), queries, ann)
-			for qi, q := range queries {
+	net := datagen.NewNetwork(16, refineSpace, 2008)
+	netPts := net.Points(datagen.Config{N: 400, Dist: datagen.Clustered, Seed: 7})
+	netPts = append(netPts, netPts[:80]...)
+	netQueries := net.Points(datagen.Config{N: 6, Dist: datagen.Uniform, Seed: 8})
+	for _, tc := range []struct {
+		name    string
+		metric  geo.Metric
+		pts     []geo.Point
+		queries []geo.Point
+		ann     bool
+	}{
+		{"per-query", warpedMetric{}, randPoints(600, 51), randPoints(6, 53), false},
+		{"ann", warpedMetric{}, randPoints(600, 51), randPoints(6, 53), true},
+		{"network-per-query", netmetric.FromNetwork(net), netPts, netQueries, false},
+		{"network-ann", netmetric.FromNetwork(net), netPts, netQueries, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			items := itemsOf(tc.pts)
+			src := refinedOver(packedTree(t, items), tc.queries, tc.metric, tc.ann)
+			for qi, q := range tc.queries {
 				want := make([]float64, 0, len(items))
 				for _, it := range items {
-					want = append(want, m.Dist(q, it.Pt))
+					want = append(want, tc.metric.Dist(q, it.Pt))
 				}
 				sort.Float64s(want)
 				seen := make(map[int64]bool)
@@ -58,11 +110,11 @@ func TestRefinedNNMatchesBruteForce(t *testing.T) {
 						t.Fatalf("q%d: item %d delivered twice", qi, it.ID)
 					}
 					seen[it.ID] = true
-					if math.Abs(d-want[k]) > 1e-9 {
-						t.Fatalf("q%d rank %d: got %f want %f", qi, k, d, want[k])
+					if d != want[k] {
+						t.Fatalf("q%d rank %d: got %v want %v", qi, k, d, want[k])
 					}
-					if got := m.Dist(q, it.Pt); math.Abs(got-d) > 1e-9 {
-						t.Fatalf("q%d rank %d: reported key %f is not the metric distance %f", qi, k, d, got)
+					if got := tc.metric.Dist(q, it.Pt); got != d {
+						t.Fatalf("q%d rank %d: reported key %v is not the metric distance %v", qi, k, d, got)
 					}
 				}
 				if _, _, ok, _ := src.Next(qi); ok {
@@ -76,11 +128,10 @@ func TestRefinedNNMatchesBruteForce(t *testing.T) {
 // Under the Euclidean metric the refinement layer must be a transparent
 // pass-through (same order, same distances).
 func TestRefinedNNEuclideanPassThrough(t *testing.T) {
-	items := randItems(200, 57)
-	queries := randQueries(3, 59)
-	tr := bulkTree(t, items)
-	plain := NewPerQueryNN(tr, queries)
-	refined := NewRefinedNN(NewPerQueryNN(bulkTree(t, items), queries), queries, geo.Euclidean)
+	items := itemsOf(randPoints(200, 57))
+	queries := randPoints(3, 59)
+	plain := rtree.NewPerQueryNN(packedTree(t, items), queries)
+	refined := refinedOver(packedTree(t, items), queries, geo.Euclidean, false)
 	for qi := range queries {
 		for k := 0; k < len(items); k++ {
 			pi, pd, pok, _ := plain.Next(qi)
@@ -96,10 +147,9 @@ func TestRefinedNNEuclideanPassThrough(t *testing.T) {
 // Interleaved consumption across queries must not cross-contaminate the
 // per-query refinement heaps.
 func TestRefinedNNInterleaved(t *testing.T) {
-	items := randItems(150, 61)
-	queries := randQueries(4, 63)
-	m := warpedMetric{}
-	src := refinedOver(bulkTree(t, items), queries, true)
+	items := itemsOf(randPoints(150, 61))
+	queries := randPoints(4, 63)
+	src := refinedOver(packedTree(t, items), queries, warpedMetric{}, true)
 	prev := make([]float64, len(queries))
 	for round := 0; round < 30; round++ {
 		for qi := range queries {
@@ -111,7 +161,6 @@ func TestRefinedNNInterleaved(t *testing.T) {
 				t.Fatalf("q%d round %d: distance went backwards (%f after %f)", qi, round, d, prev[qi])
 			}
 			prev[qi] = d
-			_ = m
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -219,6 +221,48 @@ func TestBulkHeight(t *testing.T) {
 	leaves := int(math.Ceil(5000.0 / 42))
 	if tr.PageCount() > leaves+10 {
 		t.Fatalf("STR used %d pages for %d leaves", tr.PageCount(), leaves)
+	}
+}
+
+// TestBulkPageDigest pins the exact page image of two fixed STR builds:
+// every page's bytes, meta page included, in page order. The page
+// layout sets every fault count the benchmarks report, so a change to
+// the tiling (or to sort.Slice's permutation of tied coordinates, which
+// the lattice set is full of) shows here first.
+func TestBulkPageDigest(t *testing.T) {
+	lattice := make([]Item, 5000)
+	rng := rand.New(rand.NewSource(9))
+	for i := range lattice {
+		lattice[i] = Item{ID: int64(i), Pt: geo.Point{X: float64(rng.Intn(64)) * 10, Y: float64(rng.Intn(64)) * 10}}
+	}
+	for _, tc := range []struct {
+		name  string
+		items []Item
+		want  string
+	}{
+		{"uniform", randItems(5000, 3), "e7f3c92da75d2fd24e1218fed75c4f3ad9607f4f550562c9706263ecc1fa7c31"},
+		{"lattice", lattice, "b6ef21033732079a3537ada9c7a137fef654e8e4af4e467af785b1d7e3c8024f"},
+	} {
+		store := storage.NewMemStore(512)
+		tr, err := Bulk(storage.NewBuffer(store, 1<<12), tc.items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		page := make([]byte, store.PageSize())
+		for id := 0; id < store.NumPages(); id++ {
+			if err := store.Read(storage.PageID(id), page); err != nil {
+				t.Fatal(err)
+			}
+			h.Write(page)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: %d pages, height %d, digest %s, want %s",
+				tc.name, store.NumPages(), tr.Height(), got, tc.want)
+		}
 	}
 }
 

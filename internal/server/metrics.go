@@ -459,9 +459,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if nets[i].key.seed != nets[j].key.seed {
 			return nets[i].key.seed < nets[j].key.seed
 		}
-		if nets[i].key.landmarks != nets[j].key.landmarks {
-			return nets[i].key.landmarks < nets[j].key.landmarks
-		}
 		return nets[i].key.ch < nets[j].key.ch
 	})
 	p.header("ccad_netmetric_node_cache_hits_total", "Node-pair distances served from a network metric's cache (a hit avoids a cold point search: a contraction-hierarchy query or a plain Dijkstra).", "counter")
@@ -475,7 +472,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.header("ccad_netmetric_pair_cache_evictions_total", "Point-pair entries displaced by the LRU bound.", "counter")
 	for _, n := range nets {
 		st := n.m.Stats()
-		labels := fmt.Sprintf("network=%q", fmt.Sprintf("grid%d-seed%d-lm%d-ch%d", n.key.grid, n.key.seed, n.key.landmarks, n.key.ch))
+		labels := fmt.Sprintf("network=%q", fmt.Sprintf("grid%d-seed%d-ch%d", n.key.grid, n.key.seed, n.key.ch))
 		p.labeled("ccad_netmetric_node_cache_hits_total", labels, float64(st.NodeHits))
 		p.labeled("ccad_netmetric_node_cache_misses_total", labels, float64(st.NodeMisses))
 		p.labeled("ccad_netmetric_node_cache_evictions_total", labels, float64(st.NodeEvictions))

@@ -46,16 +46,16 @@ const (
 // (providers, metric, options); every later record is one churn event.
 // Coordinates travel through encoding/json, which round-trips float64
 // exactly, so replay feeds the matcher bit-identical inputs. Create
-// records may also carry "reopt_budget", which decoding ignores.
+// records may also carry "reopt_budget" or "net_landmarks", which
+// decoding ignores.
 type walEvent struct {
 	Op string `json:"op"`
 	// walOpCreate: the session header.
-	Providers    []client.Provider `json:"providers,omitempty"`
-	Metric       string            `json:"metric,omitempty"`
-	NetGrid      int               `json:"net_grid,omitempty"`
-	NetSeed      int64             `json:"net_seed,omitempty"`
-	NetLandmarks int               `json:"net_landmarks,omitempty"`
-	NetCH        int               `json:"net_ch,omitempty"`
+	Providers []client.Provider `json:"providers,omitempty"`
+	Metric    string            `json:"metric,omitempty"`
+	NetGrid   int               `json:"net_grid,omitempty"`
+	NetSeed   int64             `json:"net_seed,omitempty"`
+	NetCH     int               `json:"net_ch,omitempty"`
 	// walOpArrive (ID, X, Y) / walOpDepart (ID).
 	ID int64   `json:"id,omitempty"`
 	X  float64 `json:"x,omitempty"`
@@ -149,13 +149,12 @@ func (s *Server) attachWAL(sess *session, req client.SessionRequest) error {
 		return err
 	}
 	header := walEvent{
-		Op:           walOpCreate,
-		Providers:    req.Providers,
-		Metric:       req.Metric,
-		NetGrid:      req.NetGrid,
-		NetSeed:      req.NetSeed,
-		NetLandmarks: req.NetLandmarks,
-		NetCH:        req.NetCH,
+		Op:        walOpCreate,
+		Providers: req.Providers,
+		Metric:    req.Metric,
+		NetGrid:   req.NetGrid,
+		NetSeed:   req.NetSeed,
+		NetCH:     req.NetCH,
 	}
 	data, err := json.Marshal(header)
 	if err != nil {
@@ -257,12 +256,11 @@ func (s *Server) replaySession(id string) (*session, error) {
 				return fmt.Errorf("record %d: duplicate create", replayed)
 			}
 			req := client.SessionRequest{
-				Providers:    ev.Providers,
-				Metric:       ev.Metric,
-				NetGrid:      ev.NetGrid,
-				NetSeed:      ev.NetSeed,
-				NetLandmarks: ev.NetLandmarks,
-				NetCH:        ev.NetCH,
+				Providers: ev.Providers,
+				Metric:    ev.Metric,
+				NetGrid:   ev.NetGrid,
+				NetSeed:   ev.NetSeed,
+				NetCH:     ev.NetCH,
 			}
 			m, _, err := s.buildMatcher(req)
 			if err != nil {

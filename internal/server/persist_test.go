@@ -305,83 +305,99 @@ func TestSessionWALGarbageTail(t *testing.T) {
 }
 
 // TestSessionWALReoptBudgetReplays: logs written while sessions had a
-// re-optimization budget carry "reopt_budget" in their create record.
-// The matcher no longer has the knob, but such a log must still replay
-// — to the exact optimum, as a session created without it would — and
+// re-optimization budget carry "reopt_budget" in their create record,
+// and logs of network sessions may carry "net_landmarks". Neither
+// selects anything any more, but such a log must still replay — to the
+// exact optimum, as a session created without the field would — and
 // the recovered session must keep serving.
 func TestSessionWALReoptBudgetReplays(t *testing.T) {
 	state := t.TempDir()
 	w := churnWorkload(t, "ridehail", 120, 4, 9)
 	core, wire := sessionProviders(w)
-	const id = "00000000000000b2"
 	if err := os.MkdirAll(filepath.Join(state, "sessions"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := storage.CreateFileStore(filepath.Join(state, "sessions", id+".wal"), storage.DefaultPageSize)
-	if err != nil {
-		t.Fatal(err)
+	inputs := []struct {
+		id     string
+		header map[string]any
+		ref    *cca.DynamicMatcher
+	}{
+		{"00000000000000b2", map[string]any{"op": "create", "providers": wire, "reopt_budget": 2},
+			cca.NewDynamicMatcher(core)},
+		{"00000000000000b3", map[string]any{"op": "create", "providers": wire,
+			"metric": "network", "net_grid": 8, "net_seed": 9, "net_landmarks": 8},
+			cca.NewDynamicMatcherOpts(core, cca.DynamicOptions{
+				Metric: cca.RoadNetworkMetric(8, cca.Rect{Max: cca.Point{X: 1000, Y: 1000}}, 9)})},
 	}
-	l, err := storage.NewLog(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, err := json.Marshal(map[string]any{"op": "create", "providers": wire, "reopt_budget": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := [][]byte{header}
-	ref := cca.NewDynamicMatcher(core)
-	for i, ev := range w.Events {
-		var rec map[string]any
-		switch ev.Kind {
-		case datagen.EventArrive:
-			rec = map[string]any{"op": "arrive", "id": ev.ID, "x": ev.Pt.X, "y": ev.Pt.Y}
-			_, err = ref.Arrive(cca.Point{X: ev.Pt.X, Y: ev.Pt.Y}, ev.ID)
-		case datagen.EventDepart:
-			rec = map[string]any{"op": "depart", "id": ev.ID}
-			_, err = ref.Depart(ev.ID)
-		case datagen.EventResize:
-			rec = map[string]any{"op": "resize", "provider": ev.Provider, "cap": ev.NewCap}
-			err = ref.ResizeProvider(ev.Provider, ev.NewCap)
-		}
-		if err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-		data, err := json.Marshal(rec)
+	for _, in := range inputs {
+		fs, err := storage.CreateFileStore(filepath.Join(state, "sessions", in.id+".wal"), storage.DefaultPageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		records = append(records, data)
-	}
-	for _, data := range records {
-		if err := l.Append(data); err != nil {
+		l, err := storage.NewLog(fs)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+		header, err := json.Marshal(in.header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := [][]byte{header}
+		ref := in.ref
+		for i, ev := range w.Events {
+			var rec map[string]any
+			switch ev.Kind {
+			case datagen.EventArrive:
+				rec = map[string]any{"op": "arrive", "id": ev.ID, "x": ev.Pt.X, "y": ev.Pt.Y}
+				_, err = ref.Arrive(cca.Point{X: ev.Pt.X, Y: ev.Pt.Y}, ev.ID)
+			case datagen.EventDepart:
+				rec = map[string]any{"op": "depart", "id": ev.ID}
+				_, err = ref.Depart(ev.ID)
+			case datagen.EventResize:
+				rec = map[string]any{"op": "resize", "provider": ev.Provider, "cap": ev.NewCap}
+				err = ref.ResizeProvider(ev.Provider, ev.NewCap)
+			}
+			if err != nil {
+				t.Fatalf("%s event %d: %v", in.id, i, err)
+			}
+			data, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = append(records, data)
+		}
+		for _, data := range records {
+			if err := l.Append(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	h := testServer(t, server.Config{StateDir: state})
-	if n := h.srv.RecoveredSessions(); n != 1 {
-		t.Fatalf("recovered %d sessions, want 1", n)
+	if n := h.srv.RecoveredSessions(); n != len(inputs) {
+		t.Fatalf("recovered %d sessions, want %d", n, len(inputs))
 	}
-	got, err := h.c.Matching(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Matching()
-	if got.Size != want.Size || got.Cost != want.Cost || len(got.Pairs) != len(want.Pairs) {
-		t.Fatalf("replayed session: size %d cost %v (%d pairs), in-process size %d cost %v (%d pairs)",
-			got.Size, got.Cost, len(got.Pairs), want.Size, want.Cost, len(want.Pairs))
-	}
-	for i, p := range want.Pairs {
-		if g := got.Pairs[i]; g.Provider != p.Provider || g.Customer != p.CustomerID || g.Dist != p.Dist {
-			t.Fatalf("pair %d: got %+v, in-process %+v", i, g, p)
+	for _, in := range inputs {
+		got, err := h.c.Matching(context.Background(), in.id)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := h.c.Arrive(context.Background(), id, client.ArriveRequest{ID: 1 << 40, X: 1, Y: 1}); err != nil {
-		t.Fatal(err)
+		want := in.ref.Matching()
+		if got.Size != want.Size || got.Cost != want.Cost || len(got.Pairs) != len(want.Pairs) {
+			t.Fatalf("%s replayed: size %d cost %v (%d pairs), in-process size %d cost %v (%d pairs)",
+				in.id, got.Size, got.Cost, len(got.Pairs), want.Size, want.Cost, len(want.Pairs))
+		}
+		for i, p := range want.Pairs {
+			if g := got.Pairs[i]; g.Provider != p.Provider || g.Customer != p.CustomerID || g.Dist != p.Dist {
+				t.Fatalf("%s pair %d: got %+v, in-process %+v", in.id, i, g, p)
+			}
+		}
+		if _, err := h.c.Arrive(context.Background(), in.id, client.ArriveRequest{ID: 1 << 40, X: 1, Y: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

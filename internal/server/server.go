@@ -153,16 +153,14 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// netKey identifies a synthetic road network and its lower-bound
-// landmark / contraction-hierarchy configuration. Landmark and hierarchy
-// preprocessing mutate the metric (per-landmark distance vectors, the
-// up/down graphs), so two requests with different counts or modes
-// cannot share one instance; both are part of the identity.
+// netKey identifies a synthetic road network and its
+// contraction-hierarchy mode. Hierarchy preprocessing mutates the
+// metric (the up/down graphs), so two requests with different modes
+// cannot share one instance; the mode is part of the identity.
 type netKey struct {
-	grid      int
-	seed      int64
-	landmarks int // resolved count: 0 = Euclidean lower bound
-	ch        int // resolved mode: 0 = hierarchy off, 1 = on
+	grid int
+	seed int64
+	ch   int // resolved mode: 0 = hierarchy off, 1 = on
 }
 
 // netEntry is one network's lazily built metric.
@@ -178,7 +176,6 @@ type netEntry struct {
 func (e *netEntry) metric(key netKey) *netmetric.NetworkMetric {
 	e.once.Do(func() {
 		m := cca.RoadNetworkMetric(key.grid, netSpace, key.seed).(*netmetric.NetworkMetric)
-		m.SetLandmarks(key.landmarks)
 		m.SetCH(key.ch)
 		e.m = m
 		e.done.Store(true)
@@ -351,27 +348,20 @@ const (
 )
 
 // networkMetric returns the shared road-network metric for (grid, seed,
-// landmarks, ch), building it on first use. Concurrent requests for the
-// same cold network share one build, and the build never blocks the map
-// lock (so other networks' requests and /metrics scrapes proceed
-// meanwhile). landmarks carries the wire encoding: 0 selects the
-// default count, -1 disables landmarks (a Euclidean NN-refinement
-// lower bound), positive values pick an explicit count (each landmark
-// costs one SSSP at build plus one O(V) distance vector for the life of
-// the process, hence the bound).
-// ch likewise: 0 = automatic (hierarchy on at DefaultCHMinNodes), 1 =
-// forced on, -1 = off; the mode is resolved against the grid's node
-// count here so "auto" and its resolution share one memo entry.
+// ch), building it on first use. Concurrent requests for the same cold
+// network share one build, and the build never blocks the map lock (so
+// other networks' requests and /metrics scrapes proceed meanwhile).
+// ch carries the wire encoding: 0 = automatic (hierarchy on at
+// DefaultCHMinNodes), 1 = forced on, -1 = off; the mode is resolved
+// against the grid's node count here so "auto" and its resolution
+// share one memo entry. landmarks (net_landmarks) selects nothing and
+// is accepted for compatibility, but keeps its range check so no
+// request changes status.
 func (s *Server) networkMetric(grid int, seed int64, landmarks, ch int) (*netmetric.NetworkMetric, error) {
 	if grid < MinNetGrid || grid > MaxNetGrid {
 		return nil, fmt.Errorf("net_grid %d out of range [%d, %d]", grid, MinNetGrid, MaxNetGrid)
 	}
-	switch {
-	case landmarks == 0:
-		landmarks = netmetric.DefaultLandmarks
-	case landmarks == -1:
-		landmarks = 0
-	case landmarks < -1 || landmarks > MaxNetLandmarks:
+	if landmarks < -1 || landmarks > MaxNetLandmarks {
 		return nil, fmt.Errorf("net_landmarks %d out of range [-1, %d]", landmarks, MaxNetLandmarks)
 	}
 	switch ch {
@@ -385,7 +375,7 @@ func (s *Server) networkMetric(grid int, seed int64, landmarks, ch int) (*netmet
 	default:
 		return nil, fmt.Errorf("net_ch %d invalid (-1 = off, 0 = auto, 1 = on)", ch)
 	}
-	key := netKey{grid: grid, seed: seed, landmarks: landmarks, ch: max(0, ch)}
+	key := netKey{grid: grid, seed: seed, ch: max(0, ch)}
 	s.netMu.Lock()
 	e, ok := s.netMetrics[key]
 	if !ok {

@@ -475,6 +475,91 @@ func TestNetworkMemoBound(t *testing.T) {
 	}
 }
 
+// TestNetLandmarksCompatibility: net_landmarks is accepted for
+// compatibility and selects nothing. Solves and sessions that carry 0,
+// -1 or 8 answer exactly as requests without it, all of them share one
+// memoized network (one /metrics label), and values outside
+// [-1, MaxNetLandmarks] are still rejected.
+func TestNetLandmarksCompatibility(t *testing.T) {
+	h := testServer(t, server.Config{})
+	ctx := context.Background()
+	pts := testPoints(150, 71)
+	providers := []client.Provider{{X: 200, Y: 300, Cap: 10}, {X: 700, Y: 650, Cap: 12}, {X: 450, Y: 900, Cap: 8}}
+	instance := func(landmarks int) client.Instance {
+		return client.Instance{Solver: "ida", Providers: providers, Customers: wireCustomers(pts),
+			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: landmarks}
+	}
+	// solved is a solve's answer without its timing and placement fields.
+	solved := func(landmarks int) string {
+		t.Helper()
+		resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{instance(landmarks)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := resp.Results[0]
+		if r.Error != "" || r.Size != 30 {
+			t.Fatalf("net_landmarks %d: %+v", landmarks, r)
+		}
+		out, err := json.Marshal(client.MatchingResponse{Size: r.Size, Cost: r.Cost, Pairs: r.Pairs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	session := func(landmarks int) []byte {
+		t.Helper()
+		info, err := h.c.NewSession(ctx, client.SessionRequest{Providers: providers,
+			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: landmarks})
+		if err != nil {
+			t.Fatalf("net_landmarks %d: %v", landmarks, err)
+		}
+		for i, p := range pts[:40] {
+			if _, err := h.c.Arrive(ctx, info.ID, client.ArriveRequest{ID: int64(i), X: p.X, Y: p.Y}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rawMatching(t, h.url, info.ID)
+	}
+	wantSolve, wantSession := solved(0), session(0)
+	for _, lm := range []int{-1, 8, 0} {
+		if got := solved(lm); got != wantSolve {
+			t.Errorf("solve with net_landmarks %d:\n%s\nwithout:\n%s", lm, got, wantSolve)
+		}
+		if got := session(lm); !bytes.Equal(got, wantSession) {
+			t.Errorf("session with net_landmarks %d:\n%s\nwithout:\n%s", lm, got, wantSession)
+		}
+	}
+
+	text, err := h.c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "ccad_netmetric_node_cache_hits_total{") {
+			labels = append(labels, line[:strings.IndexByte(line, '}')+1])
+		}
+	}
+	if want := `ccad_netmetric_node_cache_hits_total{network="grid16-seed5-ch0"}`; len(labels) != 1 || labels[0] != want {
+		t.Errorf("network labels %q, want only %s", labels, want)
+	}
+
+	for _, lm := range []int{-2, server.MaxNetLandmarks + 1} {
+		resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{instance(lm)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := resp.Results[0]; !strings.Contains(r.Error, "net_landmarks") {
+			t.Errorf("solve with net_landmarks %d: %+v, want a net_landmarks error", lm, r)
+		}
+		_, err = h.c.NewSession(ctx, client.SessionRequest{Providers: providers,
+			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: lm})
+		if statusOf(err) != http.StatusBadRequest {
+			t.Errorf("session with net_landmarks %d: %v, want 400", lm, err)
+		}
+	}
+}
+
 // TestSessionBodyCap: session endpoints reject oversized bodies with
 // 413 instead of buffering them.
 func TestSessionBodyCap(t *testing.T) {
@@ -717,8 +802,8 @@ func TestMetricsExposition(t *testing.T) {
 		"ccad_sessions_created_total 1",
 		"ccad_sessions_arrivals_total 1",
 		"ccad_sessions_arrivals_matched_total 1",
-		`ccad_netmetric_node_cache_hits_total{network="grid8-seed3-lm8-ch0"}`,
-		`ccad_netmetric_pair_cache_hits_total{network="grid8-seed3-lm8-ch0"}`,
+		`ccad_netmetric_node_cache_hits_total{network="grid8-seed3-ch0"}`,
+		`ccad_netmetric_pair_cache_hits_total{network="grid8-seed3-ch0"}`,
 		// Inline per-request datasets can never repeat, so they must
 		// bypass the result cache entirely — no misses, no dead inserts
 		// evicting named-dataset entries.

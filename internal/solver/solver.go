@@ -240,8 +240,8 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 		if hasStats {
 			before = statted.Stats()
 		}
-		wrapped, acc := timeMetric(opts.Core.Metric, span.Sink(obs.PointQuerySink))
-		opts.Core.Metric = wrapped
+		acc := &timedMetric{m: opts.Core.Metric, hist: span.Sink(obs.PointQuerySink)}
+		opts.Core.Metric = acc
 		defer func() {
 			// Overlay: point-query time accrues inside the flowgraph-build
 			// and augment phases, so it annotates rather than telescopes.

@@ -32,26 +32,3 @@ func (t *timedMetric) Dist(p, q geo.Point) float64 {
 	t.hist.Observe(el.Seconds())
 	return d
 }
-
-// timedMetricLB preserves the wrapped metric's LowerBounder capability.
-// Lower-bound probes are not timed: they are cheap arithmetic, and the
-// exact algorithms' pruning depends on consumers (rtree.RefinedNN)
-// still seeing the capability — a wrapper that hid it would silently
-// change which metrics get refinement, i.e. change results.
-type timedMetricLB struct {
-	*timedMetric
-	lb geo.LowerBounder
-}
-
-func (t *timedMetricLB) LowerBound(p, q geo.Point) float64 { return t.lb.LowerBound(p, q) }
-
-// timeMetric wraps m for Dist timing, preserving LowerBounder when m
-// has it. The second return value is the accumulator to read after the
-// solve (identical for both wrapper shapes).
-func timeMetric(m geo.Metric, hist *obs.Histogram) (geo.Metric, *timedMetric) {
-	t := &timedMetric{m: m, hist: hist}
-	if lb, ok := m.(geo.LowerBounder); ok {
-		return &timedMetricLB{timedMetric: t, lb: lb}, t
-	}
-	return t, t
-}
