@@ -25,6 +25,11 @@ func backendFingerprint(res *SolverResult) string {
 	return sb.String()
 }
 
+// pointQueries hides a road-network metric from the solver registry,
+// which puts a distance table in front of a *netmetric.NetworkMetric
+// only: solves over it keep the point-query path at any instance size.
+type pointQueries struct{ geo.Metric }
+
 // TestNetworkBackendConformance pins the contract of the network
 // distance backends: switching the network metric's point-query search
 // (plain Dijkstra vs contraction hierarchy) or pre-resolving the
@@ -53,14 +58,14 @@ func TestNetworkBackendConformance(t *testing.T) {
 	}
 
 	backends := []struct {
-		name      string
-		distTable int // core.Options.DistTable
-		ch        int // SetCH argument (0 = off; the 256-node grid is below auto)
+		name  string
+		table bool // false hides the metric behind pointQueries
+		ch    int  // SetCH argument (0 = off; the 256-node grid is below auto)
 	}{
-		{"dijkstra", -1, 0}, // plain forward Dijkstra
-		{"table", 0, 0},     // bulk many-to-many table, auto budget
-		{"ch", -1, 1},       // contraction-hierarchy point queries
-		{"ch+table", 0, 1},  // table with the hierarchy on for point queries
+		{"dijkstra", false, 0}, // plain forward Dijkstra
+		{"table", true, 0},     // bulk many-to-many table, auto budget
+		{"ch", false, 1},       // contraction-hierarchy point queries
+		{"ch+table", true, 1},  // table with the hierarchy on for point queries
 	}
 
 	for _, algo := range []string{"ida", "sspa", "greedy", "sharded:ida"} {
@@ -69,8 +74,10 @@ func TestNetworkBackendConformance(t *testing.T) {
 			metric := netmetric.FromNetwork(net)
 			metric.SetCH(b.ch)
 			opts := &SolverOptions{}
-			opts.Core.Metric = metric
-			opts.Core.DistTable = b.distTable
+			opts.Core.Metric = pointQueries{metric}
+			if b.table {
+				opts.Core.Metric = metric
+			}
 			if strings.HasPrefix(algo, "sharded") {
 				opts.Core.Shards = 4
 			}
@@ -85,12 +92,14 @@ func TestNetworkBackendConformance(t *testing.T) {
 			// provider's endpoint vectors materialized, no solver Dist
 			// call reaches the point-query path, so the node-pair cache
 			// records no misses (point backends record thousands).
-			if misses := metric.Stats().NodeMisses; b.distTable == 0 && misses != 0 {
+			if misses := metric.Stats().NodeMisses; b.table && misses != 0 {
 				t.Errorf("%s/%s: %d node-cache misses; distance table never engaged", algo, b.name, misses)
+			} else if !b.table && misses == 0 {
+				t.Errorf("%s/%s: no node-cache misses; the point-query path never ran", algo, b.name)
 			}
 			// Likewise the hierarchy rows must actually route their point
 			// queries through chDist, not silently fall through to Dijkstra.
-			if q, _ := metric.CHStats(); b.ch == 1 && b.distTable != 0 && q == 0 {
+			if q, _ := metric.CHStats(); b.ch == 1 && !b.table && q == 0 {
 				t.Errorf("%s/%s: hierarchy enabled but no chDist queries recorded", algo, b.name)
 			}
 			fp := backendFingerprint(res)

@@ -43,10 +43,10 @@ type Options struct {
 	DisableTheorem2 bool `json:"disable_theorem2,omitempty"`
 	DisableANN      bool `json:"disable_ann,omitempty"`
 	ANNGroupSize    int  `json:"ann_group_size,omitempty"`
-	// DistTable gates the provider-sourced distance table for network-
-	// metric solves: 0 (default) sizes it automatically, -1 disables it,
-	// positive values set the memory budget in float64 cells. Purely a
-	// performance knob — results are byte-identical either way.
+	// DistTable is accepted for compatibility and selects nothing: a
+	// network-metric solve builds its provider-sourced distance table
+	// whenever the instance is large enough and the table fits the
+	// server's memory budget.
 	DistTable int `json:"dist_table,omitempty"`
 }
 
@@ -81,12 +81,10 @@ type Instance struct {
 	// exact NN refinement prunes with the Euclidean lower bound alone.
 	// Values outside [-1, 64] are still rejected.
 	NetLandmarks int `json:"net_landmarks,omitempty"`
-	// NetCH configures contraction-hierarchy point queries for
-	// "network": 0 selects automatic mode (on for networks of at least
-	// DefaultCHMinNodes nodes), 1 forces the hierarchy on, -1 disables
-	// it. Part of the network's identity — like NetGrid/NetSeed, not an
-	// Options field — because the hierarchy lives on the shared
-	// per-network metric. Distances are byte-identical either way.
+	// NetCH is accepted for compatibility and selects nothing: the
+	// network's point queries use a contraction hierarchy from 1,024
+	// nodes (a 32-grid) up. Values other than -1, 0 and 1 are still
+	// rejected.
 	NetCH int `json:"net_ch,omitempty"`
 	// Options tunes the solve (nil = defaults).
 	Options *Options `json:"options,omitempty"`
@@ -230,8 +228,8 @@ type SessionRequest struct {
 	ReoptBudget int `json:"reopt_budget,omitempty"`
 	// Metric selects the session's distance backend with the same wire
 	// encoding as Instance: "" or "euclidean", or "network" with
-	// NetGrid/NetSeed (defaults 32/2008) and the NetCH knob
-	// (NetLandmarks, as on Instance, selects nothing). The session
+	// NetGrid/NetSeed (defaults 32/2008). NetLandmarks and NetCH are
+	// accepted and checked as on Instance, and select nothing. The session
 	// shares the server's per-network metric memo with batch solves,
 	// and every incremental assignment measures shortest-path distance
 	// over that road network.

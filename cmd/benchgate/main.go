@@ -5,8 +5,9 @@
 // latest run against its baseline run, and exits non-zero when either
 //
 //   - a deterministic field drifted — Cost beyond float round-trip
-//     noise, matching Size, or subgraph |Esub| — which means a change
-//     altered results, not just speed; or
+//     noise, matching Size, subgraph |Esub|, IDA key updates (KeyUpd)
+//     or page faults — which means a change altered results or the
+//     work done, not just speed; or
 //   - a performance ratio regressed beyond -tol (default 15%).
 //
 // Raw CPU times are machine-dependent, so the gate never compares
@@ -242,6 +243,12 @@ func compareFigure(name string, base, cand []expr.Row, tol float64) []string {
 		}
 		if c.Esub != b.Esub {
 			msgs = append(msgs, fmt.Sprintf("%s %s: |Esub| %d != baseline %d", name, key(c), c.Esub, b.Esub))
+		}
+		if c.KeyUpd != b.KeyUpd {
+			msgs = append(msgs, fmt.Sprintf("%s %s: key updates %d != baseline %d", name, key(c), c.KeyUpd, b.KeyUpd))
+		}
+		if c.Faults != b.Faults {
+			msgs = append(msgs, fmt.Sprintf("%s %s: page faults %d != baseline %d", name, key(c), c.Faults, b.Faults))
 		}
 	}
 	// Normalize by the figure's own first row so only shapes compare.

@@ -174,6 +174,33 @@ func TestCostDriftFails(t *testing.T) {
 	}
 }
 
+// TestWorkCounterDriftFails moves one exact work counter of one row:
+// page faults and IDA key updates are deterministic, so either moving
+// means the solve did different work.
+func TestWorkCounterDriftFails(t *testing.T) {
+	for _, tc := range []struct {
+		name, finding string
+		move          func(r *expr.Row)
+	}{
+		{"Faults", "page faults", func(r *expr.Row) { r.Faults++ }},
+		{"KeyUpd", "key updates", func(r *expr.Row) { r.KeyUpd++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := mutateLatest(t, func(rows []expr.Row) {
+				for i := range rows {
+					if rows[i].Label == "dijkstra" {
+						tc.move(&rows[i])
+					}
+				}
+			})
+			msgs := gateFile(path, 0.15)
+			if !containsAll(msgs, "dijkstra", tc.finding) {
+				t.Errorf("a moved %s passed the gate or went unnamed: %v", tc.name, msgs)
+			}
+		})
+	}
+}
+
 // latestNet returns a copy of the committed trajectory's latest net
 // rows, for single-run floor tests.
 func latestNet(t *testing.T) (run, []expr.Row) {

@@ -22,9 +22,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/geo/netmetric"
 	"repro/internal/sched"
 	"repro/internal/solver"
 )
@@ -43,10 +41,6 @@ independent figure points through the shared scheduler concurrently
 	shards := flag.Int("shards", 0, `region count threaded into every sweep for sharded:* solvers
 (0 = the shard layer's automatic count); pick solvers with -algos,
 e.g. -algos ida,sharded:ida -shards 8`)
-	table := flag.String("table", "auto", `provider-sourced distance table (on-demand sweeps) threaded into
-every sweep's options: "auto" (size-gated), "off", or a float64-cell memory budget`)
-	ch := flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network
-workloads: "auto" (on at `+fmt.Sprint(netmetric.DefaultCHMinNodes)+`+ nodes), "off", or "on"`)
 	jsonOut := flag.String("json", "", `append the run's rows to this JSON trajectory file
 (e.g. BENCH_shard.json for -fig shard, BENCH_net.json for -fig net,
 BENCH_serve.json with -serve); each run appends one document, so the
@@ -73,14 +67,6 @@ figure tables (-fig is ignored)`)
 	var err error
 	if cfg.Metric, err = expr.ParseMetric(*metric); err != nil {
 		fmt.Fprintf(os.Stderr, "ccabench: %v\n", err)
-		os.Exit(2)
-	}
-	if cfg.DistTable, err = core.ParseDistTable(*table); err != nil {
-		fmt.Fprintf(os.Stderr, "ccabench: -table %v\n", err)
-		os.Exit(2)
-	}
-	if cfg.CH, err = netmetric.ParseCHMode(*ch); err != nil {
-		fmt.Fprintf(os.Stderr, "ccabench: -ch %v\n", err)
 		os.Exit(2)
 	}
 	if *algos != "" {

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	cca "repro"
-	"repro/internal/core"
 	"repro/internal/dataio"
 	"repro/internal/expr"
 	"repro/internal/geo/netmetric"
@@ -40,11 +39,6 @@ func main() {
 -netgrid/-netseed the workload was generated with)`)
 		netGrid = flag.Int("netgrid", 32, "road network grid size for -metric network (ccagen's -grid)")
 		netSeed = flag.Int64("netseed", 2008, "road network seed for -metric network (ccagen's -seed)")
-		ch      = flag.String("ch", "auto", `contraction-hierarchy point queries for -metric network:
-"auto" (on at `+fmt.Sprint(netmetric.DefaultCHMinNodes)+`+ nodes), "off", or "on"`)
-		distTable = flag.String("disttable", "auto", `provider-sourced distance table for -metric network (one
-on-demand sweep per provider snap-edge endpoint, advanced only as far as the solve's queries):
-"auto" (size-gated), "off", or a float64-cell memory budget (e.g. 16000000)`)
 		timeout = flag.Duration("timeout", 0, `abort the solve after this long (e.g. 30s, 2m; 0 = no limit);
 the solvers observe the deadline between augmenting iterations`)
 		shards = flag.Int("shards", 0, `region count for the sharded meta-solver (-algo sharded[:base]):
@@ -90,17 +84,7 @@ units (0 = 5% of the space diagonal); wider = closer to exact, slower`)
 		// uses the same grid/seed/space recipe) and measure edge costs as
 		// shortest-path travel distances over it.
 		netMetric = cca.RoadNetworkMetric(*netGrid, expr.Space, *netSeed).(*netmetric.NetworkMetric)
-		chMode, err := netmetric.ParseCHMode(*ch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccarun: -ch %v\n", err)
-			os.Exit(2)
-		}
-		netMetric.SetCH(chMode)
 		opts.Core.Metric = netMetric
-		if opts.Core.DistTable, err = core.ParseDistTable(*distTable); err != nil {
-			fmt.Fprintf(os.Stderr, "ccarun: -disttable %v\n", err)
-			os.Exit(2)
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "ccarun: unknown metric %q (available: euclidean, network)\n", *metric)
 		os.Exit(2)

@@ -49,10 +49,10 @@ func networkBatch(t testing.TB, instances int) ([]Instance, *Customers, *netmetr
 // TestEngineSharedTableMemo: a batch repeating one provider set across
 // solvers, each instance large enough for the registry's per-solve
 // distance table, must be byte-identical through the engine to the
-// table-disabled point-query path — except for page I/O: the
-// incremental solvers (ida, nia, greedy) stream network nearest
-// neighbours from the table's rows instead of the R-tree, so they read
-// no page at all, while ria and sspa still scan the tree.
+// point-query path — except for page I/O: the incremental solvers
+// (ida, nia, greedy) stream network nearest neighbours from the
+// table's rows instead of the R-tree, so they read no page at all,
+// while ria and sspa still scan the tree.
 func TestEngineSharedTableMemo(t *testing.T) {
 	space := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 	net := datagen.NewNetwork(16, space, 2008)
@@ -86,11 +86,12 @@ func TestEngineSharedTableMemo(t *testing.T) {
 	got := submitAll(context.Background(), eng, batch)
 	solvedAll(t, got)
 
-	// Point-query reference: same batch with the precompute disabled.
+	// Point-query reference: same batch over the metric the registry
+	// builds no table for.
 	ref := make([]Instance, len(batch))
 	copy(ref, batch)
 	for i := range ref {
-		ref[i].Options.Core.DistTable = -1
+		ref[i].Options.Core.Metric = pointQueries{metric}
 	}
 	refEng := &Engine{Workers: 1}
 	defer refEng.Close()
@@ -190,67 +191,5 @@ func TestCustomersNetworkIndex(t *testing.T) {
 	}
 	if h.NetworkIndex(m) != nil {
 		t.Fatal("the index outlived the dataset's Close")
-	}
-}
-
-// TestResultCacheSeparatesStreams: with the distance table on, ida
-// streams candidates by network expansion, which reads no R-tree page
-// and emits equal-distance customers by id; with it off (DistTable -1)
-// the R-tree refinement stream emits them in heap order. Customers
-// placed twice at every location make such ties everywhere, so the
-// result cache must keep the two apart: each setting gets its own
-// path's answer, whichever ran first.
-func TestResultCacheSeparatesStreams(t *testing.T) {
-	space := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
-	net := datagen.NewNetwork(16, space, 2008)
-	metric := netmetric.FromNetwork(net)
-	cpts := net.Points(datagen.Config{N: 350, Dist: datagen.Clustered, Seed: 5})
-	customers, err := IndexCustomers(append(cpts, cpts...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer customers.Close()
-	qpts := net.Points(datagen.Config{N: 12, Dist: datagen.Uniform, Seed: 1})
-	providers := make([]Provider, len(qpts))
-	for q := range providers {
-		providers[q] = Provider{Pt: qpts[q], Cap: 20}
-	}
-	in := Instance{Label: "dup", Providers: providers, Customers: customers, Solver: "ida"}
-	in.Options.Core.Metric = metric
-	ref := in
-	ref.Options.Core.DistTable = -1
-
-	// Each path's own answer, from engines that never saw the other.
-	fresh := func(in Instance) InstanceResult {
-		e := &Engine{Workers: 1}
-		defer e.Close()
-		r := <-e.Submit(context.Background(), in)
-		solvedAll(t, []InstanceResult{r})
-		return r
-	}
-	table, tree := fresh(in), fresh(ref)
-	if table.Result.Metrics.IO.Faults != 0 || tree.Result.Metrics.IO.Faults == 0 {
-		t.Fatalf("faults: table path %d, R-tree path %d; want 0 and > 0",
-			table.Result.Metrics.IO.Faults, tree.Result.Metrics.IO.Faults)
-	}
-
-	for _, order := range [][2]Instance{{in, ref}, {ref, in}} {
-		eng := &Engine{Workers: 1}
-		got := submitAll(context.Background(), eng, order[:])
-		eng.Close()
-		solvedAll(t, got)
-		if n := cacheHits(got); n != 0 {
-			t.Fatalf("the table setting and DistTable -1 shared a cache entry (%d hits)", n)
-		}
-		for i, r := range got {
-			want := table
-			if order[i].Options.Core.DistTable < 0 {
-				want = tree
-			}
-			if a, b := fingerprint(r), fingerprint(want); a != b {
-				t.Errorf("DistTable %d after DistTable %d:\ngot  %s\nwant %s",
-					order[i].Options.Core.DistTable, order[1-i].Options.Core.DistTable, a, b)
-			}
-		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // engineWorkload builds nq-provider instances over one shared customer
@@ -173,9 +175,17 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestBufferFramesClamped: tiny stores must yield an explicit one-frame
+// TestBufferFramesClamped: a buffer fraction sizes the buffer from the
+// store's page count, and tiny stores must yield an explicit one-frame
 // buffer, observable through BufferFrames (the silent under-sizing fix).
 func TestBufferFramesClamped(t *testing.T) {
+	store := storage.NewMemStore(32)
+	for i := 0; i < 200; i++ {
+		store.Alloc()
+	}
+	if got := (IndexConfig{BufferFraction: 0.01}).frames(store); got != 2 {
+		t.Errorf("1%% of 200 pages = %d frames, want 2", got)
+	}
 	pts := []Point{{X: 1, Y: 1}, {X: 2, Y: 2}, {X: 3, Y: 3}}
 	customers, err := IndexCustomersConfig(pts, IndexConfig{BufferFraction: 0.01})
 	if err != nil {

@@ -24,9 +24,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/flowgraph"
@@ -135,19 +132,6 @@ type Options struct {
 	// It changes wall-clock time only, never results: the sharded merge
 	// is deterministic by construction.
 	ShardWorkers int
-	// DistTable controls the distance table the solver registry puts in
-	// front of network metrics (netmetric.BuildTable): one row per
-	// provider snap-edge endpoint, each a single-source sweep that the
-	// solve advances only as far as its queries reach. 0 (auto) builds
-	// the table when the instance is large enough and the rows' label
-	// vectors fit netmetric.DefaultTableBudget; -1 disables it; a
-	// positive value overrides the memory budget (in float64 cells).
-	// Table lookups are byte-identical to point queries (the
-	// conformance suite pins this), but with a table the incremental
-	// solvers stream by network expansion (see Table below), which reads
-	// no R-tree page and may break equal-distance ties differently, so
-	// the engine's result-cache digest includes it.
-	DistTable int
 	// Table and NetIndex switch the incremental solvers (NIA, IDA and
 	// the greedy join) from the R-tree candidate stream to network
 	// expansion over the table's rows (netmetric.NN), which reads no
@@ -163,23 +147,6 @@ type Options struct {
 	// customCaps records whether the caller provided CustomerCap, so
 	// γ computation can skip the full scan for unit capacities.
 	customCaps bool
-}
-
-// ParseDistTable maps a command-line value to an Options.DistTable
-// setting: "auto" (or empty) is 0, "off" is -1, and a positive integer
-// is a memory budget in float64 cells.
-func ParseDistTable(s string) (int, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return 0, nil
-	case "off":
-		return -1, nil
-	}
-	budget, err := strconv.Atoi(s)
-	if err != nil || budget < 1 {
-		return 0, fmt.Errorf("must be auto, off, or a positive cell budget (got %q)", s)
-	}
-	return budget, nil
 }
 
 // cancelled reports the context's error, if a context was supplied.

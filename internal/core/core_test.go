@@ -363,17 +363,3 @@ func TestIOMetrics(t *testing.T) {
 		t.Fatal("CPU time not recorded")
 	}
 }
-
-// ParseDistTable accepts exactly the values the CLIs document.
-func TestParseDistTable(t *testing.T) {
-	for in, want := range map[string]int{"": 0, "auto": 0, "AUTO": 0, "off": -1, "Off": -1, "1": 1, "16000000": 16000000} {
-		if got, err := ParseDistTable(in); err != nil || got != want {
-			t.Errorf("ParseDistTable(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	for _, in := range []string{"0", "-1", "on", "1e6", " 5"} {
-		if _, err := ParseDistTable(in); err == nil {
-			t.Errorf("ParseDistTable(%q) accepted", in)
-		}
-	}
-}

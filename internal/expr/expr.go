@@ -37,10 +37,10 @@ import (
 var Space = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
 
 // Config is one harness configuration: the distance backend every
-// workload is built for, the network-metric tuning, the options
-// threaded into every sweep, the solvers the exact figures compare and
-// the scheduler the figure points run on. Figures only read it, so
-// several configurations can sweep concurrently in one process.
+// workload is built for, the options threaded into every sweep, the
+// solvers the exact figures compare and the scheduler the figure
+// points run on. Figures only read it, so several configurations can
+// sweep concurrently in one process.
 // NewConfig returns the defaults.
 type Config struct {
 	// Metric names the distance backend every Build attaches to its
@@ -48,14 +48,6 @@ type Config struct {
 	// (shortest-path distance over the same road network the points are
 	// generated on). Case-insensitive; see ParseMetric.
 	Metric string
-	// CH is the contraction-hierarchy mode of network workloads, in
-	// NetworkMetric.SetCH's encoding: -1 = automatic by network size,
-	// 0 = off, 1 = on. Purely a performance knob — distances are
-	// byte-identical either way.
-	CH int
-	// DistTable is threaded into every sweep's core.Options.DistTable
-	// (0 auto, -1 off, positive = budget in float64 cells).
-	DistTable int
 	// Shards is the region count threaded into every sweep's options
 	// (0 = the shard layer's data-derived automatic count). It only
 	// matters for sharded:* solvers named in ExactAlgos.
@@ -69,12 +61,11 @@ type Config struct {
 }
 
 // NewConfig returns the default configuration: the Euclidean metric,
-// automatic hierarchy, table and shard count, RIA/NIA/IDA
-// in the exact figures, and one worker.
+// the automatic shard count, RIA/NIA/IDA in the exact figures, and one
+// worker.
 func NewConfig() Config {
 	return Config{
 		Metric:     geo.Euclidean.Name(),
-		CH:         -1,
 		ExactAlgos: []string{"RIA", "NIA", "IDA"},
 	}
 }
@@ -171,9 +162,7 @@ func (c Config) BuildOnGrid(p Params, grid int) (*Workload, error) {
 	net := datagen.NewNetwork(grid, Space, p.Seed)
 	var metric geo.Metric
 	if name == netmetric.Name {
-		m := netmetric.FromNetwork(net)
-		m.SetCH(c.CH)
-		metric = m
+		metric = netmetric.FromNetwork(net)
 	}
 	qpts := net.Points(datagen.Config{N: p.NQ, Dist: p.DistQ, Seed: p.Seed + 1})
 	ppts := net.Points(datagen.Config{N: p.NP, Dist: p.DistP, Seed: p.Seed + 2})

@@ -32,7 +32,7 @@ func (c Config) sweepExact(points []Params, labels []string, algos []string) ([]
 }
 
 func (c Config) coreOptions(p Params) core.Options {
-	return core.Options{Theta: p.Theta, Space: Space, Shards: c.Shards, DistTable: c.DistTable}
+	return core.Options{Theta: p.Theta, Space: Space, Shards: c.Shards}
 }
 
 // Fig8 reproduces Figure 8: CPU time vs capacity k on the small instance

@@ -24,16 +24,19 @@ import (
 //	euclid    straight-line distance (the paper's setting)
 //	dijkstra  canonical plain forward Dijkstra point queries — the
 //	          reference benchgate's floors are stated against
-//	ch        contraction-hierarchy point queries (table disabled, so
-//	          the row isolates the cold point-query win)
+//	ch        contraction-hierarchy point queries (no table, so the row
+//	          isolates the cold point-query win)
 //	table     the provider-sourced distance table (one on-demand sweep
 //	          per provider snap-edge endpoint), plain Dijkstra for any
 //	          point query it does not cover
 //
 // dijkstra, ch and table return byte-identical matchings (the root
-// conformance suite pins this). dijkstra and table pin SetCH(0) so
-// automatic CH enablement (16K nodes clears DefaultCHMinNodes) cannot
-// reroute their point queries.
+// conformance suite pins this). The instance is far above
+// solver.DistTableMinPairs, so the registry builds the table for the
+// table row by itself; dijkstra and ch hide the metric behind
+// pointQueries to keep the point-query path. dijkstra and table pin
+// SetCH(0); ch keeps the automatic choice, which turns the hierarchy on
+// at 16K nodes.
 //
 // Every network row also records QueryNS, the mean cold point-query
 // latency of its backend measured by coldQueryNS on a second fresh
@@ -62,27 +65,24 @@ func (c Config) NetBackends(s float64, out io.Writer) ([]Row, error) {
 
 	backends := []struct {
 		name  string
-		setup func(m *netmetric.NetworkMetric) // nil = Euclidean row
-		table int                              // core.Options.DistTable for the row
+		setup func(m *netmetric.NetworkMetric) geo.Metric // nil = Euclidean row
 	}{
-		{"euclid", nil, 0},
-		{"dijkstra", func(m *netmetric.NetworkMetric) { m.SetCH(0) }, -1},
-		{"ch", func(m *netmetric.NetworkMetric) { m.SetCH(1) }, -1},
-		{"table", func(m *netmetric.NetworkMetric) { m.SetCH(0) }, 0},
+		{"euclid", nil},
+		{"dijkstra", func(m *netmetric.NetworkMetric) geo.Metric { m.SetCH(0); return pointQueries{m} }},
+		{"ch", func(m *netmetric.NetworkMetric) geo.Metric { return pointQueries{m} }},
+		{"table", func(m *netmetric.NetworkMetric) geo.Metric { m.SetCH(0); return m }},
+	}
+	fresh := func() *netmetric.NetworkMetric {
+		return netmetric.FromNetwork(datagen.NewNetwork(netGrid, Space, p.Seed))
 	}
 
 	var rows []Row
 	for _, b := range backends {
-		if b.setup == nil {
-			w.Metric = nil
-		} else {
-			m := netmetric.FromNetwork(datagen.NewNetwork(netGrid, Space, p.Seed))
-			b.setup(m)
-			w.Metric = m
+		w.Metric = nil
+		if b.setup != nil {
+			w.Metric = b.setup(fresh())
 		}
-		opts := c.coreOptions(p)
-		opts.DistTable = b.table
-		row, err := runExact("ida", w, opts)
+		row, err := runExact("ida", w, c.coreOptions(p))
 		if err != nil {
 			return nil, err
 		}
@@ -94,9 +94,7 @@ func (c Config) NetBackends(s float64, out io.Writer) ([]Row, error) {
 			// figure benchgate's CH floor gates on; preprocessing (hierarchy
 			// construction) is excluded — the CPU column already charges it
 			// to the cold solve.
-			mq := netmetric.FromNetwork(datagen.NewNetwork(netGrid, Space, p.Seed))
-			b.setup(mq)
-			row.QueryNS = coldQueryNS(mq, w)
+			row.QueryNS = coldQueryNS(b.setup(fresh()), w)
 		}
 		rows = append(rows, row)
 	}
@@ -119,6 +117,12 @@ func (c Config) NetBackends(s float64, out io.Writer) ([]Row, error) {
 	}
 	return rows, nil
 }
+
+// pointQueries hides a road-network metric from the solver registry,
+// which puts a distance table in front of a *netmetric.NetworkMetric
+// only: solves over it stream candidates from the R-tree and answer
+// every distance with a point query.
+type pointQueries struct{ geo.Metric }
 
 // queryProbes is the number of cold point queries coldQueryNS averages
 // over. Distinct customer endpoints keep every probe a first touch;

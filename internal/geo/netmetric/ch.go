@@ -18,10 +18,8 @@ package netmetric
 // conformance suite pin this).
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -78,25 +76,14 @@ func (ch *chState) findUpArc(owner, target int32) int32 {
 	panic("netmetric: hierarchy unpack: missing middle arc")
 }
 
-// ParseCHMode maps a command-line value to a SetCH mode: "auto" (or
-// empty) is -1, "off" is 0 and "on" is 1, case-insensitively.
-func ParseCHMode(s string) (int, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return -1, nil
-	case "off":
-		return 0, nil
-	case "on":
-		return 1, nil
-	}
-	return 0, fmt.Errorf("must be auto, off, or on (got %q)", s)
-}
-
-// SetCH configures the contraction-hierarchy backend: v > 0 forces it
-// on, v == 0 disables it, v < 0 restores automatic mode (on for
-// networks of at least DefaultCHMinNodes nodes). Like SetCacheCapacity
-// it must run during setup, before the metric is shared across
-// goroutines: it drops any built hierarchy without synchronization.
+// SetCH overrides the automatic contraction-hierarchy choice (on for
+// networks of at least DefaultCHMinNodes nodes): v > 0 forces it on,
+// v == 0 disables it, v < 0 restores automatic mode. No user setting
+// reaches it. It stays because perfbench/ calls it, and because the
+// reference rows that pin plain Dijkstra (the net figure's dijkstra
+// and table rows, the backend conformance tests) need it. It must run
+// during setup, before the metric is shared across goroutines: it
+// drops any built hierarchy without synchronization.
 func (m *NetworkMetric) SetCH(v int) {
 	switch {
 	case v < 0:

@@ -30,9 +30,9 @@
 // warm hits from many workers take independent shard mutexes instead of
 // convoying behind one cache-wide lock (BenchmarkNetworkMetricParallel
 // here and BenchmarkWarmHitParallel* in internal/lru measure the win).
-// Cache capacities default to DefaultSnapCacheSize and
-// DefaultNodeCacheSize; tune them with SetCacheCapacity before first
-// use, and read eviction pressure from Stats.
+// Cache capacities are fixed at DefaultSnapCacheSize,
+// DefaultNodeCacheSize and DefaultPairCacheSize; read eviction pressure
+// from Stats.
 package netmetric
 
 import (
@@ -79,13 +79,13 @@ const (
 // cacheShards is the lock-shard count of the snap and node-pair caches.
 // 32 keeps shard-mutex collisions rare for the worker counts an engine
 // realistically runs (GOMAXPROCS on big servers) while leaving thousands
-// of entries per shard even at small SetCacheCapacity values.
+// of entries per shard.
 const cacheShards = 32
 
 // CacheStats reports the metric's cache activity. The node-pair numbers
 // are the interesting ones: a hit avoids a cold point search (a
 // hierarchy query or a plain Dijkstra), and sustained evictions mean
-// the working set outgrew the cache — size it up with SetCacheCapacity.
+// the working set outgrew the cache.
 type CacheStats struct {
 	NodeHits      uint64 // node-pair distances served from the cache
 	NodeMisses    uint64 // node-pair distances computed by a point search
@@ -209,26 +209,6 @@ func (m *NetworkMetric) Bridges() int { return len(m.edges) - m.realEdges }
 func (m *NetworkMetric) SameNetwork(o *NetworkMetric) bool {
 	return m == o || m.realEdges == o.realEdges &&
 		slices.Equal(m.nodes, o.nodes) && slices.Equal(m.edges, o.edges)
-}
-
-// SetCacheCapacity rebuilds the snap and node-pair caches with the
-// given entry bounds (values < 1 keep the defaults), dropping any
-// cached content and counters. The point-pair cache is rebuilt at its
-// default size, scaled down to the node-pair bound when that is smaller
-// (a caller shrinking the layered caches wants the top layer bounded
-// too). It swaps the cache pointers without synchronization, so it must
-// be called during setup, before the metric is shared across goroutines
-// — resizing while Dist runs concurrently is a data race.
-func (m *NetworkMetric) SetCacheCapacity(snapEntries, nodeEntries int) {
-	if snapEntries < 1 {
-		snapEntries = DefaultSnapCacheSize
-	}
-	if nodeEntries < 1 {
-		nodeEntries = DefaultNodeCacheSize
-	}
-	m.snapCache = lru.NewSharded[geo.Point, snapPos](snapEntries, cacheShards)
-	m.nodeCache = lru.NewSharded[[2]int32, float64](nodeEntries, cacheShards)
-	m.pairCache = lru.NewSharded[pointPair, float64](min(DefaultPairCacheSize, nodeEntries*2), cacheShards)
 }
 
 // DefaultLandmarks selects nothing: NN refinement keys on the Euclidean

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/geo"
+	"repro/internal/lru"
 )
 
 var space = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, Y: 1000}}
@@ -215,14 +216,16 @@ func TestCacheStats(t *testing.T) {
 
 // TestCacheEviction: with deliberately tiny caches the metric keeps
 // answering correctly — recomputing displaced entries — and the stats
-// expose the eviction pressure a long-lived server would tune on. The
-// caches are sharded, so a tiny capacity rounds up to one entry per
-// shard; sweeping more distinct keys than shards makes eviction a
-// pigeonhole certainty, not a hash accident.
+// expose the eviction pressure. The caches are sharded, so a tiny
+// capacity rounds up to one entry per shard; sweeping more distinct
+// keys than shards makes eviction a pigeonhole certainty, not a hash
+// accident.
 func TestCacheEviction(t *testing.T) {
 	net := datagen.NewNetwork(8, space, 3)
 	m := FromNetwork(net)
-	m.SetCacheCapacity(4, 4)
+	m.snapCache = lru.NewSharded[geo.Point, snapPos](4, cacheShards)
+	m.nodeCache = lru.NewSharded[[2]int32, float64](4, cacheShards)
+	m.pairCache = lru.NewSharded[pointPair, float64](8, cacheShards)
 	keys := m.snapCache.Cap() + 1 // > total bound ⇒ some shard overflows
 
 	pts := make([]geo.Point, keys)
@@ -247,13 +250,6 @@ func TestCacheEviction(t *testing.T) {
 	st := m.Stats()
 	if st.SnapEvictions == 0 || st.NodeEvictions == 0 {
 		t.Fatalf("expected evictions on tiny caches, got %+v", st)
-	}
-
-	// Resetting to defaults clears the counters and the pressure.
-	m.SetCacheCapacity(0, 0)
-	m.Dist(pts[1], pts[2])
-	if st := m.Stats(); st.SnapEvictions != 0 || st.NodeEvictions != 0 {
-		t.Fatalf("stats survived a cache rebuild: %+v", st)
 	}
 }
 

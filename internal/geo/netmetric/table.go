@@ -50,10 +50,12 @@ type tableRow struct {
 // BuildTable allocates a table row for each snap-edge endpoint of
 // sources, with only the endpoint itself labelled and on the frontier;
 // no sweep runs until a query needs it. budget caps the rows' float64
-// cells (values < 1 select DefaultTableBudget); BuildTable returns nil
-// when the source set's endpoint count would exceed it, and callers
-// should then keep using point queries. Rows never build the
-// contraction hierarchy, which only point queries use.
+// cells, and values < 1 select DefaultTableBudget. The solver registry
+// always passes 0; the parameter stays only because perfbench/ calls
+// BuildTable with it. BuildTable returns nil when the source set's
+// endpoint count would exceed the budget, and callers should then keep
+// using point queries. Rows never build the contraction hierarchy,
+// which only point queries use.
 func (m *NetworkMetric) BuildTable(sources []geo.Point, budget int) *Table {
 	if budget < 1 {
 		budget = DefaultTableBudget

@@ -46,8 +46,8 @@ const (
 // (providers, metric, options); every later record is one churn event.
 // Coordinates travel through encoding/json, which round-trips float64
 // exactly, so replay feeds the matcher bit-identical inputs. Create
-// records may also carry "reopt_budget" or "net_landmarks", which
-// decoding ignores.
+// records may also carry "reopt_budget", "net_landmarks" or "net_ch",
+// which decoding ignores.
 type walEvent struct {
 	Op string `json:"op"`
 	// walOpCreate: the session header.
@@ -55,7 +55,6 @@ type walEvent struct {
 	Metric    string            `json:"metric,omitempty"`
 	NetGrid   int               `json:"net_grid,omitempty"`
 	NetSeed   int64             `json:"net_seed,omitempty"`
-	NetCH     int               `json:"net_ch,omitempty"`
 	// walOpArrive (ID, X, Y) / walOpDepart (ID).
 	ID int64   `json:"id,omitempty"`
 	X  float64 `json:"x,omitempty"`
@@ -154,7 +153,6 @@ func (s *Server) attachWAL(sess *session, req client.SessionRequest) error {
 		Metric:    req.Metric,
 		NetGrid:   req.NetGrid,
 		NetSeed:   req.NetSeed,
-		NetCH:     req.NetCH,
 	}
 	data, err := json.Marshal(header)
 	if err != nil {
@@ -260,7 +258,6 @@ func (s *Server) replaySession(id string) (*session, error) {
 				Metric:    ev.Metric,
 				NetGrid:   ev.NetGrid,
 				NetSeed:   ev.NetSeed,
-				NetCH:     ev.NetCH,
 			}
 			m, _, err := s.buildMatcher(req)
 			if err != nil {

@@ -306,10 +306,10 @@ func TestSessionWALGarbageTail(t *testing.T) {
 
 // TestSessionWALReoptBudgetReplays: logs written while sessions had a
 // re-optimization budget carry "reopt_budget" in their create record,
-// and logs of network sessions may carry "net_landmarks". Neither
-// selects anything any more, but such a log must still replay — to the
-// exact optimum, as a session created without the field would — and
-// the recovered session must keep serving.
+// and logs of network sessions may carry "net_landmarks" and "net_ch".
+// None of them selects anything any more, but such a log must still
+// replay — to the exact optimum, as a session created without the
+// fields would — and the recovered session must keep serving.
 func TestSessionWALReoptBudgetReplays(t *testing.T) {
 	state := t.TempDir()
 	w := churnWorkload(t, "ridehail", 120, 4, 9)
@@ -325,7 +325,7 @@ func TestSessionWALReoptBudgetReplays(t *testing.T) {
 		{"00000000000000b2", map[string]any{"op": "create", "providers": wire, "reopt_budget": 2},
 			cca.NewDynamicMatcher(core)},
 		{"00000000000000b3", map[string]any{"op": "create", "providers": wire,
-			"metric": "network", "net_grid": 8, "net_seed": 9, "net_landmarks": 8},
+			"metric": "network", "net_grid": 8, "net_seed": 9, "net_landmarks": 8, "net_ch": -1},
 			cca.NewDynamicMatcherOpts(core, cca.DynamicOptions{
 				Metric: cca.RoadNetworkMetric(8, cca.Rect{Max: cca.Point{X: 1000, Y: 1000}}, 9)})},
 	}

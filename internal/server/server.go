@@ -153,14 +153,10 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// netKey identifies a synthetic road network and its
-// contraction-hierarchy mode. Hierarchy preprocessing mutates the
-// metric (the up/down graphs), so two requests with different modes
-// cannot share one instance; the mode is part of the identity.
+// netKey identifies a synthetic road network.
 type netKey struct {
 	grid int
 	seed int64
-	ch   int // resolved mode: 0 = hierarchy off, 1 = on
 }
 
 // netEntry is one network's lazily built metric.
@@ -175,9 +171,7 @@ type netEntry struct {
 // the entry was created.
 func (e *netEntry) metric(key netKey) *netmetric.NetworkMetric {
 	e.once.Do(func() {
-		m := cca.RoadNetworkMetric(key.grid, netSpace, key.seed).(*netmetric.NetworkMetric)
-		m.SetCH(key.ch)
-		e.m = m
+		e.m = cca.RoadNetworkMetric(key.grid, netSpace, key.seed).(*netmetric.NetworkMetric)
 		e.done.Store(true)
 	})
 	return e.m
@@ -347,15 +341,13 @@ const (
 	MaxNetLandmarks = 64
 )
 
-// networkMetric returns the shared road-network metric for (grid, seed,
-// ch), building it on first use. Concurrent requests for the same cold
-// network share one build, and the build never blocks the map lock (so
-// other networks' requests and /metrics scrapes proceed meanwhile).
-// ch carries the wire encoding: 0 = automatic (hierarchy on at
-// DefaultCHMinNodes), 1 = forced on, -1 = off; the mode is resolved
-// against the grid's node count here so "auto" and its resolution
-// share one memo entry. landmarks (net_landmarks) selects nothing and
-// is accepted for compatibility, but keeps its range check so no
+// networkMetric returns the shared road-network metric for (grid,
+// seed), building it on first use. Concurrent requests for the same
+// cold network share one build, and the build never blocks the map
+// lock (so other networks' requests and /metrics scrapes proceed
+// meanwhile). The metric turns its contraction hierarchy on by network
+// size. landmarks (net_landmarks) and ch (net_ch) select nothing and
+// are accepted for compatibility, but keep their range checks so no
 // request changes status.
 func (s *Server) networkMetric(grid int, seed int64, landmarks, ch int) (*netmetric.NetworkMetric, error) {
 	if grid < MinNetGrid || grid > MaxNetGrid {
@@ -364,18 +356,10 @@ func (s *Server) networkMetric(grid int, seed int64, landmarks, ch int) (*netmet
 	if landmarks < -1 || landmarks > MaxNetLandmarks {
 		return nil, fmt.Errorf("net_landmarks %d out of range [-1, %d]", landmarks, MaxNetLandmarks)
 	}
-	switch ch {
-	case 0:
-		if grid*grid >= netmetric.DefaultCHMinNodes {
-			ch = 1
-		} else {
-			ch = -1
-		}
-	case 1, -1:
-	default:
-		return nil, fmt.Errorf("net_ch %d invalid (-1 = off, 0 = auto, 1 = on)", ch)
+	if ch < -1 || ch > 1 {
+		return nil, fmt.Errorf("net_ch %d out of range [-1, 1]", ch)
 	}
-	key := netKey{grid: grid, seed: seed, ch: max(0, ch)}
+	key := netKey{grid: grid, seed: seed}
 	s.netMu.Lock()
 	e, ok := s.netMetrics[key]
 	if !ok {

@@ -475,30 +475,38 @@ func TestNetworkMemoBound(t *testing.T) {
 	}
 }
 
-// TestNetLandmarksCompatibility: net_landmarks is accepted for
-// compatibility and selects nothing. Solves and sessions that carry 0,
-// -1 or 8 answer exactly as requests without it, all of them share one
-// memoized network (one /metrics label), and values outside
-// [-1, MaxNetLandmarks] are still rejected.
+// TestNetLandmarksCompatibility: net_landmarks, net_ch and
+// options.dist_table are accepted for compatibility and select nothing.
+// Solves and sessions that carry any of their in-range values answer
+// exactly as requests without them, all of them share one memoized
+// network (one /metrics label), and out-of-range net_landmarks and
+// net_ch values are still rejected. The solve has 3 × 1,400 pairs, so
+// it takes the distance table, which dist_table -1 used to turn off.
 func TestNetLandmarksCompatibility(t *testing.T) {
 	h := testServer(t, server.Config{})
 	ctx := context.Background()
-	pts := testPoints(150, 71)
+	pts := testPoints(1400, 71)
 	providers := []client.Provider{{X: 200, Y: 300, Cap: 10}, {X: 700, Y: 650, Cap: 12}, {X: 450, Y: 900, Cap: 8}}
-	instance := func(landmarks int) client.Instance {
+	type fields struct{ landmarks, ch, table int }
+	instance := func(f fields) client.Instance {
 		return client.Instance{Solver: "ida", Providers: providers, Customers: wireCustomers(pts),
-			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: landmarks}
+			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: f.landmarks, NetCH: f.ch,
+			Options: &client.Options{DistTable: f.table}}
+	}
+	newSession := func(f fields) (*client.SessionInfo, error) {
+		return h.c.NewSession(ctx, client.SessionRequest{Providers: providers,
+			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: f.landmarks, NetCH: f.ch})
 	}
 	// solved is a solve's answer without its timing and placement fields.
-	solved := func(landmarks int) string {
+	solved := func(f fields) string {
 		t.Helper()
-		resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{instance(landmarks)}})
+		resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{instance(f)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := resp.Results[0]
 		if r.Error != "" || r.Size != 30 {
-			t.Fatalf("net_landmarks %d: %+v", landmarks, r)
+			t.Fatalf("%+v: %+v", f, r)
 		}
 		out, err := json.Marshal(client.MatchingResponse{Size: r.Size, Cost: r.Cost, Pairs: r.Pairs})
 		if err != nil {
@@ -506,12 +514,11 @@ func TestNetLandmarksCompatibility(t *testing.T) {
 		}
 		return string(out)
 	}
-	session := func(landmarks int) []byte {
+	session := func(f fields) []byte {
 		t.Helper()
-		info, err := h.c.NewSession(ctx, client.SessionRequest{Providers: providers,
-			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: landmarks})
+		info, err := newSession(f)
 		if err != nil {
-			t.Fatalf("net_landmarks %d: %v", landmarks, err)
+			t.Fatalf("%+v: %v", f, err)
 		}
 		for i, p := range pts[:40] {
 			if _, err := h.c.Arrive(ctx, info.ID, client.ArriveRequest{ID: int64(i), X: p.X, Y: p.Y}); err != nil {
@@ -520,13 +527,26 @@ func TestNetLandmarksCompatibility(t *testing.T) {
 		}
 		return rawMatching(t, h.url, info.ID)
 	}
-	wantSolve, wantSession := solved(0), session(0)
-	for _, lm := range []int{-1, 8, 0} {
-		if got := solved(lm); got != wantSolve {
-			t.Errorf("solve with net_landmarks %d:\n%s\nwithout:\n%s", lm, got, wantSolve)
+	wantSolve, wantSession := solved(fields{}), session(fields{})
+	var cases []fields
+	for _, v := range []int{-1, 8, 0} {
+		cases = append(cases, fields{landmarks: v})
+	}
+	for _, v := range []int{-1, 0, 1} {
+		cases = append(cases, fields{ch: v})
+	}
+	for _, v := range []int{-1, 0, 1 << 20} {
+		cases = append(cases, fields{table: v})
+	}
+	for _, f := range cases {
+		if got := solved(f); got != wantSolve {
+			t.Errorf("solve with %+v:\n%s\nwithout:\n%s", f, got, wantSolve)
 		}
-		if got := session(lm); !bytes.Equal(got, wantSession) {
-			t.Errorf("session with net_landmarks %d:\n%s\nwithout:\n%s", lm, got, wantSession)
+		if f.table != 0 {
+			continue // sessions carry no options
+		}
+		if got := session(f); !bytes.Equal(got, wantSession) {
+			t.Errorf("session with %+v:\n%s\nwithout:\n%s", f, got, wantSession)
 		}
 	}
 
@@ -540,22 +560,28 @@ func TestNetLandmarksCompatibility(t *testing.T) {
 			labels = append(labels, line[:strings.IndexByte(line, '}')+1])
 		}
 	}
-	if want := `ccad_netmetric_node_cache_hits_total{network="grid16-seed5-ch0"}`; len(labels) != 1 || labels[0] != want {
+	if want := `ccad_netmetric_node_cache_hits_total{network="grid16-seed5"}`; len(labels) != 1 || labels[0] != want {
 		t.Errorf("network labels %q, want only %s", labels, want)
 	}
 
-	for _, lm := range []int{-2, server.MaxNetLandmarks + 1} {
-		resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{instance(lm)}})
+	for _, bad := range []struct {
+		field string
+		f     fields
+	}{
+		{"net_landmarks", fields{landmarks: -2}},
+		{"net_landmarks", fields{landmarks: server.MaxNetLandmarks + 1}},
+		{"net_ch", fields{ch: -2}},
+		{"net_ch", fields{ch: 2}},
+	} {
+		resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{instance(bad.f)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := resp.Results[0]; !strings.Contains(r.Error, "net_landmarks") {
-			t.Errorf("solve with net_landmarks %d: %+v, want a net_landmarks error", lm, r)
+		if r := resp.Results[0]; !strings.Contains(r.Error, bad.field) {
+			t.Errorf("solve with %+v: %+v, want a %s error", bad.f, r, bad.field)
 		}
-		_, err = h.c.NewSession(ctx, client.SessionRequest{Providers: providers,
-			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: lm})
-		if statusOf(err) != http.StatusBadRequest {
-			t.Errorf("session with net_landmarks %d: %v, want 400", lm, err)
+		if _, err := newSession(bad.f); statusOf(err) != http.StatusBadRequest {
+			t.Errorf("session with %+v: %v, want 400", bad.f, err)
 		}
 	}
 }
@@ -802,8 +828,8 @@ func TestMetricsExposition(t *testing.T) {
 		"ccad_sessions_created_total 1",
 		"ccad_sessions_arrivals_total 1",
 		"ccad_sessions_arrivals_matched_total 1",
-		`ccad_netmetric_node_cache_hits_total{network="grid8-seed3-ch0"}`,
-		`ccad_netmetric_pair_cache_hits_total{network="grid8-seed3-ch0"}`,
+		`ccad_netmetric_node_cache_hits_total{network="grid8-seed3"}`,
+		`ccad_netmetric_pair_cache_hits_total{network="grid8-seed3"}`,
 		// Inline per-request datasets can never repeat, so they must
 		// bypass the result cache entirely — no misses, no dead inserts
 		// evicting named-dataset entries.

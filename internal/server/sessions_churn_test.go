@@ -10,6 +10,7 @@ import (
 	"repro/client"
 	"repro/internal/datagen"
 	"repro/internal/geo"
+	"repro/internal/geo/netmetric"
 	"repro/internal/server"
 )
 
@@ -131,29 +132,33 @@ func TestSessionChurnConformance(t *testing.T) {
 // TestSessionChurnNetworkConformance replays a churn stream through a
 // network-metric session and through an in-process DynamicMatcher over
 // the same road network, asserting byte-identical sizes and costs at
-// every event. The session forces the contraction hierarchy on
-// (net_ch: 1) while the in-process reference keeps it off, so any
-// divergence between hierarchy queries and plain forward Dijkstra
-// surfaces here as a cost mismatch — the canonical-float contract,
-// checked end to end through the wire.
+// every event. The session's 32-grid network is large enough for the
+// server's metric to turn the contraction hierarchy on, while the
+// in-process reference turns it off, so any divergence between
+// hierarchy queries and plain forward Dijkstra surfaces here as a cost
+// mismatch — the canonical-float contract, checked end to end through
+// the wire.
 func TestSessionChurnNetworkConformance(t *testing.T) {
 	h := testServer(t, server.Config{})
 	ctx := context.Background()
 	w := churnWorkload(t, "ridehail", 200, 5, 23)
 	core, wire := sessionProviders(w)
 
-	const grid, seed = 16, int64(77)
+	const grid, seed = 32, int64(77)
+	if grid*grid < netmetric.DefaultCHMinNodes {
+		t.Fatalf("a %d-grid is below the hierarchy's automatic threshold", grid)
+	}
 	info, err := h.c.NewSession(ctx, client.SessionRequest{
 		Providers: wire,
 		Metric:    "network",
 		NetGrid:   grid,
 		NetSeed:   seed,
-		NetCH:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refMetric := cca.RoadNetworkMetric(grid, cca.Rect{Max: cca.Point{X: 1000, Y: 1000}}, seed)
+	refMetric := cca.RoadNetworkMetric(grid, cca.Rect{Max: cca.Point{X: 1000, Y: 1000}}, seed).(*netmetric.NetworkMetric)
+	refMetric.SetCH(0)
 	ref := cca.NewDynamicMatcherOpts(core, cca.DynamicOptions{Metric: refMetric})
 
 	for i, ev := range w.Events {

@@ -281,7 +281,6 @@ func (s *Server) prepare(ctx context.Context, idx int, wi client.Instance) *prep
 		opts.Core.DisableTheorem2 = o.DisableTheorem2
 		opts.Core.DisableANN = o.DisableANN
 		opts.Core.ANNGroupSize = o.ANNGroupSize
-		opts.Core.DistTable = o.DistTable
 	}
 	switch strings.ToLower(wi.Metric) {
 	case "", "euclidean":

@@ -202,12 +202,17 @@ func TestCrossMetricAblations(t *testing.T) {
 	}
 }
 
+// pointQueries hides a road-network metric from withDistTable, which
+// puts a distance table in front of a *netmetric.NetworkMetric only:
+// solves over it keep the point-query path at any instance size.
+type pointQueries struct{ geo.Metric }
+
 // TestNetworkExpansionConformance pins the table path's candidate
 // stream against the R-tree one above DistTableMinPairs: on a clustered
 // 16-grid instance, solves that stream network nearest neighbours from
-// the distance table's rows (the default) and solves with the table
-// disabled (DistTable -1, the refinement stream over the R-tree) must
-// agree on the cost bits, the size and |Esub|, traced and untraced.
+// the distance table's rows (the registry's choice) and solves over
+// pointQueries (the refinement stream over the R-tree) must agree on
+// the cost bits, the size and |Esub|, traced and untraced.
 // The traced table-path solves must also show the stream at work and
 // no R-tree page read.
 func TestNetworkExpansionConformance(t *testing.T) {
@@ -229,14 +234,16 @@ func TestNetworkExpansionConformance(t *testing.T) {
 	for _, name := range []string{"ida", "greedy", "sharded:ida"} {
 		for _, traced := range []bool{false, true} {
 			var got [2]*Result
-			for k, table := range []int{0, -1} {
+			for k, table := range []bool{true, false} {
 				tree, err := rtree.Bulk(storage.NewBuffer(storage.NewMemStore(storage.DefaultPageSize), 1<<20), items)
 				if err != nil {
 					t.Fatal(err)
 				}
 				opts := Options{}
-				opts.Core.Metric = metric
-				opts.Core.DistTable = table
+				opts.Core.Metric = pointQueries{metric}
+				if table {
+					opts.Core.Metric = metric
+				}
 				opts.Core.Shards = 3
 				ctx, root := context.Background(), (*obs.Span)(nil)
 				if traced {
@@ -245,14 +252,17 @@ func TestNetworkExpansionConformance(t *testing.T) {
 				}
 				res, err := MustGet(name).Solve(ctx, providers, FromTreeItems(tree, items), opts)
 				if err != nil {
-					t.Fatalf("%s (table %d, traced %v): %v", name, table, traced, err)
+					t.Fatalf("%s (table %v, traced %v): %v", name, table, traced, err)
 				}
 				validate(t, name, providers, len(pts), res)
 				if name == "sharded:ida" && res.Groups != opts.Core.Shards {
 					t.Fatalf("sharded:ida solved %d regions, want %d", res.Groups, opts.Core.Shards)
 				}
 				got[k] = res
-				if !traced || table != 0 {
+				if !table && name != "sharded:ida" && res.Metrics.IO.Hits+res.Metrics.IO.Faults == 0 {
+					t.Errorf("%s: the R-tree path read no R-tree page", name)
+				}
+				if !traced || !table {
 					continue
 				}
 				root.End()

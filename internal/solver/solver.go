@@ -291,33 +291,34 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	return res, nil
 }
 
-// DistTableMinPairs gates the distance table: below this many
-// provider×customer pairs the point-query path (with its warm caches)
-// wins, since a table row pays for every node it settles on the way
-// to a customer while a cached point query pays for none.
+// DistTableMinPairs gates the distance table: instances with fewer
+// provider×customer pairs keep the point-query path. At this many
+// pairs BenchmarkNetworkNNPaths measures the table ahead on a dense
+// 32-grid instance (8 providers × 600 clustered customers) and the
+// point path ahead on a sparse 128-grid one (8 × 400) with the
+// hierarchy warm: a row pays for every node it settles on the way to a
+// customer, which a cached point query does not.
 const DistTableMinPairs = 1 << 12
 
 // withDistTable swaps opts' metric for a provider-sourced distance
-// table (netmetric.Table) when the metric is a road network, the table
-// is enabled (core.Options.DistTable >= 0) and the instance is large
-// enough to amortize the sweeps, and passes the table on in
-// core.Options.Table. The build only allocates the rows; each row's
-// sweep advances during the solve, as far as the solver's network
-// expansion or its queries reach. The table returns the same canonical
-// floats as point queries, so solvers that only query it (ria, sspa,
-// hungarian, sa, ca) return byte-identical results either way. The
-// incremental solvers (ida, nia, greedy) switch their candidate stream
-// to network expansion, which reads no R-tree page and emits
-// equal-distance customers by id, where the R-tree refinement stream
-// emits them in heap order: with duplicate customer locations the two
-// paths may pick different (equally cheap) matchings. The engine's
-// result cache therefore keys on DistTable. Returns the table (nil when
-// skipped or declined over budget) and the wall time the build
-// consumed (0 when skipped).
+// table (netmetric.Table) when the metric is a road network and the
+// instance is large enough to amortize the sweeps, and passes the
+// table on in core.Options.Table. The build only allocates the rows,
+// within netmetric.DefaultTableBudget; each row's sweep advances
+// during the solve, as far as the solver's network expansion or its
+// queries reach. The table returns the same canonical floats as point
+// queries, so solvers that only query it (ria, sspa, hungarian, sa,
+// ca) return byte-identical results either way. The incremental
+// solvers (ida, nia, greedy) switch their candidate stream to network
+// expansion, which reads no R-tree page and emits equal-distance
+// customers by id, where the R-tree refinement stream emits them in
+// heap order. The choice depends only on the metric, the providers and
+// the dataset, all of which the engine's result cache keys on.
+// Returns the table (nil when skipped or declined over budget) and the
+// wall time the build consumed (0 when skipped).
 func withDistTable(providers []core.Provider, data Dataset, opts *Options) (*netmetric.Table, time.Duration) {
 	nm, ok := opts.Core.Metric.(*netmetric.NetworkMetric)
-	if !ok || opts.Core.DistTable < 0 || len(providers) == 0 ||
-		len(providers)*data.Len() < DistTableMinPairs {
+	if !ok || len(providers) == 0 || len(providers)*data.Len() < DistTableMinPairs {
 		return nil, 0
 	}
 	start := time.Now()
@@ -325,7 +326,7 @@ func withDistTable(providers []core.Provider, data Dataset, opts *Options) (*net
 	for i := range providers {
 		pts[i] = providers[i].Pt
 	}
-	t := nm.BuildTable(pts, opts.Core.DistTable)
+	t := nm.BuildTable(pts, 0)
 	if t != nil {
 		opts.Core.Metric = t
 		opts.Core.Table = t

@@ -56,14 +56,6 @@ func NewBuffer(store Store, frames int) *Buffer {
 	}
 }
 
-// NewBufferFraction wraps store with an LRU buffer sized at the given
-// fraction of the store's current page count — the paper uses 1% of the
-// R-tree size.
-func NewBufferFraction(store Store, fraction float64) *Buffer {
-	n := int(fraction * float64(store.NumPages()))
-	return NewBuffer(store, n)
-}
-
 // Store returns the underlying page store.
 func (b *Buffer) Store() Store { return b.store }
 

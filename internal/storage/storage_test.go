@@ -241,23 +241,6 @@ func TestBufferSequentialScanWorstCase(t *testing.T) {
 	}
 }
 
-func TestBufferFraction(t *testing.T) {
-	s := NewMemStore(32)
-	for i := 0; i < 200; i++ {
-		s.Alloc()
-	}
-	b := NewBufferFraction(s, 0.01)
-	if b.Frames() != 2 {
-		t.Fatalf("1%% of 200 pages = 2 frames, got %d", b.Frames())
-	}
-	// Fraction too small for tiny stores still yields one frame.
-	small := NewMemStore(32)
-	small.Alloc()
-	if got := NewBufferFraction(small, 0.01).Frames(); got != 1 {
-		t.Fatalf("minimum one frame, got %d", got)
-	}
-}
-
 func TestBufferReadError(t *testing.T) {
 	s := NewMemStore(32)
 	b := NewBuffer(s, 2)

@@ -201,11 +201,6 @@ func (e *Engine) resultKeyFor(canonical string, in Instance) (resultKey, bool) {
 	// suite), so instances differing only in it share a cache entry.
 	put64(uint64(int64(o.Core.Shards)))
 	putF(o.Core.ShardBoundary)
-	// DistTable decides whether the incremental solvers stream by
-	// network expansion or by the R-tree: the two paths charge
-	// different page I/O and may assign equally distant customers
-	// differently, so a result from one never answers the other.
-	put64(uint64(int64(o.Core.DistTable)))
 
 	key := resultKey{dataset: in.Customers.id, metric: o.Core.Metric}
 	h.Sum(key.digest[:0])
