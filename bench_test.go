@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/expr"
 )
 
@@ -181,6 +182,40 @@ func BenchmarkAssignIDA(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve("ida", providers, customers, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAssignIDAClustered mirrors the benchmark's solve-euclid
+// workload: ida over 20k clustered customers on a 128-grid road network
+// (1 KB pages, the paper's 1% buffer), each op a fresh set of 16
+// providers with capacity 50 solved on a cold Customers clone. Unlike
+// BenchmarkAssignIDA, its grouped nearest-neighbour search reads
+// hundreds of leaf pages per solve.
+func BenchmarkAssignIDAClustered(b *testing.B) {
+	space := Rect{Min: Point{X: 0, Y: 0}, Max: Point{X: 1000, Y: 1000}}
+	net := datagen.NewNetwork(128, space, 2008)
+	pts := net.Points(datagen.Config{N: 20000, Dist: datagen.Clustered, Seed: 2008})
+	customers, err := IndexItems(datagen.Items(pts), IndexConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { customers.Close() })
+	requests := make([][]Provider, 16)
+	for i := range requests {
+		for _, q := range net.Points(datagen.Config{N: 16, Dist: datagen.Uniform, Seed: int64(i + 1)}) {
+			requests[i] = append(requests[i], Provider{Pt: q, Cap: 50})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := customers.Clone()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Solve("ida", requests[i%len(requests)], c, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

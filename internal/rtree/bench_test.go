@@ -65,6 +65,7 @@ func BenchmarkANNSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	queries := randQueries(16, 6)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := NewANNSearch(tr, queries, testSpace, 8)

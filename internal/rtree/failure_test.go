@@ -88,6 +88,44 @@ func TestSearchSurfacesReadErrors(t *testing.T) {
 	}
 }
 
+// A disk that dies mid-search must fail the grouped ANN search at the
+// same Next call, with the same error, as the eager expansion it
+// replaced, whichever page read fails.
+func TestANNReadErrorsMatchEager(t *testing.T) {
+	items, queries := annInstance(4, 400, 6)
+	ms := storage.NewMemStore(256)
+	tr, err := Bulk(storage.NewBuffer(ms, 64), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for budget := 0; budget < 60; budget += 3 {
+		failAt := func(next func(int) (Item, float64, bool, error)) (int, error) {
+			for call := 0; call < len(queries)*len(items); call++ {
+				if _, _, ok, err := next(call % len(queries)); err != nil || !ok {
+					return call, err
+				}
+			}
+			return -1, nil
+		}
+		open := func() *Tree {
+			tr, err := Open(storage.NewBuffer(&flakyStore{MemStore: ms, budget: budget + 1}, 3)) // +1: the meta page
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		lazyCall, lazyErr := failAt(NewANNSearch(open(), queries, testSpace, 3).Next)
+		eagerCall, eagerErr := failAt(newEagerANN(open(), queries, testSpace, 3).Next)
+		if !errors.Is(lazyErr, errDiskDied) || lazyCall != eagerCall || !errors.Is(eagerErr, errDiskDied) {
+			t.Fatalf("read budget %d: failed at call %d with %v, oracle at call %d with %v",
+				budget, lazyCall, lazyErr, eagerCall, eagerErr)
+		}
+	}
+}
+
 // A disk that dies while the tree is being packed must fail Bulk (and a
 // later Flush), whether the failing write is the empty tree's root, a
 // leaf or a directory page.

@@ -7,7 +7,11 @@
 //   - range and annular range search (used by RIA, §3.1),
 //   - best-first incremental nearest neighbor search in the style of
 //     Hjaltason & Samet (used by NIA/IDA, §3.2–3.3),
-//   - grouped incremental all-nearest-neighbor search (§3.4.2), and
+//   - grouped incremental all-nearest-neighbor search (§3.4.2), where a
+//     group's members share every page read and each leaf read costs a
+//     member one heap entry keyed by its mindist, a lower bound of every
+//     point inside, until that member needs the leaf's points (ties go
+//     out in ascending item ID), and
 //   - an entry-level traversal cursor with per-subtree point counts
 //     (used by CA partitioning, §4.2).
 //
