@@ -42,7 +42,9 @@ type Options struct {
 	DisablePUA      bool `json:"disable_pua,omitempty"`
 	DisableTheorem2 bool `json:"disable_theorem2,omitempty"`
 	DisableANN      bool `json:"disable_ann,omitempty"`
-	ANNGroupSize    int  `json:"ann_group_size,omitempty"`
+	// ANNGroupSize is accepted for compatibility and selects nothing:
+	// ANN groups hold 8 providers, or one under DisableANN.
+	ANNGroupSize int `json:"ann_group_size,omitempty"`
 	// DistTable is accepted for compatibility and selects nothing: a
 	// network-metric solve builds its provider-sourced distance table
 	// whenever the instance is large enough and the table fits the

@@ -85,11 +85,9 @@ type Options struct {
 	DisablePUA bool
 	// DisableTheorem2 turns off IDA's fast path (ablation).
 	DisableTheorem2 bool
-	// DisableANN uses one independent NN iterator per provider instead
-	// of the grouped incremental ANN search of §3.4.2 (ablation).
+	// DisableANN runs the ANN search of §3.4.2 with groups of one
+	// provider: independent best-first searches (ablation).
 	DisableANN bool
-	// ANNGroupSize is the Hilbert group size for ANN (default 8).
-	ANNGroupSize int
 	// Space is the data space, used for Hilbert ordering (default
 	// [0,1000]², the paper's normalized space).
 	Space geo.Rect
@@ -139,8 +137,8 @@ type Options struct {
 	// in front of a road-network metric: Table must be the table Metric
 	// answers from (possibly behind a timing wrapper), and NetIndex the
 	// snap-edge index of exactly the solve's customers. Either nil
-	// keeps the R-tree stream (the only one DisableANN and ANNGroupSize
-	// tune).
+	// keeps the R-tree stream, the only one DisableANN tunes. Both
+	// streams emit equal distances in ascending customer ID.
 	Table    *netmetric.Table
 	NetIndex *netmetric.PointIndex
 
@@ -170,9 +168,6 @@ var DefaultSpace = geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1000, 
 func (o Options) withDefaults() Options {
 	if o.Theta <= 0 {
 		o.Theta = 0.8
-	}
-	if o.ANNGroupSize <= 0 {
-		o.ANNGroupSize = rtree.DefaultANNGroupSize
 	}
 	if o.Space.IsEmpty() {
 		o.Space = DefaultSpace
@@ -206,7 +201,7 @@ func newFlowGraph(providers []Provider, complete bool, opts Options) *flowgraph.
 
 // nearestSource returns the providers' candidate-edge stream: network
 // expansion over opts.Table when the registry supplied one, otherwise
-// incremental NN over the R-tree (grouped ANN unless disabled), re-keyed
+// incremental NN over the R-tree (groups of one when ANN is disabled), re-keyed
 // into metric order for non-Euclidean metrics. Every stream reports
 // each edge's length as the metric's provider→customer distance, so
 // callers insert edges with it.
@@ -220,12 +215,11 @@ func nearestSource(providers []Provider, tree *rtree.Tree, opts Options) rtree.N
 			return networkNN{nn: nn, x: opts.NetIndex}
 		}
 	}
-	var nn rtree.NNSource
+	groupSize := rtree.DefaultANNGroupSize
 	if opts.DisableANN {
-		nn = rtree.NewPerQueryNN(tree, pts)
-	} else {
-		nn = rtree.NewANNSearch(tree, pts, opts.Space, opts.ANNGroupSize)
+		groupSize = 1
 	}
+	var nn rtree.NNSource = rtree.NewANNSearch(tree, pts, opts.Space, groupSize)
 	if !geo.IsEuclidean(opts.Metric) {
 		// Non-Euclidean metric (e.g. road-network distance) without a
 		// table: the R-tree streams candidates in ascending Euclidean

@@ -152,8 +152,6 @@ func TestExactAlgorithmsOptimal(t *testing.T) {
 				check("IDA-noT2", res, err)
 				res, err = IDA(in.providers, in.tree, Options{DisablePUA: true, DisableTheorem2: true, DisableANN: true})
 				check("IDA-bare", res, err)
-				res, err = IDA(in.providers, in.tree, Options{ANNGroupSize: 2})
-				check("IDA-ann2", res, err)
 			}
 		})
 	}

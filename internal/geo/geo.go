@@ -95,15 +95,6 @@ func (r Rect) ContainsRect(s Rect) bool {
 		s.Min.Y >= r.Min.Y && s.Max.Y <= r.Max.Y
 }
 
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
-	}
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
 // Diagonal returns the length of r's diagonal. The approximation methods
 // of the paper (SA and CA, §4) bound group MBR diagonals by δ.
 func (r Rect) Diagonal() float64 {

@@ -11,36 +11,16 @@ import (
 )
 
 // NNSource produces, for each of a fixed set of query points, its nearest
-// neighbors one at a time in ascending distance order. It abstracts the
-// two ways the CCA algorithms fetch candidate edges from the R-tree:
-// independent per-provider NN iterators, or the shared-I/O incremental
-// all-nearest-neighbor search of §3.4.2.
+// neighbors one at a time in ascending distance order — the candidate
+// edge stream of NIA and IDA (§3.2, §3.3). ANNSearch streams Euclidean
+// neighbors from the R-tree, RefinedNN re-keys that stream into the
+// order of a lower-bounded metric, and core adapts the road network's
+// expansion (netmetric.NN) to it. All three report equal distances among
+// the candidates already read in ascending item ID.
 type NNSource interface {
 	// Next returns query point qi's next nearest neighbor.
 	// ok is false when P is exhausted for qi.
 	Next(qi int) (item Item, dist float64, ok bool, err error)
-}
-
-// PerQueryNN is the straightforward NNSource: one independent best-first
-// iterator per query point. Simple, but nearby query points re-read the
-// same pages, inflating I/O. Used as the ablation baseline for ANN.
-type PerQueryNN struct {
-	iters []*NNIterator
-}
-
-// NewPerQueryNN builds independent NN iterators over t for each query.
-func NewPerQueryNN(t *Tree, queries []geo.Point) *PerQueryNN {
-	s := &PerQueryNN{iters: make([]*NNIterator, len(queries))}
-	for i, q := range queries {
-		s.iters[i] = t.NewNNIterator(q)
-	}
-	return s
-}
-
-// Next implements NNSource.
-func (s *PerQueryNN) Next(qi int) (Item, float64, bool, error) {
-	it, d, ok := s.iters[qi].Next()
-	return it, d, ok, s.iters[qi].Err()
 }
 
 // DefaultANNGroupSize is the number of Hilbert-consecutive query points
@@ -53,7 +33,9 @@ const DefaultANNGroupSize = 8
 // every member qi keeps a candidate heap res_i keyed by distance from qi.
 // A candidate is reported as qi's next NN once it is at least as close as
 // every unexplored entry could be. Members share every page read, cutting
-// the I/O cost relative to PerQueryNN.
+// the I/O cost relative to searching for each query alone. A group of one
+// is the single-query best-first search of Hjaltason & Samet [7]; the
+// DisableANN ablation and Tree.KNN run groups of one.
 //
 // Candidates are materialized per leaf, on demand. When a group reads a
 // leaf page it records the page's items once, as a block, and pushes one
@@ -221,7 +203,4 @@ func (s *ANNSearch) expandBlock(g *annGroup, m *annMember, q geo.Point, b int32)
 }
 
 // ensure interface compliance
-var (
-	_ NNSource = (*PerQueryNN)(nil)
-	_ NNSource = (*ANNSearch)(nil)
-)
+var _ NNSource = (*ANNSearch)(nil)

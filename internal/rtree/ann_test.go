@@ -21,16 +21,17 @@ func randQueries(n int, seed int64) []geo.Point {
 	return qs
 }
 
-// Both NN sources must yield, for every query point, exactly the
-// brute-force distance order: the same distance bits at every rank, and
-// the same item wherever that rank's distance is unique.
+// The grouped search, with groups of one and of four, must yield for
+// every query point exactly the brute-force distance order: the same
+// distance bits at every rank, and the same item wherever that rank's
+// distance is unique.
 func TestNNSourcesMatchBruteForce(t *testing.T) {
 	items := randItems(1500, 41)
 	tr := bulkTree(t, items)
 	queries := randQueries(10, 43)
 
 	sources := map[string]NNSource{
-		"per-query": NewPerQueryNN(tr, queries),
+		"per-query": NewANNSearch(tr, queries, testSpace, 1),
 		"ann":       NewANNSearch(tr, queries, testSpace, 4),
 	}
 	for name, src := range sources {
@@ -103,7 +104,7 @@ func TestANNExhaustive(t *testing.T) {
 }
 
 // The point of grouped ANN: fewer page faults than independent
-// per-query search when the query points are clustered.
+// per-query search (groups of one) when the query points are clustered.
 func TestANNSharesIO(t *testing.T) {
 	items := randItems(5000, 53)
 	rng := rand.New(rand.NewSource(54))
@@ -132,7 +133,7 @@ func TestANNSharesIO(t *testing.T) {
 		return buf.Stats().Faults
 	}
 
-	perQuery := run(func(tr *Tree) NNSource { return NewPerQueryNN(tr, queries) })
+	perQuery := run(func(tr *Tree) NNSource { return NewANNSearch(tr, queries, testSpace, 1) })
 	ann := run(func(tr *Tree) NNSource { return NewANNSearch(tr, queries, testSpace, 8) })
 	if ann >= perQuery {
 		t.Fatalf("ANN should save I/O: ann=%d per-query=%d faults", ann, perQuery)
@@ -199,6 +200,9 @@ func annInstance(seed int64, n, nq int) ([]Item, []geo.Point) {
 	}
 	return items, queries
 }
+
+// ANNInstance exposes annInstance to the external refinement tests.
+var ANNInstance = annInstance
 
 // annRank is one reported neighbour, with the number of pages its group
 // had read when it was reported.

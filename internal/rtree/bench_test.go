@@ -42,19 +42,18 @@ func BenchmarkRangeSearch(b *testing.B) {
 	}
 }
 
-func BenchmarkNNIterator100(b *testing.B) {
+func BenchmarkKNN100(b *testing.B) {
 	tr, err := Bulk(storage.NewBuffer(storage.NewMemStore(1024), 1<<20), benchItems(20000))
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := tr.NewNNIterator(geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000})
-		for k := 0; k < 100; k++ {
-			if _, _, ok := it.Next(); !ok {
-				b.Fatal("iterator ended early")
-			}
+		got, err := tr.KNN(geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, 100)
+		if err != nil || len(got) != 100 {
+			b.Fatalf("KNN returned %d items: %v", len(got), err)
 		}
 	}
 }

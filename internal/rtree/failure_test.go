@@ -59,14 +59,8 @@ func TestSearchSurfacesReadErrors(t *testing.T) {
 	}
 
 	kill()
-	it := tr.NewNNIterator(geo.Point{X: 500, Y: 500})
-	for {
-		if _, _, ok := it.Next(); !ok {
-			break
-		}
-	}
-	if !errors.Is(it.Err(), errDiskDied) {
-		t.Fatalf("NNIterator must record the failure, got %v", it.Err())
+	if _, err := tr.KNN(geo.Point{X: 500, Y: 500}, len(items)); !errors.Is(err, errDiskDied) {
+		t.Fatalf("KNN must surface the failure, got %v", err)
 	}
 
 	kill()

@@ -345,61 +345,37 @@ func TestAnnularDisjointCoversRange(t *testing.T) {
 	}
 }
 
-func TestSearchRect(t *testing.T) {
-	items := randItems(1500, 11)
-	tr := bulkTree(t, items)
-	w := geo.Rect{Min: geo.Point{X: 200, Y: 300}, Max: geo.Point{X: 600, Y: 450}}
-	got, err := tr.SearchRect(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []int64
-	for _, it := range items {
-		if w.Contains(it.Pt) {
-			want = append(want, it.ID)
-		}
-	}
-	if !sameIDs(got, want) {
-		t.Fatalf("window mismatch: got %d want %d", len(got), len(want))
-	}
-}
-
-func TestNNIteratorFullOrder(t *testing.T) {
+// KNN over the whole tree must deliver every point once, at the
+// brute-force distance of each rank, bit for bit.
+func TestKNNFullOrder(t *testing.T) {
 	items := randItems(1200, 13)
 	tr := bulkTree(t, items)
 	q := geo.Point{X: 333, Y: 667}
-
-	want := append([]Item(nil), items...)
-	sort.Slice(want, func(i, j int) bool { return q.Dist(want[i].Pt) < q.Dist(want[j].Pt) })
-
-	it := tr.NewNNIterator(q)
-	prev := -1.0
-	for i := 0; ; i++ {
-		item, d, ok := it.Next()
-		if !ok {
-			if i != len(items) {
-				t.Fatalf("iterator stopped at %d of %d", i, len(items))
-			}
-			break
-		}
-		if d < prev {
-			t.Fatalf("distances not monotone at %d: %f < %f", i, d, prev)
-		}
-		if math.Abs(d-q.Dist(want[i].Pt)) > 1e-9 {
-			t.Fatalf("rank %d: got dist %f want %f (item %d)", i, d, q.Dist(want[i].Pt), item.ID)
-		}
-		prev = d
+	want := bruteForce(items, q)
+	got, err := tr.KNN(q, len(items)+5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
+	if len(got) != len(items) {
+		t.Fatalf("KNN stopped at %d of %d", len(got), len(items))
+	}
+	seen := make(map[int64]bool, len(got))
+	for i, it := range got {
+		if seen[it.ID] {
+			t.Fatalf("rank %d: item %d delivered twice", i, it.ID)
+		}
+		seen[it.ID] = true
+		if d := q.Dist(it.Pt); math.Float64bits(d) != math.Float64bits(want[i].dist) {
+			t.Fatalf("rank %d: got dist %v want %v (item %d)", i, d, want[i].dist, it.ID)
+		}
 	}
 }
 
-func TestNNIteratorEmptyTree(t *testing.T) {
+func TestKNNEmptyTree(t *testing.T) {
 	tr := emptyTree(t, 256, 16)
-	it := tr.NewNNIterator(geo.Point{X: 1, Y: 2})
-	if _, _, ok := it.Next(); ok {
-		t.Fatal("empty tree must yield nothing")
+	got, err := tr.KNN(geo.Point{X: 1, Y: 2}, 5)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("empty tree must yield nothing, got %v, %v", got, err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/geo"
-	"repro/internal/pqueue"
 	"repro/internal/storage"
 )
 
@@ -52,102 +51,6 @@ func (t *Tree) annular(id storage.PageID, center geo.Point, rlo, rhi float64, ou
 	}
 	return nil
 }
-
-// SearchRect returns all points inside the query window w.
-func (t *Tree) SearchRect(w geo.Rect) ([]Item, error) {
-	var out []Item
-	err := t.searchRect(t.root, w, &out)
-	return out, err
-}
-
-func (t *Tree) searchRect(id storage.PageID, w geo.Rect, out *[]Item) error {
-	n, err := t.readNode(id)
-	if err != nil {
-		return err
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			if w.Contains(it.Pt) {
-				*out = append(*out, it)
-			}
-		}
-		return nil
-	}
-	for _, c := range n.childs {
-		if w.Intersects(c.mbr) {
-			if err := t.searchRect(c.child, w, out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// nnEntry is a best-first search heap element: either an R-tree node to
-// expand or a concrete point to report.
-type nnEntry struct {
-	isItem bool
-	item   Item
-	page   storage.PageID
-}
-
-// NNIterator yields the points of the tree in ascending distance from a
-// query point, reading pages on demand — Hjaltason & Samet's distance
-// browsing [7], the primitive behind NIA and IDA (§3.2, §3.3).
-type NNIterator struct {
-	t     *Tree
-	query geo.Point
-	heap  pqueue.Heap // handles index ents
-	ents  []nnEntry
-	err   error
-}
-
-// NewNNIterator starts an incremental nearest neighbor search at query.
-func (t *Tree) NewNNIterator(query geo.Point) *NNIterator {
-	it := &NNIterator{t: t, query: query}
-	if t.size > 0 {
-		it.push(nnEntry{page: t.root}, 0)
-	}
-	return it
-}
-
-func (it *NNIterator) push(e nnEntry, key float64) {
-	it.heap.Push(int32(len(it.ents)), key)
-	it.ents = append(it.ents, e)
-}
-
-// Next returns the next closest point and its distance. ok is false when
-// the tree is exhausted or an error occurred (check Err).
-func (it *NNIterator) Next() (item Item, dist float64, ok bool) {
-	if it.err != nil {
-		return Item{}, 0, false
-	}
-	for it.heap.Len() > 0 {
-		top := it.heap.Pop()
-		e := it.ents[top.H]
-		if e.isItem {
-			return e.item, top.Key, true
-		}
-		n, err := it.t.readNode(e.page)
-		if err != nil {
-			it.err = err
-			return Item{}, 0, false
-		}
-		if n.leaf {
-			for _, item := range n.items {
-				it.push(nnEntry{isItem: true, item: item}, it.query.Dist(item.Pt))
-			}
-		} else {
-			for _, c := range n.childs {
-				it.push(nnEntry{page: c.child}, c.mbr.MinDist(it.query))
-			}
-		}
-	}
-	return Item{}, 0, false
-}
-
-// Err returns the first page-access error encountered, if any.
-func (it *NNIterator) Err() error { return it.err }
 
 // Entry describes an R-tree entry (a subtree) to traversal clients. CA
 // partitioning (§4.2) walks entries top-down, descending those whose MBR
@@ -257,16 +160,17 @@ func (t *Tree) all(id storage.PageID, out *[]Item) error {
 
 // KNN returns the k points of the tree closest to q in ascending
 // distance order (fewer if the tree holds fewer points) — the K-nearest
-// neighbor query of §2.3, evaluated with the best-first algorithm [7].
+// neighbor query of §2.3, evaluated with the best-first algorithm [7]
+// as an ANNSearch whose only member is q.
 func (t *Tree) KNN(q geo.Point, k int) ([]Item, error) {
-	it := t.NewNNIterator(q)
+	src := NewANNSearch(t, []geo.Point{q}, geo.Rect{}, 1)
 	out := make([]Item, 0, k)
 	for len(out) < k {
-		item, _, ok := it.Next()
-		if !ok {
-			break
+		item, _, ok, err := src.Next(0)
+		if err != nil || !ok {
+			return out, err
 		}
 		out = append(out, item)
 	}
-	return out, it.Err()
+	return out, nil
 }

@@ -124,7 +124,10 @@ func (s *Server) buildMatcher(req client.SessionRequest) (*cca.DynamicMatcher, i
 		if seed == 0 {
 			seed = 2008
 		}
-		m, err := s.networkMetric(grid, seed, req.NetLandmarks, req.NetCH)
+		if err := checkNetCompat(req.NetLandmarks, req.NetCH); err != nil {
+			return nil, 0, err
+		}
+		m, err := s.networkMetric(grid, seed)
 		if err != nil {
 			return nil, 0, err
 		}

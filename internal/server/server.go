@@ -346,18 +346,10 @@ const (
 // cold network share one build, and the build never blocks the map
 // lock (so other networks' requests and /metrics scrapes proceed
 // meanwhile). The metric turns its contraction hierarchy on by network
-// size. landmarks (net_landmarks) and ch (net_ch) select nothing and
-// are accepted for compatibility, but keep their range checks so no
-// request changes status.
-func (s *Server) networkMetric(grid int, seed int64, landmarks, ch int) (*netmetric.NetworkMetric, error) {
+// size.
+func (s *Server) networkMetric(grid int, seed int64) (*netmetric.NetworkMetric, error) {
 	if grid < MinNetGrid || grid > MaxNetGrid {
 		return nil, fmt.Errorf("net_grid %d out of range [%d, %d]", grid, MinNetGrid, MaxNetGrid)
-	}
-	if landmarks < -1 || landmarks > MaxNetLandmarks {
-		return nil, fmt.Errorf("net_landmarks %d out of range [-1, %d]", landmarks, MaxNetLandmarks)
-	}
-	if ch < -1 || ch > 1 {
-		return nil, fmt.Errorf("net_ch %d out of range [-1, 1]", ch)
 	}
 	key := netKey{grid: grid, seed: seed}
 	s.netMu.Lock()
@@ -372,6 +364,19 @@ func (s *Server) networkMetric(grid int, seed int64, landmarks, ch int) (*netmet
 	}
 	s.netMu.Unlock()
 	return e.metric(key), nil
+}
+
+// checkNetCompat range-checks net_landmarks and net_ch. They select
+// nothing and are accepted for compatibility, but keep their ranges so
+// no request changes status.
+func checkNetCompat(landmarks, ch int) error {
+	if landmarks < -1 || landmarks > MaxNetLandmarks {
+		return fmt.Errorf("net_landmarks %d out of range [-1, %d]", landmarks, MaxNetLandmarks)
+	}
+	if ch < -1 || ch > 1 {
+		return fmt.Errorf("net_ch %d out of range [-1, 1]", ch)
+	}
+	return nil
 }
 
 // netSpace is the normalized data space of the paper's evaluation

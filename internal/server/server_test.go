@@ -475,13 +475,15 @@ func TestNetworkMemoBound(t *testing.T) {
 	}
 }
 
-// TestNetLandmarksCompatibility: net_landmarks, net_ch and
-// options.dist_table are accepted for compatibility and select nothing.
-// Solves and sessions that carry any of their in-range values answer
-// exactly as requests without them, all of them share one memoized
-// network (one /metrics label), and out-of-range net_landmarks and
-// net_ch values are still rejected. The solve has 3 × 1,400 pairs, so
-// it takes the distance table, which dist_table -1 used to turn off.
+// TestNetLandmarksCompatibility: net_landmarks, net_ch,
+// options.dist_table and options.ann_group_size are accepted for
+// compatibility and select nothing. Solves and sessions that carry any
+// of their in-range values answer exactly as requests without them, all
+// of them share one memoized network (one /metrics label), and
+// out-of-range net_landmarks and net_ch values are still rejected. The
+// network solve has 3 × 1,400 pairs, so it takes the distance table,
+// which dist_table -1 used to turn off; the Euclidean solve runs the
+// grouped ANN search whose group size ann_group_size used to set.
 func TestNetLandmarksCompatibility(t *testing.T) {
 	h := testServer(t, server.Config{})
 	ctx := context.Background()
@@ -497,16 +499,16 @@ func TestNetLandmarksCompatibility(t *testing.T) {
 		return h.c.NewSession(ctx, client.SessionRequest{Providers: providers,
 			Metric: "network", NetGrid: 16, NetSeed: 5, NetLandmarks: f.landmarks, NetCH: f.ch})
 	}
-	// solved is a solve's answer without its timing and placement fields.
-	solved := func(f fields) string {
+	// answer is a solve's answer without its timing and placement fields.
+	answer := func(in client.Instance) string {
 		t.Helper()
-		resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{instance(f)}})
+		resp, err := h.c.Solve(ctx, client.SolveRequest{Instances: []client.Instance{in}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := resp.Results[0]
 		if r.Error != "" || r.Size != 30 {
-			t.Fatalf("%+v: %+v", f, r)
+			t.Fatalf("%+v: %+v", in.Options, r)
 		}
 		out, err := json.Marshal(client.MatchingResponse{Size: r.Size, Cost: r.Cost, Pairs: r.Pairs})
 		if err != nil {
@@ -514,6 +516,7 @@ func TestNetLandmarksCompatibility(t *testing.T) {
 		}
 		return string(out)
 	}
+	solved := func(f fields) string { return answer(instance(f)) }
 	session := func(f fields) []byte {
 		t.Helper()
 		info, err := newSession(f)
@@ -547,6 +550,15 @@ func TestNetLandmarksCompatibility(t *testing.T) {
 		}
 		if got := session(f); !bytes.Equal(got, wantSession) {
 			t.Errorf("session with %+v:\n%s\nwithout:\n%s", f, got, wantSession)
+		}
+	}
+
+	euclid := client.Instance{Solver: "ida", Providers: providers, Customers: wireCustomers(pts)}
+	wantEuclid := answer(euclid)
+	for _, gs := range []int{0, 1, 2, 64} {
+		euclid.Options = &client.Options{ANNGroupSize: gs}
+		if got := answer(euclid); got != wantEuclid {
+			t.Errorf("Euclidean solve with ann_group_size %d:\n%s\nwithout:\n%s", gs, got, wantEuclid)
 		}
 	}
 

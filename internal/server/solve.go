@@ -280,7 +280,6 @@ func (s *Server) prepare(ctx context.Context, idx int, wi client.Instance) *prep
 		opts.Core.DisablePUA = o.DisablePUA
 		opts.Core.DisableTheorem2 = o.DisableTheorem2
 		opts.Core.DisableANN = o.DisableANN
-		opts.Core.ANNGroupSize = o.ANNGroupSize
 	}
 	switch strings.ToLower(wi.Metric) {
 	case "", "euclidean":
@@ -292,7 +291,10 @@ func (s *Server) prepare(ctx context.Context, idx int, wi client.Instance) *prep
 		if seed == 0 {
 			seed = 2008
 		}
-		m, err := s.networkMetric(grid, seed, wi.NetLandmarks, wi.NetCH)
+		if err := checkNetCompat(wi.NetLandmarks, wi.NetCH); err != nil {
+			return fail("%v", err)
+		}
+		m, err := s.networkMetric(grid, seed)
 		if err != nil {
 			return fail("%v", err)
 		}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -208,78 +209,121 @@ func TestCrossMetricAblations(t *testing.T) {
 type pointQueries struct{ geo.Metric }
 
 // TestNetworkExpansionConformance pins the table path's candidate
-// stream against the R-tree one above DistTableMinPairs: on a clustered
-// 16-grid instance, solves that stream network nearest neighbours from
-// the distance table's rows (the registry's choice) and solves over
-// pointQueries (the refinement stream over the R-tree) must agree on
-// the cost bits, the size and |Esub|, traced and untraced.
+// stream against the R-tree one above DistTableMinPairs: solves that
+// stream network nearest neighbours from the distance table's rows (the
+// registry's choice) and solves over pointQueries (the refinement stream
+// over the R-tree) must return the same pairs, each with the same
+// distance bits, and agree on the cost bits, the size and |Esub|, traced
+// and untraced. The inputs are a clustered 16-grid instance and twenty
+// instances whose 350 clustered customers are each stored twice (ids i
+// and i+350), where every distance ties with a twin's: both streams emit
+// equal distances in ascending customer ID, so they pick the same twin.
 // The traced table-path solves must also show the stream at work and
 // no R-tree page read.
 func TestNetworkExpansionConformance(t *testing.T) {
 	net := datagen.NewNetwork(16, netSpace, 2008)
 	metric := netmetric.FromNetwork(net)
-	qpts := net.Points(datagen.Config{N: 12, Dist: datagen.Uniform, Seed: 31})
-	providers := make([]core.Provider, len(qpts))
-	for i, q := range qpts {
-		providers[i] = core.Provider{Pt: q, Cap: 20}
+	type input struct {
+		name      string
+		providers []core.Provider
+		items     []rtree.Item
 	}
-	pts := net.Points(datagen.Config{N: 700, Dist: datagen.Clustered, Seed: 32})
-	if len(providers)*len(pts) < DistTableMinPairs {
-		t.Fatalf("instance of %d pairs is below DistTableMinPairs", len(providers)*len(pts))
-	}
-	items := make([]rtree.Item, len(pts))
-	for i, p := range pts {
-		items[i] = rtree.Item{ID: int64(i), Pt: p}
-	}
-	for _, name := range []string{"ida", "greedy", "sharded:ida"} {
-		for _, traced := range []bool{false, true} {
-			var got [2]*Result
-			for k, table := range []bool{true, false} {
-				tree, err := rtree.Bulk(storage.NewBuffer(storage.NewMemStore(storage.DefaultPageSize), 1<<20), items)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := Options{}
-				opts.Core.Metric = pointQueries{metric}
-				if table {
-					opts.Core.Metric = metric
-				}
-				opts.Core.Shards = 3
-				ctx, root := context.Background(), (*obs.Span)(nil)
-				if traced {
-					root = obs.NewRoot("test")
-					ctx = obs.WithSpan(ctx, root)
-				}
-				res, err := MustGet(name).Solve(ctx, providers, FromTreeItems(tree, items), opts)
-				if err != nil {
-					t.Fatalf("%s (table %v, traced %v): %v", name, table, traced, err)
-				}
-				validate(t, name, providers, len(pts), res)
-				if name == "sharded:ida" && res.Groups != opts.Core.Shards {
-					t.Fatalf("sharded:ida solved %d regions, want %d", res.Groups, opts.Core.Shards)
-				}
-				got[k] = res
-				if !table && name != "sharded:ida" && res.Metrics.IO.Hits+res.Metrics.IO.Faults == 0 {
-					t.Errorf("%s: the R-tree path read no R-tree page", name)
-				}
-				if !traced || !table {
-					continue
-				}
-				root.End()
-				attrs := root.Tree().Find("solver").Attrs
-				if attrs["nn_emitted"].(int64) == 0 || attrs["nn_pushed"].(int64) < attrs["nn_emitted"].(int64) {
-					t.Errorf("%s: solver span nn_pushed=%v nn_emitted=%v; want 0 < emitted <= pushed", name, attrs["nn_pushed"], attrs["nn_emitted"])
-				}
-				if name != "sharded:ida" && res.Metrics.IO.Hits+res.Metrics.IO.Faults != 0 {
-					t.Errorf("%s: the table path read R-tree pages: %+v", name, res.Metrics.IO)
-				}
+	newInput := func(name string, qseed, pseed int64, n, copies int) input {
+		qpts := net.Points(datagen.Config{N: 12, Dist: datagen.Uniform, Seed: qseed})
+		in := input{name: name, providers: make([]core.Provider, len(qpts))}
+		for i, q := range qpts {
+			in.providers[i] = core.Provider{Pt: q, Cap: 20}
+		}
+		pts := net.Points(datagen.Config{N: n, Dist: datagen.Clustered, Seed: pseed})
+		for c := 0; c < copies; c++ {
+			for i, p := range pts {
+				in.items = append(in.items, rtree.Item{ID: int64(c*n + i), Pt: p})
 			}
-			a, b := got[0], got[1]
-			if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) || a.Size != b.Size ||
-				a.Metrics.SubgraphEdges != b.Metrics.SubgraphEdges {
-				t.Errorf("%s (traced %v): table path cost %v size %d |Esub| %d, R-tree path cost %v size %d |Esub| %d",
-					name, traced, a.Cost, a.Size, a.Metrics.SubgraphEdges, b.Cost, b.Size, b.Metrics.SubgraphEdges)
+		}
+		if len(in.providers)*len(in.items) < DistTableMinPairs {
+			t.Fatalf("%s: instance of %d pairs is below DistTableMinPairs", name, len(in.providers)*len(in.items))
+		}
+		return in
+	}
+	inputs := []input{newInput("clustered", 31, 32, 700, 1)}
+	for seed := int64(1); seed <= 20; seed++ {
+		inputs = append(inputs, newInput(fmt.Sprintf("duplicates/seed%d", seed), seed, seed+100, 350, 2))
+	}
+	for _, in := range inputs {
+		for _, name := range []string{"ida", "nia", "greedy", "sharded:ida"} {
+			for _, traced := range []bool{false, true} {
+				var got [2]*Result
+				for k, table := range []bool{true, false} {
+					tree, err := rtree.Bulk(storage.NewBuffer(storage.NewMemStore(storage.DefaultPageSize), 1<<20), in.items)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := Options{}
+					opts.Core.Metric = pointQueries{metric}
+					if table {
+						opts.Core.Metric = metric
+					}
+					opts.Core.Shards = 3
+					ctx, root := context.Background(), (*obs.Span)(nil)
+					if traced {
+						root = obs.NewRoot("test")
+						ctx = obs.WithSpan(ctx, root)
+					}
+					res, err := MustGet(name).Solve(ctx, in.providers, FromTreeItems(tree, in.items), opts)
+					if err != nil {
+						t.Fatalf("%s: %s (table %v, traced %v): %v", in.name, name, table, traced, err)
+					}
+					validate(t, name, in.providers, len(in.items), res)
+					if name == "sharded:ida" && res.Groups != opts.Core.Shards {
+						t.Fatalf("%s: sharded:ida solved %d regions, want %d", in.name, res.Groups, opts.Core.Shards)
+					}
+					got[k] = res
+					if !table && name != "sharded:ida" && res.Metrics.IO.Hits+res.Metrics.IO.Faults == 0 {
+						t.Errorf("%s: %s: the R-tree path read no R-tree page", in.name, name)
+					}
+					if !traced || !table {
+						continue
+					}
+					root.End()
+					attrs := root.Tree().Find("solver").Attrs
+					if attrs["nn_emitted"].(int64) == 0 || attrs["nn_pushed"].(int64) < attrs["nn_emitted"].(int64) {
+						t.Errorf("%s: %s: solver span nn_pushed=%v nn_emitted=%v; want 0 < emitted <= pushed", in.name, name, attrs["nn_pushed"], attrs["nn_emitted"])
+					}
+					if name != "sharded:ida" && res.Metrics.IO.Hits+res.Metrics.IO.Faults != 0 {
+						t.Errorf("%s: %s: the table path read R-tree pages: %+v", in.name, name, res.Metrics.IO)
+					}
+				}
+				a, b := got[0], got[1]
+				if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) || a.Size != b.Size ||
+					a.Metrics.SubgraphEdges != b.Metrics.SubgraphEdges {
+					t.Errorf("%s: %s (traced %v): table path cost %v size %d |Esub| %d, R-tree path cost %v size %d |Esub| %d",
+						in.name, name, traced, a.Cost, a.Size, a.Metrics.SubgraphEdges, b.Cost, b.Size, b.Metrics.SubgraphEdges)
+				}
+				if d := diffPairs(a.Pairs, b.Pairs); d != "" {
+					t.Errorf("%s: %s (traced %v): table and R-tree paths matched different pairs: %s", in.name, name, traced, d)
+				}
 			}
 		}
 	}
+}
+
+// diffPairs describes the first difference between two matchings, as
+// sets of (provider, customer ID, distance bits); "" when they are equal.
+func diffPairs(a, b []core.Pair) string {
+	key := func(p core.Pair) string {
+		return fmt.Sprintf("q%d-p%d@%x", p.Provider, p.CustomerID, math.Float64bits(p.Dist))
+	}
+	set := make(map[string]bool, len(a))
+	for _, p := range a {
+		set[key(p)] = true
+	}
+	for _, p := range b {
+		if !set[key(p)] {
+			return "R-tree path pair " + key(p) + " is not in the table path's matching"
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d pairs vs %d", len(a), len(b))
+	}
+	return ""
 }

@@ -188,7 +188,6 @@ func (e *Engine) resultKeyFor(canonical string, in Instance) (resultKey, bool) {
 	putBool(o.Core.DisablePUA)
 	putBool(o.Core.DisableTheorem2)
 	putBool(o.Core.DisableANN)
-	put64(uint64(int64(o.Core.ANNGroupSize)))
 	putF(o.Core.Space.Min.X)
 	putF(o.Core.Space.Min.Y)
 	putF(o.Core.Space.Max.X)
