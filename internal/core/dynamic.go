@@ -72,8 +72,9 @@ type ChurnStats struct {
 // The matcher keeps the full bipartite graph in memory (complete
 // mode), so it suits the moderate |P| of online scenarios rather than
 // the disk-resident batch setting of RIA/NIA/IDA. Each arrival asks
-// the metric for its |Q| distances once and stores them as a cost row
-// that every later search reads back. A customer's graph index is its
+// the metric for its |Q| distances once (or takes them from
+// ArriveWithRow) and stores them as a cost row that every later search
+// reads back; Row exposes it. A customer's graph index is its
 // live position, so a session's whole state — rows (|Q|·|live|·8 B),
 // potentials, flows, assignments and search scratch — is
 // O(|Q|·|live|), however many customers have come and gone. Only the
@@ -123,10 +124,40 @@ func NewDynamicMatcherOpts(providers []Provider, opts DynamicOptions) *DynamicMa
 // now; later events may re-route or even evict it (fetch the current
 // state with Matching).
 func (m *DynamicMatcher) Arrive(pt geo.Point, id int64) (bool, error) {
+	return m.arrive(pt, id, nil)
+}
+
+// MaxRowDist is the largest distance ArriveWithRow accepts. The matcher
+// sums distances (a matching's cost, a node's potential), and the sums
+// must stay finite: at 1e300 each, more than 1e8 of them fit.
+const MaxRowDist = 1e300
+
+// ArriveWithRow is Arrive with the customer's cost row supplied: row[q]
+// is its distance to provider q, as Row reported it when the customer
+// arrived before (a session log replaying its events). The metric is
+// not asked, so the result is Arrive's exactly when row is the one the
+// metric gives. A row that is not |Q| long or holds a distance outside
+// [0, MaxRowDist] (negative, NaN, infinite) is rejected before anything
+// changes.
+func (m *DynamicMatcher) ArriveWithRow(pt geo.Point, id int64, row []float64) (bool, error) {
+	if len(row) != len(m.providers) {
+		return false, fmt.Errorf("dynamic: customer %d: cost row has %d distances, want %d", id, len(row), len(m.providers))
+	}
+	for q, d := range row {
+		// Inverted so that NaN fails too.
+		if !(d >= 0 && d <= MaxRowDist) {
+			return false, fmt.Errorf("dynamic: customer %d: distance %v to provider %d is outside [0, %g]", id, d, q, MaxRowDist)
+		}
+	}
+	return m.arrive(pt, id, row)
+}
+
+// arrive is Arrive and ArriveWithRow; a nil row asks the metric.
+func (m *DynamicMatcher) arrive(pt geo.Point, id int64, row []float64) (bool, error) {
 	if _, ok := m.ids[id]; ok {
 		return false, fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	c := m.g.AddCustomer(pt, 1, id)
+	c := m.g.AddCustomer(pt, 1, id, row)
 	m.ids[id] = c
 	m.stats.Events++
 	m.stats.Arrivals++
@@ -262,6 +293,18 @@ func (m *DynamicMatcher) OracleDrift() float64 {
 		m.stats.MaxDrift = drift
 	}
 	return drift
+}
+
+// Row returns live customer id's cost row: its distance to each
+// provider, in provider order, as its arrival read them. The slice is a
+// read-only view of the matcher's state, valid until the next event;
+// nil when id is not present.
+func (m *DynamicMatcher) Row(id int64) []float64 {
+	c, ok := m.ids[id]
+	if !ok || c < 0 {
+		return nil
+	}
+	return m.g.Row(c)
 }
 
 // Stats returns the event and repair counters accumulated so far.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -268,5 +269,52 @@ func TestDynamicEvictionCascadeMatchesOracle(t *testing.T) {
 	}
 	if evictions == 0 {
 		t.Fatal("24 arrivals into Γ=3 never displaced anyone — swap path untested")
+	}
+}
+
+// TestArriveWithRowRejects: a cost row that is not |Q| long or holds a
+// negative or non-finite distance is an error, and leaves the matching,
+// the live set, the counters and the id ledger as they were: the id
+// stays free, and a valid row for it is accepted afterwards.
+func TestArriveWithRowRejects(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	providers := randDynProviders(3, 2, rng)
+	m := NewDynamicMatcher(providers)
+	for i := int64(0); i < 8; i++ {
+		if _, err := m.Arrive(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt := geo.Point{X: 50, Y: 50}
+	valid := []float64{1, 2, 3}
+	bad := map[string][]float64{
+		"nil":      nil,
+		"short":    {1, 2},
+		"long":     {1, 2, 3, 4},
+		"negative": {1, -2, 3},
+		"NaN":      {1, 2, math.NaN()},
+		"+Inf":     {math.Inf(1), 2, 3},
+		"-Inf":     {1, math.Inf(-1), 3},
+		"huge":     {1, 2, 2 * MaxRowDist},
+	}
+	size, cost, live, stats, ledger := m.Size(), m.Cost(), m.Live(), m.Stats(), len(m.ids)
+	for name, row := range bad {
+		if _, err := m.ArriveWithRow(pt, 100, row); err == nil {
+			t.Fatalf("%s row accepted", name)
+		}
+		if m.Size() != size || math.Float64bits(m.Cost()) != math.Float64bits(cost) || m.Live() != live ||
+			m.Stats() != stats || len(m.ids) != ledger || m.Row(100) != nil {
+			t.Fatalf("%s row changed the matcher: size %d→%d cost %v→%v live %d→%d ledger %d→%d",
+				name, size, m.Size(), cost, m.Cost(), live, m.Live(), ledger, len(m.ids))
+		}
+	}
+	if _, err := m.ArriveWithRow(pt, 100, valid); err != nil {
+		t.Fatalf("valid row after rejected ones: %v", err)
+	}
+	if got := m.Row(100); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("Row(100) = %v, want the row it arrived with", got)
+	}
+	if _, err := m.ArriveWithRow(pt, 100, valid); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("duplicate id with a valid row: %v, want ErrDuplicateID", err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,11 @@ import (
 //     every pair's distance is exactly what the metric says;
 //   - stats counters partition the event history;
 //   - duplicate-id arrivals and unknown-id departs/resizes fail with
-//     the sentinel errors and leave the matching untouched.
+//     the sentinel errors and leave the matching untouched;
+//   - a shadow matcher fed every arrival through ArriveWithRow, with
+//     the primary's Row, over a metric that fails the test if asked,
+//     holds the same pairs, cost bits and size (a session log's
+//     replay).
 //
 // The from-scratch re-solve oracle is deliberately absent here (too
 // slow for a fuzz loop); the conformance suite compares against it.
@@ -70,10 +75,13 @@ func FuzzDynamicChurn(f *testing.F) {
 		}
 
 		m := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: metric})
+		shadow := NewDynamicMatcherOpts(providers, DynamicOptions{Metric: unaskedMetric{t}})
 		o := newChurnMirror(providers)
 		departed := []int64{}
 		for step, ev := range events {
 			applyChurnEvent(t, m, o, ev)
+			applyRowEvent(t, shadow, m, ev)
+			checkSameMatching(t, step, shadow, m)
 			if ev.kind == 1 {
 				departed = append(departed, ev.id)
 			}
@@ -144,5 +152,52 @@ func checkOptimal(t *testing.T, step int, m *DynamicMatcher, scale float64) {
 	}
 	if want := min(m.Capacity(), m.Live()); m.Size() != want {
 		t.Fatalf("step %d: size %d, want min(capacity %d, live %d)", step, m.Size(), m.Capacity(), m.Live())
+	}
+}
+
+// unaskedMetric is the metric of a matcher that must get every distance
+// from a cost row: asking it fails the test.
+type unaskedMetric struct{ t *testing.T }
+
+func (unaskedMetric) Name() string { return "unasked" }
+
+func (m unaskedMetric) Dist(p, q geo.Point) float64 {
+	m.t.Fatalf("metric asked for the distance %v–%v", p, q)
+	return 0
+}
+
+// applyRowEvent drives ev into the shadow matcher, each arrival with
+// the cost row the primary matcher (which already took ev) reports.
+func applyRowEvent(t *testing.T, shadow, primary *DynamicMatcher, ev churnEvent) {
+	t.Helper()
+	var err error
+	switch ev.kind {
+	case 0:
+		_, err = shadow.ArriveWithRow(ev.pt, ev.id, primary.Row(ev.id))
+	case 1:
+		_, err = shadow.Depart(ev.id)
+	case 2:
+		err = shadow.ResizeProvider(ev.provider, ev.newCap)
+	}
+	if err != nil {
+		t.Fatalf("shadow %+v: %v", ev, err)
+	}
+}
+
+// checkSameMatching requires got to hold want's matching: the same
+// pairs in the same order with the same distance bits, cost bits and
+// size.
+func checkSameMatching(t *testing.T, step int, got, want *DynamicMatcher) {
+	t.Helper()
+	g, w := got.Matching(), want.Matching()
+	if g.Size != w.Size || math.Float64bits(g.Cost) != math.Float64bits(w.Cost) || len(g.Pairs) != len(w.Pairs) {
+		t.Fatalf("step %d: shadow size %d cost %v (%d pairs), primary size %d cost %v (%d pairs)",
+			step, g.Size, g.Cost, len(g.Pairs), w.Size, w.Cost, len(w.Pairs))
+	}
+	for i := range g.Pairs {
+		a, b := g.Pairs[i], w.Pairs[i]
+		if a.Provider != b.Provider || a.CustomerID != b.CustomerID || math.Float64bits(a.Dist) != math.Float64bits(b.Dist) {
+			t.Fatalf("step %d: shadow pair %d is %+v, primary's %+v", step, i, a, b)
+		}
 	}
 }

@@ -125,7 +125,7 @@ func (r *incRunner) ensure(it rtree.Item) int32 {
 	if idx, ok := r.custIdx[it.ID]; ok {
 		return idx
 	}
-	idx := r.g.AddCustomer(it.Pt, r.opts.CustomerCap(it.ID), it.ID)
+	idx := r.g.AddCustomer(it.Pt, r.opts.CustomerCap(it.ID), it.ID, nil)
 	r.custIdx[it.ID] = idx
 	return idx
 }

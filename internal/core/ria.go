@@ -30,7 +30,7 @@ func RIA(providers []Provider, tree *rtree.Tree, opts Options) (*Result, error) 
 		if idx, ok := custIdx[it.ID]; ok {
 			return idx
 		}
-		idx := g.AddCustomer(it.Pt, opts.CustomerCap(it.ID), it.ID)
+		idx := g.AddCustomer(it.Pt, opts.CustomerCap(it.ID), it.ID, nil)
 		custIdx[it.ID] = idx
 		return idx
 	}

@@ -26,7 +26,7 @@ func SSPA(providers []Provider, customers []rtree.Item, opts Options) (*Result, 
 	custTotal := 0
 	for _, c := range customers {
 		cap := opts.CustomerCap(c.ID)
-		g.AddCustomer(c.Pt, cap, c.ID)
+		g.AddCustomer(c.Pt, cap, c.ID, nil)
 		custTotal += cap
 	}
 	build.End()

@@ -21,7 +21,7 @@ func TestAllocsGraphConstruction(t *testing.T) {
 	cycle := func() {
 		g := NewGraph(providers, false)
 		for _, c := range customers {
-			ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+			ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 			addEdge(g, int32(int(ci)%len(providers)), ci)
 		}
 		g.Release()
@@ -50,7 +50,7 @@ func TestAllocsWarmSearch(t *testing.T) {
 	g := NewGraph(providers, false)
 	defer g.Release()
 	for _, c := range customers {
-		ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+		ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 		for k := 0; k < 4; k++ {
 			addEdge(g, int32((int(ci)+5*k)%len(providers)), ci)
 		}
@@ -86,7 +86,7 @@ func BenchmarkGraphConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := NewGraph(providers, false)
 		for _, c := range customers {
-			ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+			ci := g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 			addEdge(g, int32(int(ci)%len(providers)), ci)
 		}
 		g.Release()

@@ -28,7 +28,7 @@ func BenchmarkSSPAComplete(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := NewGraph(providers, true)
 		for _, c := range customers {
-			g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+			g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 		}
 		for it := 0; it < 200; it++ {
 			g.BeginIteration()
@@ -52,7 +52,7 @@ func BenchmarkDijkstraSparse(b *testing.B) {
 		g := NewGraph(providers, false)
 		idx := make([]int32, len(customers))
 		for ci, c := range customers {
-			idx[ci] = g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+			idx[ci] = g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 		}
 		// Pre-populate Esub with each provider's 100 nearest customers.
 		for q := range providers {

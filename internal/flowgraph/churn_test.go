@@ -19,7 +19,7 @@ func TestChurnArrivalsMatchReference(t *testing.T) {
 		customers := randCustomers(1+rng.Intn(20), rng)
 		g := NewChurnGraph(providers, nil)
 		for i, c := range customers {
-			if _, err := g.Admit(g.AddCustomer(c.Pt, 1, c.ExtID)); err != nil {
+			if _, err := g.Admit(g.AddCustomer(c.Pt, 1, c.ExtID, nil)); err != nil {
 				t.Fatal(err)
 			}
 			if err := g.CheckReducedCosts(1e-9); err != nil {
@@ -36,7 +36,7 @@ func TestChurnArrivalsMatchReference(t *testing.T) {
 // admit adds a customer at (x, 0) to a churn graph and admits it.
 func admit(t *testing.T, g *Graph, x float64, id int64) (int32, bool) {
 	t.Helper()
-	c := g.AddCustomer(geo.Point{X: x, Y: 0}, 1, id)
+	c := g.AddCustomer(geo.Point{X: x, Y: 0}, 1, id, nil)
 	swapped, err := g.Admit(c)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestAccessors(t *testing.T) {
 	if g.PairCapacity() != 5 {
 		t.Fatalf("PairCapacity = %d", g.PairCapacity())
 	}
-	c := g.AddCustomer(geo.Point{X: 1, Y: 0}, 2, 7)
+	c := g.AddCustomer(geo.Point{X: 1, Y: 0}, 2, 7, nil)
 	if g.LiveCount() != 1 {
 		t.Fatal("customer count")
 	}
@@ -166,7 +166,7 @@ func TestChurnRowsTrackLiveSet(t *testing.T) {
 	peak, arrivals := 0, 0
 	for round := 0; round < 400; round++ {
 		for i := rng.Intn(4); i > 0; i-- {
-			g.AddCustomer(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 1, int64(arrivals))
+			g.AddCustomer(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 1, int64(arrivals), nil)
 			arrivals++
 		}
 		if g.LiveCount() > peak {

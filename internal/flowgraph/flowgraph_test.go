@@ -15,7 +15,7 @@ func runSSPA(t *testing.T, providers []Provider, customers []Customer) *Graph {
 	t.Helper()
 	g := NewGraph(providers, true)
 	for _, c := range customers {
-		g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+		g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 	}
 	custCap := 0
 	for _, c := range customers {
@@ -76,7 +76,7 @@ func TestPaperFigure2Example(t *testing.T) {
 
 	g := NewGraph(providers, true)
 	for _, c := range customers {
-		g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+		g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 	}
 
 	// Iteration 1: sp1 = {s, q1, p2, t} with cost 3.
@@ -239,7 +239,7 @@ func TestCustomerCapacities(t *testing.T) {
 		}
 		g := NewGraph(providers, true)
 		for _, c := range customers {
-			g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+			g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 		}
 		// With per-pair capacity 1, the max matching can be smaller than
 		// min(Σ q.k, Σ p.cap): a customer can hold at most one instance
@@ -276,7 +276,7 @@ func TestIncrementalWithPUAMatchesReference(t *testing.T) {
 
 		g := NewGraph(providers, false)
 		for _, c := range customers {
-			g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+			g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 		}
 		// All candidate edges sorted ascending by length (a NIA-style
 		// discovery order).
@@ -351,7 +351,7 @@ func TestFastPhaseHandoff(t *testing.T) {
 
 		g := NewGraph(providers, false)
 		for _, c := range customers {
-			g.AddCustomer(c.Pt, c.Cap, c.ExtID)
+			g.AddCustomer(c.Pt, c.Cap, c.ExtID, nil)
 		}
 		type cand struct {
 			q, c int32

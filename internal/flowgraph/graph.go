@@ -333,12 +333,15 @@ func (g *Graph) TotalCapacity() int {
 }
 
 // AddCustomer registers a customer and returns its node-local index,
-// the next free one. In the churn mode it also computes the customer's
-// cost row, the |Q| metric calls the graph makes for it over its whole
-// life, and sets its τ to max(τ(t), max_q τ(q) − d(q,c)): the least
+// the next free one. In the churn mode it also stores the customer's
+// cost row and sets its τ to max(τ(t), max_q τ(q) − d(q,c)): the least
 // value that keeps every edge q→c non-negative and, once the customer
-// is matched, t→c too.
-func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
+// is matched, t→c too. A nil row asks the metric for the |Q|
+// distances, the only metric calls the graph makes for the customer
+// over its whole life; otherwise row holds them in provider order (a
+// row the metric gave earlier, read back from a log), and the caller
+// has checked its length. Batch graphs take a nil row.
+func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64, row []float64) int32 {
 	g.customers = append(g.customers, Customer{Pt: pt, Cap: capacity, ExtID: extID})
 	g.custUsed = append(g.custUsed, 0)
 	// Extend in place while pooled capacity remains: appending nil
@@ -357,7 +360,12 @@ func (g *Graph) AddCustomer(pt geo.Point, capacity int, extID int64) int32 {
 		g.order = append(g.order, c)
 		tau := g.tTau
 		for q, p := range g.providers {
-			d := g.metric.Dist(p.Pt, pt)
+			var d float64
+			if row != nil {
+				d = row[q]
+			} else {
+				d = g.metric.Dist(p.Pt, pt)
+			}
 			g.rows = append(g.rows, d)
 			g.maxDist = max(g.maxDist, d)
 			tau = max(tau, g.tau[q]-d)
@@ -546,6 +554,15 @@ func (g *Graph) LeaveFastPhase(lastLen float64) {
 		}
 	}
 	g.tauMax = lastLen
+}
+
+// Row returns churn-mode customer c's cost row, its distance to each
+// provider in provider order. The slice aliases the graph's storage:
+// read-only, and valid until the next customer is added or removed.
+func (g *Graph) Row(c int32) []float64 {
+	nq := len(g.providers)
+	lo, hi := int(c)*nq, (int(c)+1)*nq
+	return g.rows[lo:hi:hi]
 }
 
 // dist returns the metric distance between provider q and customer c,

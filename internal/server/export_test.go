@@ -1,0 +1,15 @@
+package server
+
+import "repro/internal/geo/netmetric"
+
+// NetworkMetric returns the road-network metric the server built for
+// (grid, seed), or nil if it built none.
+func (s *Server) NetworkMetric(grid int, seed int64) *netmetric.NetworkMetric {
+	s.netMu.Lock()
+	e, ok := s.netMetrics[netKey{grid: grid, seed: seed}]
+	s.netMu.Unlock()
+	if !ok || !e.done.Load() {
+		return nil
+	}
+	return e.m
+}

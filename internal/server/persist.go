@@ -6,15 +6,25 @@
 // header "create" record, then arrive/depart/resize) is appended — and
 // fsynced — after the matcher applied it and before the response is
 // written, so an acknowledged event is durable and a crash loses at
-// most an unacknowledged one. Recovery replays the full WAL through the
-// same DynamicMatcher event API that served the live traffic; since the
-// matcher is deterministic (the churn conformance suite pins this),
-// the replayed matching is byte-identical to the uninterrupted one —
-// replaying only a snapshot's live set would land on a different (if
-// equally optimal) matching, so snapshots are *checkpoints*, not the
-// recovery path: they give the TTL sweeper a verified on-disk summary
-// when it unloads an idle session, and recovery cross-checks the
-// replayed size/cost against the latest snapshot to detect divergence.
+// most an unacknowledged one. In a road-network session each arrival
+// record also carries the cost row the live matcher read from the
+// metric, about 20·|Q| bytes more per arrival (JSON decimal floats).
+// Recovery replays the full WAL through the same DynamicMatcher event
+// API that served the live traffic, handing each such arrival its
+// logged row (ArriveWithRow), so replay re-executes the matcher without
+// a single distance query: the session recovers without building its
+// contraction hierarchy, which the first live arrival after the restart
+// builds, as on a fresh boot. Euclidean sessions log no rows (a row
+// costs more log bytes than the square roots it saves), and records
+// without a row replay through the metric, as logs written before rows
+// do. Since the matcher is deterministic (the churn conformance suite
+// pins this), the replayed matching is byte-identical to the
+// uninterrupted one — replaying only a snapshot's live set would land
+// on a different (if equally optimal) matching, so snapshots are
+// *checkpoints*, not the recovery path: they give the TTL sweeper a
+// verified on-disk summary when it unloads an idle session, and
+// recovery cross-checks the replayed size/cost against the latest
+// snapshot to detect divergence.
 package server
 
 import (
@@ -44,10 +54,12 @@ const (
 // walEvent is one JSON-encoded session WAL record. The first record of
 // every log is a walOpCreate carrying the session's full configuration
 // (providers, metric, options); every later record is one churn event.
-// Coordinates travel through encoding/json, which round-trips float64
-// exactly, so replay feeds the matcher bit-identical inputs. Create
-// records may also carry "reopt_budget", "net_landmarks" or "net_ch",
-// which decoding ignores.
+// Coordinates and cost rows travel through encoding/json, which
+// round-trips float64 exactly, so replay feeds the matcher bit-identical
+// inputs. Create records may also carry "reopt_budget", "net_landmarks"
+// or "net_ch", which decoding ignores. Arrival records of Euclidean
+// sessions, and of logs written before rows, lack "row" and replay
+// through the metric. Binaries from before rows ignore the field.
 type walEvent struct {
 	Op string `json:"op"`
 	// walOpCreate: the session header.
@@ -55,10 +67,16 @@ type walEvent struct {
 	Metric    string            `json:"metric,omitempty"`
 	NetGrid   int               `json:"net_grid,omitempty"`
 	NetSeed   int64             `json:"net_seed,omitempty"`
-	// walOpArrive (ID, X, Y) / walOpDepart (ID).
+	// walOpArrive (ID, X, Y, Row) / walOpDepart (ID).
 	ID int64   `json:"id,omitempty"`
 	X  float64 `json:"x,omitempty"`
 	Y  float64 `json:"y,omitempty"`
+	// Row is the arrival's cost row, its distance to each provider in
+	// provider order, as the live matcher read it from the metric;
+	// road-network sessions log it (session.logRows). Replay hands it
+	// back (DynamicMatcher.ArriveWithRow) instead of asking the metric
+	// again; a record without one replays through the metric.
+	Row []float64 `json:"row,omitempty"`
 	// walOpResize.
 	Provider int `json:"provider,omitempty"`
 	Cap      int `json:"cap,omitempty"`
@@ -91,6 +109,31 @@ func (s *Server) sessionSnapPath(id string) string {
 	return filepath.Join(s.sessionsDir(), id+".snap")
 }
 
+// maxSessionCoord bounds the coordinates of a session's providers and
+// customers. Distances between points within it stay below 1e151, so
+// the matcher's sums of them (the cost, the potentials) stay finite,
+// and every logged cost row is one ArriveWithRow accepts. Replay
+// enforces it too, so a log written before the bound that holds a
+// point beyond it is refused and left on disk.
+const maxSessionCoord = 1e150
+
+// maxSessionCap bounds a session provider's capacity, so the total
+// capacity of every provider a request body can list stays far inside
+// the int range. Replay enforces it too, like maxSessionCoord.
+const maxSessionCap = 1_000_000_000
+
+// checkSessionPoint rejects a point outside ±maxSessionCoord.
+func checkSessionPoint(pt cca.Point) error {
+	if math.Abs(pt.X) > maxSessionCoord || math.Abs(pt.Y) > maxSessionCoord {
+		return fmt.Errorf("coordinates (%g, %g) outside ±%g", pt.X, pt.Y, maxSessionCoord)
+	}
+	return nil
+}
+
+// isNetworkMetric reports whether a session request's metric names the
+// road network.
+func isNetworkMetric(metric string) bool { return strings.EqualFold(metric, "network") }
+
 // buildMatcher validates a session request and constructs its matcher.
 // Shared by POST /v1/sessions and WAL replay, so a session that was
 // valid at creation always revalidates on recovery (and both paths hit
@@ -107,10 +150,14 @@ func (s *Server) buildMatcher(req client.SessionRequest) (*cca.DynamicMatcher, i
 	providers := make([]cca.Provider, len(req.Providers))
 	capacity := 0
 	for i, q := range req.Providers {
-		if q.Cap <= 0 {
-			return nil, 0, fmt.Errorf("provider %d: capacity must be positive, got %d", i, q.Cap)
+		if q.Cap <= 0 || q.Cap > maxSessionCap {
+			return nil, 0, fmt.Errorf("provider %d: capacity must be in [1, %d], got %d", i, maxSessionCap, q.Cap)
 		}
-		providers[i] = cca.Provider{Pt: cca.Point{X: q.X, Y: q.Y}, Cap: q.Cap}
+		pt := cca.Point{X: q.X, Y: q.Y}
+		if err := checkSessionPoint(pt); err != nil {
+			return nil, 0, fmt.Errorf("provider %d: %w", i, err)
+		}
+		providers[i] = cca.Provider{Pt: pt, Cap: q.Cap}
 		capacity += q.Cap
 	}
 	var opts cca.DynamicOptions
@@ -233,12 +280,14 @@ func (s *Server) writeSnapshot(sess *session) error {
 const snapshotCostTolerance = 1e-9
 
 // replaySession rebuilds one session from its WAL, feeding every record
-// through the same DynamicMatcher event API the live handlers use.
-// Replay is lenient the way recovery must be: a torn final record was
-// truncated by the log layer (the event was never acknowledged), and a
-// per-event sentinel error (duplicate arrive / unknown depart) can only
+// through the same DynamicMatcher event API the live handlers use, each
+// arrival with its logged cost row when it has one. Records are
+// checked against the bounds the live handlers enforce. Replay is
+// lenient the way recovery must be: a torn final record was truncated
+// by the log layer (the event was never acknowledged), and a per-event
+// error (duplicate arrive / unknown depart / a refused row) can only
 // mean the WAL and matcher disagree — that is corruption, reported as
-// an error rather than papered over.
+// an error naming the record rather than papered over.
 func (s *Server) replaySession(id string) (*session, error) {
 	fs, err := storage.OpenFileStore(s.sessionWALPath(id), storage.DefaultPageSize)
 	if err != nil {
@@ -267,11 +316,22 @@ func (s *Server) replaySession(id string) (*session, error) {
 				return fmt.Errorf("create: %w", err)
 			}
 			sess.m = m
+			sess.logRows = isNetworkMetric(ev.Metric)
 		case walOpArrive:
 			if sess.m == nil {
 				return fmt.Errorf("record %d: arrive before create", replayed)
 			}
-			if _, err := sess.m.Arrive(cca.Point{X: ev.X, Y: ev.Y}, ev.ID); err != nil {
+			pt := cca.Point{X: ev.X, Y: ev.Y}
+			if err := checkSessionPoint(pt); err != nil {
+				return fmt.Errorf("record %d: arrive %d: %w", replayed, ev.ID, err)
+			}
+			var err error
+			if ev.Row != nil {
+				_, err = sess.m.ArriveWithRow(pt, ev.ID, ev.Row)
+			} else {
+				_, err = sess.m.Arrive(pt, ev.ID)
+			}
+			if err != nil {
 				return fmt.Errorf("record %d: arrive %d: %w", replayed, ev.ID, err)
 			}
 			sess.arrivals++
@@ -287,6 +347,9 @@ func (s *Server) replaySession(id string) (*session, error) {
 		case walOpResize:
 			if sess.m == nil {
 				return fmt.Errorf("record %d: resize before create", replayed)
+			}
+			if ev.Cap > maxSessionCap {
+				return fmt.Errorf("record %d: resize provider %d: capacity %d above %d", replayed, ev.Provider, ev.Cap, maxSessionCap)
 			}
 			if err := sess.m.ResizeProvider(ev.Provider, ev.Cap); err != nil {
 				return fmt.Errorf("record %d: resize provider %d: %w", replayed, ev.Provider, err)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +22,7 @@ import (
 	cca "repro"
 	"repro/client"
 	"repro/internal/datagen"
+	"repro/internal/geo/netmetric"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
@@ -254,6 +256,351 @@ func TestSessionCrashRecoveryNetworkMetric(t *testing.T) {
 	}
 	if post := rawMatching(t, b.url, info.ID); !bytes.Equal(pre, post) {
 		t.Fatalf("network-metric session diverged after recovery:\n got %.300s…\nwant %.300s…", post, pre)
+	}
+}
+
+// readWAL returns the records of the session WAL at path.
+func readWAL(t *testing.T, path string) [][]byte {
+	t.Helper()
+	fs, err := storage.OpenFileStore(path, storage.DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records [][]byte
+	l, err := storage.OpenLog(fs, func(p []byte) error {
+		records = append(records, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	return records
+}
+
+// writeWAL writes records as a fresh session WAL at path.
+func writeWAL(t *testing.T, path string, records [][]byte) {
+	t.Helper()
+	fs, err := storage.CreateFileStore(path, storage.DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := storage.NewLog(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range records {
+		if err := l.Append(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// editRows rewrites the "row" of every arrival record with edit (a nil
+// result drops the field) and returns the records.
+func editRows(t *testing.T, records [][]byte, edit func(i int, row []float64) []float64) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(records))
+	for i, data := range records {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if string(rec["op"]) == `"arrive"` {
+			var row []float64
+			if raw, ok := rec["row"]; ok {
+				if err := json.Unmarshal(raw, &row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			delete(rec, "row")
+			if row = edit(i, row); row != nil {
+				raw, err := json.Marshal(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec["row"] = raw
+			}
+		}
+		var err error
+		if out[i], err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestSessionRecoveryMakesNoDistanceQuery: each arrival record carries
+// the cost row the live matcher read, so rebooting a road-network
+// session replays without asking the metric: the recovered server's
+// metric reads zero point queries and never builds its contraction
+// hierarchy, and /matching is byte-identical. The first live arrival
+// afterwards builds the hierarchy, as on a fresh boot. The same log
+// with every row stripped (a log from before rows) replays through the
+// metric to the same bytes.
+func TestSessionRecoveryMakesNoDistanceQuery(t *testing.T) {
+	const grid, seed = 32, int64(19)
+	if grid*grid < netmetric.DefaultCHMinNodes {
+		t.Fatalf("a %d-grid is below the hierarchy's automatic threshold", grid)
+	}
+	state := t.TempDir()
+	w := churnWorkload(t, "delivery", 120, 5, 13)
+	core, wire := sessionProviders(w)
+
+	a, crash := crashableServer(t, server.Config{StateDir: state})
+	info, err := a.c.NewSession(context.Background(), client.SessionRequest{
+		Providers: wire, Metric: "network", NetGrid: grid, NetSeed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := cca.NewDynamicMatcherOpts(core, cca.DynamicOptions{
+		Metric: cca.RoadNetworkMetric(grid, cca.Rect{Max: cca.Point{X: 1000, Y: 1000}}, seed)})
+	for i, ev := range w.Events {
+		applyChurnEvent(t, a.c, info.ID, ref, i, ev)
+	}
+	pre := rawMatching(t, a.url, info.ID)
+	crash()
+
+	walPath := filepath.Join(state, "sessions", info.ID+".wal")
+	records := readWAL(t, walPath)
+	arrivals := 0
+	editRows(t, records, func(i int, row []float64) []float64 {
+		if len(row) != len(wire) {
+			t.Fatalf("record %d: arrival carries a row of %d distances, want %d", i, len(row), len(wire))
+		}
+		arrivals++
+		return row
+	})
+	if arrivals == 0 {
+		t.Fatal("the stream has no arrivals")
+	}
+
+	b := testServer(t, server.Config{StateDir: state})
+	if n := b.srv.RecoveredSessions(); n != 1 {
+		t.Fatalf("recovered %d sessions, want 1", n)
+	}
+	m := b.srv.NetworkMetric(grid, seed)
+	if m == nil {
+		t.Fatal("replaying the create record built no network metric")
+	}
+	if q, _ := m.CHStats(); q != 0 || m.Stats() != (netmetric.CacheStats{}) {
+		t.Fatalf("replay of %d logged rows asked the metric: %d hierarchy queries, cache stats %+v", arrivals, q, m.Stats())
+	}
+	if post := rawMatching(t, b.url, info.ID); !bytes.Equal(pre, post) {
+		t.Fatalf("matching diverged after row replay:\n got %.300s…\nwant %.300s…", post, pre)
+	}
+	if q, _ := m.CHStats(); q != 0 {
+		t.Fatalf("serving /matching made %d hierarchy queries", q)
+	}
+	if _, err := b.c.Arrive(context.Background(), info.ID, client.ArriveRequest{ID: 1 << 40, X: 500, Y: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if q, _ := m.CHStats(); q == 0 {
+		t.Fatal("a live arrival after recovery made no hierarchy query")
+	}
+
+	// The same log without rows.
+	bare := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(bare, "sessions"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeWAL(t, filepath.Join(bare, "sessions", info.ID+".wal"),
+		editRows(t, records, func(int, []float64) []float64 { return nil }))
+	c := testServer(t, server.Config{StateDir: bare})
+	if n := c.srv.RecoveredSessions(); n != 1 {
+		t.Fatalf("recovered %d sessions from the log without rows, want 1", n)
+	}
+	if q, _ := c.srv.NetworkMetric(grid, seed).CHStats(); q == 0 {
+		t.Fatal("a log without rows replayed without asking the metric")
+	}
+	if post := rawMatching(t, c.url, info.ID); !bytes.Equal(pre, post) {
+		t.Fatalf("matching diverged after metric replay:\n got %.300s…\nwant %.300s…", post, pre)
+	}
+}
+
+// TestSessionEuclideanLogsNoRows: a Euclidean session's arrival records
+// carry no cost row (replay recomputes its square roots), and the
+// session recovers byte-identically.
+func TestSessionEuclideanLogsNoRows(t *testing.T) {
+	state := t.TempDir()
+	a, crash := crashableServer(t, server.Config{StateDir: state})
+	info, err := a.c.NewSession(context.Background(), client.SessionRequest{
+		Providers: []client.Provider{{X: 0, Y: 0, Cap: 2}, {X: 100, Y: 100, Cap: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id <= 4; id++ {
+		if _, err := a.c.Arrive(context.Background(), info.ID,
+			client.ArriveRequest{ID: id, X: float64(10 * id), Y: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := rawMatching(t, a.url, info.ID)
+	crash()
+	arrivals := 0
+	editRows(t, readWAL(t, filepath.Join(state, "sessions", info.ID+".wal")), func(i int, row []float64) []float64 {
+		if row != nil {
+			t.Fatalf("record %d: a Euclidean arrival logged the row %v", i, row)
+		}
+		arrivals++
+		return nil
+	})
+	if arrivals != 4 {
+		t.Fatalf("the log holds %d arrivals, want 4", arrivals)
+	}
+	b := testServer(t, server.Config{StateDir: state})
+	if post := rawMatching(t, b.url, info.ID); !bytes.Equal(pre, post) {
+		t.Fatalf("matching diverged after recovery:\n got %s\nwant %s", post, pre)
+	}
+}
+
+// TestSessionWALBadRow: an arrival record whose row is short or holds a
+// negative distance cannot be the live matcher's; recovery refuses the
+// session, leaves its log on disk, and names the record, without a
+// panic.
+func TestSessionWALBadRow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(row []float64) []float64
+	}{
+		{"short", func(row []float64) []float64 { return row[:len(row)-1] }},
+		{"negative", func(row []float64) []float64 { row[0] = -row[0] - 1; return row }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := t.TempDir()
+			a, crash := crashableServer(t, server.Config{StateDir: state})
+			info, err := a.c.NewSession(context.Background(), client.SessionRequest{
+				Providers: []client.Provider{{X: 0, Y: 0, Cap: 2}, {X: 100, Y: 100, Cap: 1}},
+				Metric:    "network", NetGrid: 8, NetSeed: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(1); id <= 4; id++ {
+				if _, err := a.c.Arrive(context.Background(), info.ID,
+					client.ArriveRequest{ID: id, X: float64(10 * id), Y: 5}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crash()
+
+			// Break the third arrival, record 3 (the create is record 0).
+			walPath := filepath.Join(state, "sessions", info.ID+".wal")
+			writeWAL(t, walPath, editRows(t, readWAL(t, walPath), func(i int, row []float64) []float64 {
+				if i == 3 {
+					return tc.edit(row)
+				}
+				return row
+			}))
+
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
+			b := testServer(t, server.Config{StateDir: state})
+			log.SetOutput(os.Stderr)
+			if n := b.srv.RecoveredSessions(); n != 0 {
+				t.Fatalf("recovered %d sessions, want the one with a bad row refused", n)
+			}
+			if line := logged.String(); !strings.Contains(line, info.ID) || !strings.Contains(line, "record 3") {
+				t.Fatalf("recovery log does not name the session and record 3: %q", line)
+			}
+			if _, err := os.Stat(walPath); err != nil {
+				t.Fatalf("the refused session's log is gone: %v", err)
+			}
+			resp, err := http.Get(b.url + "/v1/sessions/" + info.ID + "/matching")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK || !strings.Contains(string(body), "record 3") {
+				t.Fatalf("refused session: status %d: %s", resp.StatusCode, body)
+			}
+		})
+	}
+}
+
+// TestSessionInputBounds: session points are bounded to ±1e150, so
+// every distance a session sums, and every cost row it logs, stays far
+// inside the float range; capacities are bounded to 1e9, so the total
+// capacity stays inside the int range. A provider, arrival or resize
+// beyond a bound is a 400 and changes nothing; one on it is accepted,
+// and the session's log replays. Replay enforces the bounds too: a log
+// written before them that holds a capacity or a point beyond one is
+// refused and left on disk.
+func TestSessionInputBounds(t *testing.T) {
+	state := t.TempDir()
+	a, crash := crashableServer(t, server.Config{StateDir: state})
+	ctx := context.Background()
+	for _, p := range []client.Provider{{X: 1e151, Y: 0, Cap: 1}, {X: 0, Y: 0, Cap: 1e9 + 1}} {
+		_, err := a.c.NewSession(ctx, client.SessionRequest{Providers: []client.Provider{p}})
+		if statusOf(err) != http.StatusBadRequest {
+			t.Fatalf("provider %+v: %v, want 400", p, err)
+		}
+	}
+	info, err := a.c.NewSession(ctx, client.SessionRequest{Providers: []client.Provider{{X: 0, Y: 0, Cap: 1}, {X: 5, Y: 5, Cap: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.c.Resize(ctx, info.ID, client.ResizeRequest{Provider: 0, Cap: 1e9 + 1}); statusOf(err) != http.StatusBadRequest {
+		t.Fatalf("resize beyond the bound: %v, want 400", err)
+	}
+	if _, err := a.c.Resize(ctx, info.ID, client.ResizeRequest{Provider: 1, Cap: 1e9}); err != nil {
+		t.Fatalf("resize on the bound: %v", err)
+	}
+	for _, pt := range [][2]float64{{-1e151, 0}, {0, 2e300}} {
+		_, err := a.c.Arrive(ctx, info.ID, client.ArriveRequest{ID: 1, X: pt[0], Y: pt[1]})
+		if statusOf(err) != http.StatusBadRequest {
+			t.Fatalf("arrival at %v: %v, want 400", pt, err)
+		}
+	}
+	for id, pt := range [][2]float64{{1e150, -1e150}, {1, 1}} {
+		if _, err := a.c.Arrive(ctx, info.ID, client.ArriveRequest{ID: int64(id + 1), X: pt[0], Y: pt[1]}); err != nil {
+			t.Fatalf("arrival at %v: %v", pt, err)
+		}
+	}
+	pre := rawMatching(t, a.url, info.ID)
+	crash()
+	b := testServer(t, server.Config{StateDir: state})
+	if n := b.srv.RecoveredSessions(); n != 1 {
+		t.Fatalf("recovered %d sessions, want 1", n)
+	}
+	if post := rawMatching(t, b.url, info.ID); !bytes.Equal(pre, post) {
+		t.Fatalf("matching diverged after recovery:\n got %s\nwant %s", post, pre)
+	}
+
+	for _, tc := range []struct{ name, create, event string }{
+		{"capacity", `{"op":"create","providers":[{"x":0,"y":0,"cap":2000000000}]}`, `{"op":"arrive","id":1,"x":1,"y":1}`},
+		{"resize", `{"op":"create","providers":[{"x":0,"y":0,"cap":1}]}`, `{"op":"resize","provider":0,"cap":2000000000}`},
+		{"arrival", `{"op":"create","providers":[{"x":0,"y":0,"cap":1}]}`, `{"op":"arrive","id":1,"x":1e151,"y":1}`},
+	} {
+		t.Run("old log "+tc.name, func(t *testing.T) {
+			old := t.TempDir()
+			walPath := filepath.Join(old, "sessions", "00000000000000b0.wal")
+			if err := os.MkdirAll(filepath.Dir(walPath), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			writeWAL(t, walPath, [][]byte{[]byte(tc.create), []byte(tc.event)})
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
+			c := testServer(t, server.Config{StateDir: old})
+			log.SetOutput(os.Stderr)
+			if n := c.srv.RecoveredSessions(); n != 0 {
+				t.Fatalf("recovered %d sessions from a log beyond the bounds, want 0", n)
+			}
+			if !strings.Contains(logged.String(), "00000000000000b0") {
+				t.Fatalf("recovery log does not name the session: %q", logged.String())
+			}
+			if _, err := os.Stat(walPath); err != nil {
+				t.Fatalf("the refused session's log is gone: %v", err)
+			}
+		})
 	}
 }
 

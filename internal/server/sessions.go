@@ -42,6 +42,11 @@ type session struct {
 	// unloaded). events counts churn events since creation.
 	log    *storage.Log
 	events int
+	// logRows: the session measures road-network distances, so each
+	// arrival's WAL record carries its cost row and replay asks the
+	// metric nothing. A Euclidean row would cost more log bytes than
+	// the |Q| square roots it saves on replay.
+	logRows bool
 	// lastTouch is the unix-nano time of the last handler access — the
 	// TTL sweeper's idleness clock.
 	lastTouch atomic.Int64
@@ -175,7 +180,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess := &session{m: m, id: newID()}
+	sess := &session{m: m, id: newID(), logRows: isNetworkMetric(req.Metric)}
 	sess.touch()
 	if s.persistEnabled() {
 		if err := s.attachWAL(sess, req); err != nil {
@@ -215,6 +220,10 @@ func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxArriveBody, &req) {
 		return
 	}
+	if err := checkSessionPoint(cca.Point{X: req.X, Y: req.Y}); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	sess, ok := s.lockSession(w, r.PathValue("id"))
 	if !ok {
 		return
@@ -240,7 +249,11 @@ func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.arrivals++
-	if err := s.logEvent(sess, walEvent{Op: walOpArrive, ID: req.ID, X: req.X, Y: req.Y}); err != nil {
+	ev := walEvent{Op: walOpArrive, ID: req.ID, X: req.X, Y: req.Y}
+	if sess.logRows {
+		ev.Row = sess.m.Row(req.ID)
+	}
+	if err := s.logEvent(sess, ev); err != nil {
 		sess.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -307,7 +320,7 @@ func (s *Server) handleSessionDepart(w http.ResponseWriter, r *http.Request) {
 // handleSessionResize serves POST /v1/sessions/{id}/resize: change one
 // provider's capacity. Shrinking evicts and re-routes assignees;
 // growing admits waiting customers. An index out of range is 404, a
-// negative capacity 400.
+// capacity outside [0, maxSessionCap] 400.
 func (s *Server) handleSessionResize(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -317,8 +330,8 @@ func (s *Server) handleSessionResize(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxArriveBody, &req) {
 		return
 	}
-	if req.Cap < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("capacity must be >= 0, got %d", req.Cap))
+	if req.Cap < 0 || req.Cap > maxSessionCap {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("capacity must be in [0, %d], got %d", maxSessionCap, req.Cap))
 		return
 	}
 	sess, ok := s.lockSession(w, r.PathValue("id"))

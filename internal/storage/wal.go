@@ -14,6 +14,9 @@ import (
 // framed as [length u32][crc32 u32][payload] in little-endian, packed
 // back to back across page boundaries; a zero length terminates the log.
 //
+// The store grows logGrowPages pages at a time, so it usually ends in
+// zeroed pages past the last record.
+//
 // Recovery is scan-based: OpenLog walks the frames from page 0 and stops
 // at the first frame that is torn (length runs past the end of the file)
 // or corrupt (CRC mismatch), truncating the log to the last valid record
@@ -35,6 +38,12 @@ type Log struct {
 const (
 	logFrameHeader = 8       // u32 length + u32 crc
 	logMaxRecord   = 1 << 26 // 64 MB; a longer length field is treated as torn
+	// logGrowPages is the step by which an append past the end extends
+	// the store. Growing page by page made most appends change the file
+	// size, which the fsync then has to commit too; in steps, only one
+	// append in many does. The zeroed pages past the tail read as the
+	// log's clean end.
+	logGrowPages = 16
 )
 
 // NewLog starts a fresh log on an empty store.
@@ -49,39 +58,45 @@ func NewLog(store Store) (*Log, error) {
 // append order. Scanning stops at the end of the valid prefix; if the
 // final record is torn or corrupt it is dropped (Truncated reports this)
 // and appends resume after the last valid record. A non-nil error from fn
-// aborts recovery and is returned verbatim.
+// aborts recovery and is returned verbatim. The payload fn receives is
+// valid only until fn returns. The scan reads each page once, in order.
 func OpenLog(store Store, fn func(payload []byte) error) (*Log, error) {
 	l := &Log{store: store}
+	r := &pageReader{store: store, page: make([]byte, store.PageSize()), id: InvalidPage}
 	end := int64(store.NumPages()) * int64(store.PageSize())
 	var hdr [logFrameHeader]byte
+	var payload []byte
 	for {
 		if l.tail+logFrameHeader > end {
 			// No room for another header; nonzero leftovers are a torn frame.
-			l.truncated = l.zeroRange(l.tail, end) || l.truncated
+			l.truncated = r.zeroRange(l.tail, end) || l.truncated
 			break
 		}
-		if err := l.readAt(l.tail, hdr[:]); err != nil {
+		if err := r.readAt(l.tail, hdr[:]); err != nil {
 			return nil, err
 		}
 		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		if length == 0 {
 			// Clean end-of-log marker. Still sweep the remainder in case a
 			// torn frame left nonzero bytes beyond a zeroed header.
-			l.truncated = l.zeroRange(l.tail+logFrameHeader, end) || l.truncated
+			l.truncated = r.zeroRange(l.tail+logFrameHeader, end) || l.truncated
 			break
 		}
 		if length > logMaxRecord || l.tail+logFrameHeader+length > end {
 			l.truncated = true
-			l.zeroRange(l.tail, end)
+			r.zeroRange(l.tail, end)
 			break
 		}
-		payload := make([]byte, length)
-		if err := l.readAt(l.tail+logFrameHeader, payload); err != nil {
+		if int64(cap(payload)) < length {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
+		if err := r.readAt(l.tail+logFrameHeader, payload); err != nil {
 			return nil, err
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
 			l.truncated = true
-			l.zeroRange(l.tail, end)
+			r.zeroRange(l.tail, end)
 			break
 		}
 		if fn != nil {
@@ -150,32 +165,84 @@ func (l *Log) Close() error {
 	return l.store.Close()
 }
 
+// pageReader serves OpenLog's forward scan through one page buffer: it
+// keeps the last page it read, so consecutive frames on a page, and the
+// sweep past the log's end, read no page twice.
+type pageReader struct {
+	store Store
+	page  []byte
+	id    PageID // the page held in page, or InvalidPage
+}
+
+// load makes page id the buffered one.
+func (r *pageReader) load(id PageID) error {
+	if r.id == id {
+		return nil
+	}
+	r.id = InvalidPage
+	if err := r.store.Read(id, r.page); err != nil {
+		return err
+	}
+	r.id = id
+	return nil
+}
+
 // readAt fills buf from the byte range starting at off, crossing page
 // boundaries as needed.
-func (l *Log) readAt(off int64, buf []byte) error {
-	ps := int64(l.store.PageSize())
-	page := make([]byte, ps)
+func (r *pageReader) readAt(off int64, buf []byte) error {
+	ps := int64(len(r.page))
 	for len(buf) > 0 {
-		id := PageID(off / ps)
-		at := int(off % ps)
-		if err := l.store.Read(id, page); err != nil {
+		if err := r.load(PageID(off / ps)); err != nil {
 			return err
 		}
-		n := copy(buf, page[at:])
+		n := copy(buf, r.page[off%ps:])
 		buf = buf[n:]
 		off += int64(n)
 	}
 	return nil
 }
 
-// writeAt writes data at byte offset off, allocating pages past the
-// current end and read-modify-writing partially covered pages.
+// zeroRange zeroes [from, to) and reports whether any nonzero byte was
+// overwritten (i.e. stale frame bytes were present).
+func (r *pageReader) zeroRange(from, to int64) bool {
+	ps := int64(len(r.page))
+	dirty := false
+	for off := from; off < to; {
+		id := PageID(off / ps)
+		at := int(off % ps)
+		n := int(min(ps-int64(at), to-off))
+		if err := r.load(id); err != nil {
+			return dirty
+		}
+		changed := false
+		for i := at; i < at+n; i++ {
+			if r.page[i] != 0 {
+				r.page[i] = 0
+				changed = true
+			}
+		}
+		if changed {
+			dirty = true
+			if err := r.store.Write(id, r.page); err != nil {
+				return dirty
+			}
+		}
+		off += int64(n)
+	}
+	return dirty
+}
+
+// writeAt writes data at byte offset off, read-modify-writing partially
+// covered pages. A write past the current end first extends the store
+// by logGrowPages pages (or to the write's end, if that is further).
 func (l *Log) writeAt(off int64, data []byte) error {
 	ps := int64(l.store.PageSize())
 	needPages := int((off + int64(len(data)) + ps - 1) / ps)
-	for l.store.NumPages() < needPages {
-		if _, err := l.store.Alloc(); err != nil {
-			return err
+	if n := l.store.NumPages(); n < needPages {
+		for range max(needPages-n, logGrowPages) {
+			if _, err := l.store.Alloc(); err != nil {
+				return err
+			}
 		}
 	}
 	page := make([]byte, ps)
@@ -203,43 +270,6 @@ func (l *Log) writeAt(off int64, data []byte) error {
 		off += int64(n)
 	}
 	return nil
-}
-
-// zeroRange zeroes [from, to) and reports whether any nonzero byte was
-// overwritten (i.e. stale frame bytes were present).
-func (l *Log) zeroRange(from, to int64) bool {
-	if from >= to {
-		return false
-	}
-	ps := int64(l.store.PageSize())
-	page := make([]byte, ps)
-	dirty := false
-	for off := from; off < to; {
-		id := PageID(off / ps)
-		at := int(off % ps)
-		n := int(ps) - at
-		if int64(n) > to-off {
-			n = int(to - off)
-		}
-		if err := l.store.Read(id, page); err != nil {
-			return dirty
-		}
-		changed := false
-		for i := at; i < at+n; i++ {
-			if page[i] != 0 {
-				page[i] = 0
-				changed = true
-			}
-		}
-		if changed {
-			dirty = true
-			if err := l.store.Write(id, page); err != nil {
-				return dirty
-			}
-		}
-		off += int64(n)
-	}
-	return dirty
 }
 
 // ErrCorruptSnapshot is returned by ReadSnapshot when the file fails its

@@ -265,26 +265,48 @@ func TestLogCrashRecovery(t *testing.T) {
 
 // TestLogTornFinalRecord covers the torn-tail cases: recovery must
 // truncate to the last valid record rather than erroring, and appending
-// afterwards must produce a log that scans cleanly.
+// afterwards must produce a log that scans cleanly. The store grows in
+// steps of logGrowPages, so the corruptions are placed relative to the
+// log's valid length (size), not the file's end.
 func TestLogTornFinalRecord(t *testing.T) {
-	corruptions := map[string]func(t *testing.T, path string){
+	corruptions := map[string]func(t *testing.T, path string, size int64){
 		// The file ends mid-record: length field promises more bytes
-		// than the file holds (file truncated to a page boundary so the
-		// store itself opens).
-		"torn-length": func(t *testing.T, path string) {
-			st, _ := os.Stat(path)
-			if err := os.Truncate(path, st.Size()-64); err != nil {
+		// than the file holds (file cut to the page boundary 64 bytes
+		// before the one after the log's end, so the store itself
+		// opens).
+		"torn-length": func(t *testing.T, path string, size int64) {
+			if err := os.Truncate(path, (size+63)/64*64-64); err != nil {
 				t.Fatal(err)
 			}
 		},
 		// A payload byte flipped: CRC mismatch on the final record.
-		"crc-flip": func(t *testing.T, path string) {
+		"crc-flip": func(t *testing.T, path string, size int64) {
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Flip a byte near the end of the last record's payload.
-			raw[len(raw)-70] ^= 0xff
+			raw[size-70] ^= 0xff
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		// A crash during the final append, into pages the log had
+		// already grown into: the frame's header and half its payload
+		// reached the file, the rest did not. The file size does not
+		// change, so only the CRC can tell.
+		"torn-in-preallocated": func(t *testing.T, path string, size int64) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(raw)) < size+logFrameHeader {
+				t.Fatalf("file of %d bytes has no preallocated room past the log's %d", len(raw), size)
+			}
+			last := size - logFrameHeader - 100
+			for i := last + logFrameHeader + 50; i < size; i++ {
+				raw[i] = 0
+			}
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -309,8 +331,9 @@ func TestLogTornFinalRecord(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			size := l.Size()
 			fs.Close()
-			corrupt(t, path)
+			corrupt(t, path, size)
 
 			fs2, err := OpenFileStore(path, 64)
 			if err != nil {
@@ -362,6 +385,109 @@ func TestLogTornFinalRecord(t *testing.T) {
 				t.Fatalf("rescan after repair: %v", again)
 			}
 		})
+	}
+}
+
+// TestLogPreallocatedTail: the store grows logGrowPages pages at a
+// time, and the zeroed pages past the last record are the log's clean
+// end. A reopen must recover every record without reporting a
+// truncation, and appends must keep growing the store in whole steps.
+func TestLogPreallocatedTail(t *testing.T) {
+	const ps = 64
+	path := filepath.Join(t.TempDir(), "wal")
+	fs, err := CreateFileStore(path, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLog(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if err := l.Append(bytes.Repeat([]byte{byte('a' + i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+		need := (l.Size() + ps - 1) / ps
+		if n := int64(fs.NumPages()); n%logGrowPages != 0 || n < need || n >= need+logGrowPages {
+			t.Fatalf("after %d appends the store has %d pages for a %d-page log, want the next multiple of %d",
+				i+1, n, need, logGrowPages)
+		}
+	}
+	if int64(fs.NumPages())*ps == l.Size() {
+		t.Fatal("the log fills its store exactly; the test needs a preallocated tail")
+	}
+	size := l.Size()
+	fs.Close()
+
+	fs2, err := OpenFileStore(path, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	n := 0
+	re, err := OpenLog(fs2, func(p []byte) error {
+		if len(p) != 100 || p[0] != byte('a'+n) {
+			t.Fatalf("record %d: %q", n, p)
+		}
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Truncated() {
+		t.Fatal("a clean preallocated tail reported a truncation")
+	}
+	if n != 30 || re.Size() != size {
+		t.Fatalf("recovered %d records, %d bytes; wrote 30, %d bytes", n, re.Size(), size)
+	}
+}
+
+// readCounter is a Store that counts reads per page.
+type readCounter struct {
+	Store
+	reads map[PageID]int
+}
+
+func (r *readCounter) Read(id PageID, buf []byte) error {
+	r.reads[id]++
+	return r.Store.Read(id, buf)
+}
+
+// TestOpenLogReadsEachPageOnce: recovery is one forward scan through
+// one page buffer, so frames sharing a page, frames spanning pages and
+// the sweep of the zeroed tail read no page twice, torn tail or not.
+func TestOpenLogReadsEachPageOnce(t *testing.T) {
+	for _, torn := range []bool{false, true} {
+		s := NewMemStore(64)
+		l, err := NewLog(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			// 1 to 150 bytes: several frames per page, and frames
+			// spanning pages.
+			if err := l.Append(bytes.Repeat([]byte{byte(i + 1)}, 1+(i*37)%150)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if torn {
+			// A stray nonzero byte past the clean end marker.
+			s.pages[len(s.pages)-1][7] = 0xff
+		}
+		rc := &readCounter{Store: s, reads: map[PageID]int{}}
+		re, err := OpenLog(rc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Records() != 40 || re.Truncated() != torn {
+			t.Fatalf("torn %v: recovered %d records, truncated %v", torn, re.Records(), re.Truncated())
+		}
+		for id := PageID(0); int(id) < s.NumPages(); id++ {
+			if n := rc.reads[id]; n != 1 {
+				t.Fatalf("torn %v: page %d read %d times, want once", torn, id, n)
+			}
+		}
 	}
 }
 
