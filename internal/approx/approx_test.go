@@ -269,6 +269,42 @@ func TestCAConceptualLeafSplit(t *testing.T) {
 	}
 }
 
+// A coordinate whose float64 spacing exceeds δ (ulp(1e17) = 16 > the
+// default δ = 10) used to send splitConceptual into unbounded recursion
+// and a fatal stack overflow. The unshrinkable rectangle is now one
+// part, every customer is still assigned, and the reported bound covers
+// the part's real diagonal.
+func TestCASplitStopsAtFloatSpacing(t *testing.T) {
+	items := []rtree.Item{
+		{ID: 0, Pt: geo.Point{X: 0, Y: 0}},
+		{ID: 1, Pt: geo.Point{X: 3, Y: 4}},
+		{ID: 2, Pt: geo.Point{X: 1e17, Y: 0}},
+		{ID: 3, Pt: geo.Point{X: 1e17 + 16, Y: 8}},
+	}
+	tree, err := memTree(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	providers := []core.Provider{{Pt: geo.Point{X: 0, Y: 0}, Cap: 2}, {Pt: geo.Point{X: 1e17, Y: 0}, Cap: 2}}
+	res, err := CA(providers, tree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size != 4 || len(res.Pairs) != 4 {
+		t.Fatalf("assigned %d of 4 customers", res.Size)
+	}
+	seen := map[int64]bool{}
+	for _, p := range res.Pairs {
+		if seen[p.CustomerID] {
+			t.Fatalf("customer %d assigned twice", p.CustomerID)
+		}
+		seen[p.CustomerID] = true
+	}
+	if res.ErrorBound < CABound(res.Size, math.Hypot(16, 8)) {
+		t.Fatalf("error bound %v does not cover the unsplittable part's diagonal", res.ErrorBound)
+	}
+}
+
 // The refinement heuristics must respect budgets and assign min(|P”|,
 // Σbudgets) customers.
 func TestRefinementBudgets(t *testing.T) {

@@ -150,7 +150,7 @@ func CA(providers []core.Provider, tree *rtree.Tree, opts Options) (*Result, err
 		Groups:       len(groups),
 		ConciseTime:  conciseTime,
 		RefineTime:   refineTime,
-		ErrorBound:   CABound(concise.Size, opts.Delta),
+		ErrorBound:   CABound(concise.Size, caGroupDelta(groups, opts.Delta)),
 		ConciseEdges: concise.Metrics.SubgraphEdges,
 	}, nil
 }
@@ -200,7 +200,10 @@ func caPartition(tree *rtree.Tree, delta float64) ([]caPart, error) {
 }
 
 // splitConceptual recursively halves rect along its longest dimension
-// until each piece's diagonal fits delta, emitting non-empty pieces.
+// until each piece's diagonal fits delta, emitting non-empty pieces. A
+// rectangle whose half no longer shrinks is emitted as it is: once the
+// spacing of float64 values at its coordinates exceeds delta, the
+// midpoint rounds onto an edge and halving would recur forever.
 func splitConceptual(rect geo.Rect, items []rtree.Item, delta float64, out *[]caPart) {
 	if len(items) == 0 {
 		return
@@ -210,6 +213,10 @@ func splitConceptual(rect geo.Rect, items []rtree.Item, delta float64, out *[]ca
 		return
 	}
 	a, b := rect.SplitLongest()
+	if a == rect || b == rect {
+		*out = append(*out, caPart{mbr: rect, count: len(items), items: items})
+		return
+	}
 	var left, right []rtree.Item
 	// Assign boundary points to the left half only, so pieces partition
 	// the leaf.
@@ -252,6 +259,16 @@ func caMerge(parts []caPart, space geo.Rect, delta float64) []caGroup {
 		}
 	}
 	return groups
+}
+
+// caGroupDelta is the δ that Theorem 4 holds for: delta itself, unless
+// a group's diagonal exceeds it (a part splitConceptual could not
+// shrink), in which case the largest group diagonal.
+func caGroupDelta(groups []caGroup, delta float64) float64 {
+	for _, g := range groups {
+		delta = max(delta, g.mbr.Diagonal())
+	}
+	return delta
 }
 
 // caItems materializes the actual customers of a group, reading R-tree

@@ -252,7 +252,7 @@ func (s networkNN) Next(qi int) (rtree.Item, float64, bool, error) {
 func gammaFor(providers []Provider, tree *rtree.Tree, opts Options) (int, error) {
 	total := 0
 	for _, p := range providers {
-		total += p.Cap
+		total = flowgraph.AddCap(total, p.Cap)
 	}
 	custTotal := opts.TotalCustomerCap
 	if custTotal == 0 {
@@ -264,7 +264,7 @@ func gammaFor(providers []Provider, tree *rtree.Tree, opts Options) (int, error)
 			}
 			custTotal = 0
 			for _, it := range items {
-				custTotal += opts.CustomerCap(it.ID)
+				custTotal = flowgraph.AddCap(custTotal, opts.CustomerCap(it.ID))
 			}
 		}
 	}

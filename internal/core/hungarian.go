@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/flowgraph"
 	"repro/internal/hungarian"
 	"repro/internal/rtree"
 )
@@ -24,16 +25,17 @@ func HungarianAssign(providers []Provider, customers []rtree.Item, opts Options)
 	start := time.Now()
 	slots := 0
 	for _, p := range providers {
-		slots += p.Cap
+		slots = flowgraph.AddCap(slots, p.Cap)
 	}
 	nc := len(customers)
 	if slots == 0 || nc == 0 {
 		return &Result{Metrics: Metrics{CPUTime: time.Since(start)}}, nil
 	}
-	if int64(slots)*int64(nc) > maxHungarianCells {
+	// Divide rather than multiply: slots may be saturated at math.MaxInt.
+	if slots > maxHungarianCells/nc {
 		return nil, fmt.Errorf(
-			"core: Hungarian reduction needs a %d x %d matrix (%d cells > %d): exactly the blow-up §2.1 warns about — use IDA",
-			slots, nc, int64(slots)*int64(nc), maxHungarianCells)
+			"core: Hungarian reduction needs a %d x %d matrix (more than %d cells): exactly the blow-up §2.1 warns about — use IDA",
+			slots, nc, maxHungarianCells)
 	}
 
 	// slotOwner maps a replicated row/column back to its provider.

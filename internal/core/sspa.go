@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/flowgraph"
 	"repro/internal/obs"
 	"repro/internal/rtree"
 )
@@ -27,7 +28,7 @@ func SSPA(providers []Provider, customers []rtree.Item, opts Options) (*Result, 
 	for _, c := range customers {
 		cap := opts.CustomerCap(c.ID)
 		g.AddCustomer(c.Pt, cap, c.ID, nil)
-		custTotal += cap
+		custTotal = flowgraph.AddCap(custTotal, cap)
 	}
 	build.End()
 	gamma := g.TotalCapacity()

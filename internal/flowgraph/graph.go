@@ -32,6 +32,7 @@ package flowgraph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/geo"
@@ -323,13 +324,26 @@ func (g *Graph) EdgeCount() int {
 // Stats returns the accumulated work counters.
 func (g *Graph) Stats() Stats { return g.stats }
 
-// TotalCapacity returns Σ q.k over all providers.
+// TotalCapacity returns Σ q.k over all providers, saturated at
+// math.MaxInt (see AddCap).
 func (g *Graph) TotalCapacity() int {
 	total := 0
 	for _, p := range g.providers {
-		total += p.Cap
+		total = AddCap(total, p.Cap)
 	}
 	return total
+}
+
+// AddCap returns total + c for non-negative capacities, saturated at
+// math.MaxInt instead of wrapping: capacities near the int range (two
+// providers of capacity 2^63−1) would otherwise sum to a negative
+// total, and γ = min(Σ q.k, Σ p.cap) with them. Saturation keeps γ
+// exact whenever the other side of the min is smaller.
+func AddCap(total, c int) int {
+	if c > math.MaxInt-total {
+		return math.MaxInt
+	}
+	return total + c
 }
 
 // AddCustomer registers a customer and returns its node-local index,

@@ -178,7 +178,18 @@ func New(nodes []geo.Point, edges [][2]int32) (*NetworkMetric, error) {
 	}
 	m.connectComponents()
 	m.lengths = make([]float64, len(m.edges))
+	// Every node's arcs are cut from one backing array, sized by degree,
+	// so the appends below fill in place.
+	deg := make([]int, len(m.nodes))
+	for _, e := range m.edges {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	arcs := make([]arc, 2*len(m.edges))
 	m.adj = make([][]arc, len(m.nodes))
+	for v, d := range deg {
+		m.adj[v], arcs = arcs[:0:d], arcs[d:]
+	}
 	for i, e := range m.edges {
 		l := m.nodes[e[0]].Dist(m.nodes[e[1]])
 		m.lengths[i] = l

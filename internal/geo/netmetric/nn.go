@@ -157,7 +157,7 @@ func (s *NN) popTies(src *nnSource) {
 // label, advancing the row's sweep as far as that needs; ok is false
 // when the sweep completes with fewer settled nodes.
 func (t *Table) rowAt(r int32, c int) (v int32, label float64, ok bool) {
-	row := &t.rows[r]
+	row := t.rows[r]
 	row.mu.Lock()
 	defer row.mu.Unlock()
 	for len(row.order) <= c {

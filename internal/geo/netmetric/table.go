@@ -31,10 +31,14 @@ const DefaultTableBudget = 1 << 23
 //
 // A Table is safe for concurrent use: each row has its own lock, held
 // while a query advances it and reads its two labels.
+//
+// Release hands a finished table's rows back to a pool, so the next
+// BuildTable (of any table, on any network) reuses their node vectors
+// instead of allocating them.
 type Table struct {
 	*NetworkMetric
 	rowIdx map[int32]int32 // endpoint node → index in rows
-	rows   []tableRow
+	rows   []*tableRow
 
 	// Points the nearest-neighbour streams over this table (nn.go)
 	// have discovered and emitted.
@@ -46,6 +50,11 @@ type tableRow struct {
 	mu sync.Mutex
 	sweep
 }
+
+// rowPool holds the rows of released tables. A pooled row keeps its
+// label vector, heap and settle-order storage; start reuses them when
+// they are large enough for the network.
+var rowPool sync.Pool
 
 // BuildTable allocates a table row for each snap-edge endpoint of
 // sources, with only the endpoint itself labelled and on the frontier;
@@ -75,11 +84,27 @@ func (m *NetworkMetric) BuildTable(sources []geo.Point, budget int) *Table {
 			srcs = append(srcs, v)
 		}
 	}
-	t := &Table{NetworkMetric: m, rowIdx: rowIdx, rows: make([]tableRow, len(srcs))}
+	t := &Table{NetworkMetric: m, rowIdx: rowIdx, rows: make([]*tableRow, len(srcs))}
 	for i, v := range srcs {
-		t.rows[i].start(v, n)
+		r, _ := rowPool.Get().(*tableRow)
+		if r == nil {
+			r = new(tableRow)
+		}
+		r.start(v, n)
+		t.rows[i] = r
 	}
 	return t
+}
+
+// Release returns the table's rows to the pool BuildTable draws from.
+// The table then covers no source, so a later Dist falls through to
+// point queries; Release must not run concurrently with a query, and an
+// NN stream over the table must not be used after it.
+func (t *Table) Release() {
+	for _, r := range t.rows {
+		rowPool.Put(r)
+	}
+	t.rows, t.rowIdx = nil, nil
 }
 
 // Coverage returns the number of endpoint rows the table holds.
@@ -88,8 +113,7 @@ func (t *Table) Coverage() int { return len(t.rows) }
 // Settled returns how many labels the table's rows have finalized so
 // far and how many they would hold fully swept (rows × NumNodes).
 func (t *Table) Settled() (settled, total int) {
-	for i := range t.rows {
-		r := &t.rows[i]
+	for _, r := range t.rows {
 		r.mu.Lock()
 		settled += len(r.order)
 		r.mu.Unlock()
@@ -124,7 +148,7 @@ func (t *Table) Dist(p, q geo.Point) float64 {
 
 // rowLabels settles both of e's nodes on row r under one lock.
 func (t *Table) rowLabels(r int32, e [2]int32) [2]float64 {
-	row := &t.rows[r]
+	row := t.rows[r]
 	row.mu.Lock()
 	d := t.labels(&row.sweep, e)
 	row.mu.Unlock()

@@ -2,6 +2,8 @@ package netmetric
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -133,7 +135,7 @@ func TestTableRowsStartSuspended(t *testing.T) {
 		t.Fatal("BuildTable declined within default budget")
 	}
 	for v, r := range tab.rowIdx {
-		row := &tab.rows[r]
+		row := tab.rows[r]
 		if row.heap.Len() != 1 || row.heap.Peek() != (pqueue.Entry{Key: 0, H: v}) || row.dist[v] != 0 || len(row.order) != 0 {
 			t.Fatalf("row %d after BuildTable: frontier of %d entries, settled %d; want only its source", v, row.heap.Len(), len(row.order))
 		}
@@ -222,5 +224,81 @@ func TestAllocsPointQuery(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Errorf("forwardDijkstra allocates %.1f per query; want 0", avg)
+	}
+}
+
+// allocatedBytes returns the bytes the heap allocated while f ran, with
+// the collector off so that nothing pooled is dropped mid-measurement.
+func allocatedBytes(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFreshMetricAllocatesLittle pins that a new metric allocates its
+// network and snap grid but no cache buckets: the snap, node-pair and
+// point-pair LRUs make their maps on first use. Maps made up front with
+// a 4,096-slot hint per shard would cost about 21 MB on any network.
+func TestFreshMetricAllocatesLittle(t *testing.T) {
+	net := datagen.NewNetwork(64, space, 2008)
+	if got := allocatedBytes(func() { sinkMetric = FromNetwork(net) }); got > 1<<20 {
+		t.Fatalf("a fresh 64-grid metric allocated %d bytes, want under 1 MB", got)
+	}
+}
+
+var sinkMetric *NetworkMetric
+
+// TestBuildTableReusesReleasedRows: Release hands a table's rows to the
+// pool, and the next BuildTable takes them instead of allocating node
+// vectors; the reused rows start fresh, so answers stay byte-identical
+// with point queries. The collector is off from Release on, since a
+// collection empties the pool, and one P runs the test, since a row in
+// another P's private pool slot is out of this goroutine's reach.
+func TestBuildTableReusesReleasedRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool reuse")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net := datagen.NewNetwork(64, space, 2008)
+	m := FromNetwork(net)
+	sources := net.Points(datagen.Config{N: 8, Dist: datagen.Uniform, Seed: 31})
+	targets := net.Points(datagen.Config{N: 40, Dist: datagen.Clustered, Seed: 32})
+	first := m.BuildTable(sources, 0)
+	if first == nil {
+		t.Fatal("BuildTable declined within default budget")
+	}
+	for _, p := range sources {
+		for _, q := range targets {
+			first.Dist(p, q)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	first.Release()
+	if first.Coverage() != 0 {
+		t.Fatalf("a released table still covers %d rows", first.Coverage())
+	}
+
+	var tab *Table
+	vector := uint64(m.NumNodes()) * 8
+	if got := allocatedBytes(func() { tab = m.BuildTable(sources, 0) }); got >= vector {
+		t.Fatalf("BuildTable after Release allocated %d bytes, at least one %d-byte node vector", got, vector)
+	}
+	if tab.Coverage() == 0 {
+		t.Fatal("the second table covers no row")
+	}
+	point := FromNetwork(net)
+	for i, p := range sources {
+		for j, q := range targets {
+			if got, want := tab.Dist(p, q), point.Dist(p, q); got != want {
+				t.Fatalf("reused-row Table.Dist[%d][%d] = %v, point query %v", i, j, got, want)
+			}
+		}
+	}
+	// A released table answers through point queries.
+	if got, want := first.Dist(sources[0], targets[0]), point.Dist(sources[0], targets[0]); got != want {
+		t.Fatalf("released Table.Dist = %v, point query %v", got, want)
 	}
 }

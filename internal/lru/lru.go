@@ -45,22 +45,15 @@ type Cache[K comparable, V any] struct {
 // New returns a cache bounded to capacity entries. Capacities < 1 are
 // clamped to 1: a zero-capacity LRU is indistinguishable from a bug at
 // the call site, and callers that want "no cache" should not build one.
-// The map grows on demand rather than preallocating the full bound —
-// million-entry capacities are working-set ceilings, not expected
-// sizes, and a fresh metric's caches should not cost tens of megabytes
-// of empty buckets.
+// New allocates no map: the first Put makes it, with no size hint, and
+// it grows with the entries. Million-entry capacities are working-set
+// ceilings, not expected sizes, so an unused cache, or an unused shard
+// of a Sharded one, costs a few words rather than empty buckets.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
-	hint := capacity
-	if hint > 4096 {
-		hint = 4096
-	}
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache[K, V]{
-		cap:     capacity,
-		entries: make(map[K]*entry[K, V], hint),
-	}
+	return &Cache[K, V]{cap: capacity}
 }
 
 // Get returns the cached value for key, marking it most recently used.
@@ -87,6 +80,9 @@ func (c *Cache[K, V]) Put(key K, value V) {
 		e.value = value
 		c.moveToFront(e)
 		return
+	}
+	if c.entries == nil {
+		c.entries = make(map[K]*entry[K, V])
 	}
 	if len(c.entries) >= c.cap {
 		c.evictLocked()

@@ -12,10 +12,10 @@
 // Recovery replays the full WAL through the same DynamicMatcher event
 // API that served the live traffic, handing each such arrival its
 // logged row (ArriveWithRow), so replay re-executes the matcher without
-// a single distance query: the session recovers without building its
-// contraction hierarchy, which the first live arrival after the restart
-// builds, as on a fresh boot. Euclidean sessions log no rows (a row
-// costs more log bytes than the square roots it saves), and records
+// a single distance query: the session recovers without allocating its
+// distance table (sessionTable), which the first live arrival after the
+// restart builds, as on a fresh boot. Euclidean sessions log no rows (a
+// row costs more log bytes than the square roots it saves), and records
 // without a row replay through the metric, as logs written before rows
 // do. Since the matcher is deterministic (the churn conformance suite
 // pins this), the replayed matching is byte-identical to the
@@ -73,9 +73,10 @@ type walEvent struct {
 	Y  float64 `json:"y,omitempty"`
 	// Row is the arrival's cost row, its distance to each provider in
 	// provider order, as the live matcher read it from the metric;
-	// road-network sessions log it (session.logRows). Replay hands it
-	// back (DynamicMatcher.ArriveWithRow) instead of asking the metric
-	// again; a record without one replays through the metric.
+	// road-network sessions (those with a session.table) log it.
+	// Replay hands it back (DynamicMatcher.ArriveWithRow) instead of
+	// asking the metric again; a record without one replays through the
+	// metric.
 	Row []float64 `json:"row,omitempty"`
 	// walOpResize.
 	Provider int `json:"provider,omitempty"`
@@ -130,37 +131,36 @@ func checkSessionPoint(pt cca.Point) error {
 	return nil
 }
 
-// isNetworkMetric reports whether a session request's metric names the
-// road network.
-func isNetworkMetric(metric string) bool { return strings.EqualFold(metric, "network") }
-
-// buildMatcher validates a session request and constructs its matcher.
-// Shared by POST /v1/sessions and WAL replay, so a session that was
-// valid at creation always revalidates on recovery (and both paths hit
-// the same network-metric memo and bounds).
-func (s *Server) buildMatcher(req client.SessionRequest) (*cca.DynamicMatcher, int, error) {
+// buildMatcher validates a session request and constructs its matcher
+// and, for a road-network session, the table its distances come from
+// (nil for a Euclidean one). Shared by POST /v1/sessions and WAL
+// replay, so a session that was valid at creation always revalidates
+// on recovery (and both paths hit the same network-metric memo and
+// bounds).
+func (s *Server) buildMatcher(req client.SessionRequest) (*cca.DynamicMatcher, *sessionTable, int, error) {
 	if len(req.Providers) == 0 {
-		return nil, 0, fmt.Errorf("no providers")
+		return nil, nil, 0, fmt.Errorf("no providers")
 	}
 	// reopt_budget selects nothing (every event leaves the exact
 	// optimum), but keeps its validation so no request changes status.
 	if req.ReoptBudget < 0 {
-		return nil, 0, fmt.Errorf("reopt_budget must be >= 0, got %d", req.ReoptBudget)
+		return nil, nil, 0, fmt.Errorf("reopt_budget must be >= 0, got %d", req.ReoptBudget)
 	}
 	providers := make([]cca.Provider, len(req.Providers))
 	capacity := 0
 	for i, q := range req.Providers {
 		if q.Cap <= 0 || q.Cap > maxSessionCap {
-			return nil, 0, fmt.Errorf("provider %d: capacity must be in [1, %d], got %d", i, maxSessionCap, q.Cap)
+			return nil, nil, 0, fmt.Errorf("provider %d: capacity must be in [1, %d], got %d", i, maxSessionCap, q.Cap)
 		}
 		pt := cca.Point{X: q.X, Y: q.Y}
 		if err := checkSessionPoint(pt); err != nil {
-			return nil, 0, fmt.Errorf("provider %d: %w", i, err)
+			return nil, nil, 0, fmt.Errorf("provider %d: %w", i, err)
 		}
 		providers[i] = cca.Provider{Pt: pt, Cap: q.Cap}
 		capacity += q.Cap
 	}
 	var opts cca.DynamicOptions
+	var table *sessionTable
 	switch strings.ToLower(req.Metric) {
 	case "", "euclidean":
 	case "network":
@@ -172,17 +172,21 @@ func (s *Server) buildMatcher(req client.SessionRequest) (*cca.DynamicMatcher, i
 			seed = 2008
 		}
 		if err := checkNetCompat(req.NetLandmarks, req.NetCH); err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		m, err := s.networkMetric(grid, seed)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
-		opts.Metric = m
+		table = &sessionTable{net: m, providers: make([]cca.Point, len(providers))}
+		for i, q := range providers {
+			table.providers[i] = q.Pt
+		}
+		opts.Metric = table
 	default:
-		return nil, 0, fmt.Errorf("unknown metric %q (euclidean, network)", req.Metric)
+		return nil, nil, 0, fmt.Errorf("unknown metric %q (euclidean, network)", req.Metric)
 	}
-	return cca.NewDynamicMatcherOpts(providers, opts), capacity, nil
+	return cca.NewDynamicMatcherOpts(providers, opts), table, capacity, nil
 }
 
 // attachWAL creates the session's log and writes its header record.
@@ -311,12 +315,11 @@ func (s *Server) replaySession(id string) (*session, error) {
 				NetGrid:   ev.NetGrid,
 				NetSeed:   ev.NetSeed,
 			}
-			m, _, err := s.buildMatcher(req)
+			m, table, _, err := s.buildMatcher(req)
 			if err != nil {
 				return fmt.Errorf("create: %w", err)
 			}
-			sess.m = m
-			sess.logRows = isNetworkMetric(ev.Metric)
+			sess.m, sess.table = m, table
 		case walOpArrive:
 			if sess.m == nil {
 				return fmt.Errorf("record %d: arrive before create", replayed)
@@ -515,10 +518,8 @@ func (s *Server) sweepIdleSessions() int {
 			if err := s.writeSnapshot(sess); err != nil {
 				log.Printf("ccad: session %s: checkpoint on unload: %v", id, err)
 			}
-			sess.log.Close()
-			sess.log = nil
 		}
-		sess.gone = true
+		sess.retire()
 		sess.mu.Unlock()
 		s.sessions.removeIfSame(id, sess)
 		s.stats.recordExpired()

@@ -338,9 +338,10 @@ func editRows(t *testing.T, records [][]byte, edit func(i int, row []float64) []
 // session replays without asking the metric: the recovered server's
 // metric reads zero point queries and never builds its contraction
 // hierarchy, and /matching is byte-identical. The first live arrival
-// afterwards builds the hierarchy, as on a fresh boot. The same log
-// with every row stripped (a log from before rows) replays through the
-// metric to the same bytes.
+// afterwards queries the metric: it builds the session's table over
+// its providers, whose rows snap the customer through the metric's
+// snap cache. The same log with every row stripped (a log from before
+// rows) replays through the metric to the same bytes.
 func TestSessionRecoveryMakesNoDistanceQuery(t *testing.T) {
 	const grid, seed = 32, int64(19)
 	if grid*grid < netmetric.DefaultCHMinNodes {
@@ -399,8 +400,8 @@ func TestSessionRecoveryMakesNoDistanceQuery(t *testing.T) {
 	if _, err := b.c.Arrive(context.Background(), info.ID, client.ArriveRequest{ID: 1 << 40, X: 500, Y: 500}); err != nil {
 		t.Fatal(err)
 	}
-	if q, _ := m.CHStats(); q == 0 {
-		t.Fatal("a live arrival after recovery made no hierarchy query")
+	if m.Stats().SnapMisses == 0 {
+		t.Fatal("a live arrival after recovery asked the metric nothing")
 	}
 
 	// The same log without rows.
@@ -414,11 +415,87 @@ func TestSessionRecoveryMakesNoDistanceQuery(t *testing.T) {
 	if n := c.srv.RecoveredSessions(); n != 1 {
 		t.Fatalf("recovered %d sessions from the log without rows, want 1", n)
 	}
-	if q, _ := c.srv.NetworkMetric(grid, seed).CHStats(); q == 0 {
+	if c.srv.NetworkMetric(grid, seed).Stats().SnapMisses == 0 {
 		t.Fatal("a log without rows replayed without asking the metric")
 	}
 	if post := rawMatching(t, c.url, info.ID); !bytes.Equal(pre, post) {
 		t.Fatalf("matching diverged after metric replay:\n got %.300s…\nwant %.300s…", post, pre)
+	}
+}
+
+// TestSessionTableConformance: a road-network session reads its
+// distances from its own table over its providers, and across a
+// crash-restart it answers byte-identically to an in-process
+// cca.DynamicMatcher whose distances are point queries through the
+// contraction hierarchy: every event's answer, and /matching before
+// the crash, after recovery and at the end of the stream. The
+// server's own metric never builds the hierarchy: the live events go
+// through the session's table, and recovery reads the logged rows.
+func TestSessionTableConformance(t *testing.T) {
+	const grid, seed = 32, int64(23)
+	for _, scenario := range []string{"delivery", "ridehail"} {
+		t.Run(scenario, func(t *testing.T) {
+			state := t.TempDir()
+			w := churnWorkload(t, scenario, 160, 6, 29)
+			core, wire := sessionProviders(w)
+			split := len(w.Events) / 2
+
+			refMetric := cca.RoadNetworkMetric(grid, cca.Rect{Max: cca.Point{X: 1000, Y: 1000}}, seed)
+			ref := cca.NewDynamicMatcherOpts(core, cca.DynamicOptions{Metric: refMetric})
+			wantMatching := func() []byte {
+				res := ref.Matching()
+				resp := client.MatchingResponse{Size: res.Size, Cost: res.Cost, Pairs: make([]client.Pair, len(res.Pairs))}
+				for i, p := range res.Pairs {
+					resp.Pairs[i] = client.Pair{Provider: p.Provider, Customer: p.CustomerID, X: p.CustomerPt.X, Y: p.CustomerPt.Y, Dist: p.Dist}
+				}
+				var buf bytes.Buffer
+				if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			noHierarchy := func(h testHarness, when string) {
+				t.Helper()
+				if q, _ := h.srv.NetworkMetric(grid, seed).CHStats(); q != 0 {
+					t.Fatalf("%s: the server's metric made %d hierarchy queries", when, q)
+				}
+			}
+
+			a, crash := crashableServer(t, server.Config{StateDir: state})
+			info, err := a.c.NewSession(context.Background(), client.SessionRequest{
+				Providers: wire, Metric: "network", NetGrid: grid, NetSeed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ev := range w.Events[:split] {
+				applyChurnEvent(t, a.c, info.ID, ref, i, ev)
+			}
+			pre := rawMatching(t, a.url, info.ID)
+			if want := wantMatching(); !bytes.Equal(pre, want) {
+				t.Fatalf("matching before the crash:\n got %.300s…\nwant %.300s…", pre, want)
+			}
+			noHierarchy(a, "before the crash")
+			crash()
+
+			b := testServer(t, server.Config{StateDir: state})
+			if n := b.srv.RecoveredSessions(); n != 1 {
+				t.Fatalf("recovered %d sessions, want 1", n)
+			}
+			if post := rawMatching(t, b.url, info.ID); !bytes.Equal(pre, post) {
+				t.Fatalf("matching after recovery:\n got %.300s…\nwant %.300s…", post, pre)
+			}
+			for i, ev := range w.Events[split:] {
+				applyChurnEvent(t, b.c, info.ID, ref, split+i, ev)
+			}
+			if got, want := rawMatching(t, b.url, info.ID), wantMatching(); !bytes.Equal(got, want) {
+				t.Fatalf("final matching:\n got %.300s…\nwant %.300s…", got, want)
+			}
+			noHierarchy(b, "after recovery and the rest of the stream")
+			if q, _ := refMetric.(*netmetric.NetworkMetric).CHStats(); q == 0 {
+				t.Fatal("the reference matcher made no hierarchy query")
+			}
+		})
 	}
 }
 

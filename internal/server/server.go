@@ -247,18 +247,14 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) RecoveredSessions() int { return s.recovered }
 
 // Close stops the TTL sweeper and releases durable-state handles (open
-// session WALs). It does not close the engine — cmd/ccad owns the drain
+// session WALs) and the sessions' distance tables. It does not close the engine — cmd/ccad owns the drain
 // sequence — and it must run after the HTTP listener stopped serving.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
 		for id, sess := range s.sessions.snapshot() {
 			sess.mu.Lock()
-			if sess.log != nil {
-				sess.log.Close()
-				sess.log = nil
-			}
-			sess.gone = true
+			sess.retire()
 			sess.mu.Unlock()
 			s.sessions.removeIfSame(id, sess)
 		}

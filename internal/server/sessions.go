@@ -11,6 +11,7 @@ import (
 
 	cca "repro"
 	"repro/client"
+	"repro/internal/geo/netmetric"
 	"repro/internal/storage"
 )
 
@@ -42,17 +43,74 @@ type session struct {
 	// unloaded). events counts churn events since creation.
 	log    *storage.Log
 	events int
-	// logRows: the session measures road-network distances, so each
-	// arrival's WAL record carries its cost row and replay asks the
-	// metric nothing. A Euclidean row would cost more log bytes than
-	// the |Q| square roots it saves on replay.
-	logRows bool
+	// table is a road-network session's metric (nil for Euclidean).
+	// Such a session also logs each arrival's cost row, so replay asks
+	// the metric nothing; a Euclidean row would cost more log bytes
+	// than the |Q| square roots it saves on replay.
+	table *sessionTable
 	// lastTouch is the unix-nano time of the last handler access — the
 	// TTL sweeper's idleness clock.
 	lastTouch atomic.Int64
 }
 
 func (sess *session) touch() { sess.lastTouch.Store(time.Now().UnixNano()) }
+
+// retire marks a session unloaded or deleted and frees what it holds:
+// its log and its distance table's rows. Called with sess.mu held.
+func (sess *session) retire() {
+	sess.gone = true
+	if sess.log != nil {
+		sess.log.Close()
+		sess.log = nil
+	}
+	if sess.table != nil {
+		sess.table.release()
+	}
+}
+
+// sessionTable is a road-network session's metric. A session's
+// providers never change, so its distances come from a netmetric.Table
+// over them: one row per snap-edge endpoint (2|Q| at most), each a
+// suspended sweep that arrivals advance only as far as they reach.
+// Table.Dist is bit-identical to the shared metric's point queries, so
+// no answer and no logged row changes, but the session never builds
+// the contraction hierarchy and never touches the node-pair and
+// point-pair caches. The table is built on the first distance query,
+// so a replay that reads every row from the log allocates none. Over
+// netmetric.DefaultTableBudget BuildTable declines, and the session
+// asks the shared metric's point queries instead.
+//
+// Queries and release run under the session's lock (or, during replay,
+// before the session is shared).
+type sessionTable struct {
+	net       *netmetric.NetworkMetric
+	providers []cca.Point
+	// metric is nil until the first query, then the table, or net when
+	// BuildTable declined.
+	metric cca.Metric
+}
+
+// Name implements cca.Metric.
+func (d *sessionTable) Name() string { return d.net.Name() }
+
+// Dist implements cca.Metric.
+func (d *sessionTable) Dist(p, q cca.Point) float64 {
+	if d.metric == nil {
+		d.metric = d.net
+		if t := d.net.BuildTable(d.providers, 0); t != nil {
+			d.metric = t
+		}
+	}
+	return d.metric.Dist(p, q)
+}
+
+// release returns the table's rows to netmetric's pool for the next
+// table, in this session or a batch solve.
+func (d *sessionTable) release() {
+	if t, ok := d.metric.(*netmetric.Table); ok {
+		t.Release()
+	}
+}
 
 // sessionStore is the bounded id → session map (resident sessions only;
 // swept sessions live on disk until touched).
@@ -162,8 +220,9 @@ func (s *Server) lockSession(w http.ResponseWriter, id string) (*session, bool) 
 // incremental matcher over the request's providers, so each subsequent
 // /arrive costs one augmenting path (or swap) instead of a re-solve.
 // Sessions measure Euclidean distance by default; metric "network"
-// routes every incremental assignment through the shared road-network
-// metric (same memo and bounds as batch solves). With -state-dir, the
+// measures on the shared road-network metric (same memo and bounds as
+// batch solves), through the session's own table over its providers
+// (sessionTable). With -state-dir, the
 // session is durable: its configuration is the WAL's header record and
 // every later event is logged before it is acknowledged.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -175,12 +234,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxSessionBody, &req) {
 		return
 	}
-	m, capacity, err := s.buildMatcher(req)
+	m, table, capacity, err := s.buildMatcher(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess := &session{m: m, id: newID(), logRows: isNetworkMetric(req.Metric)}
+	sess := &session{m: m, id: newID(), table: table}
 	sess.touch()
 	if s.persistEnabled() {
 		if err := s.attachWAL(sess, req); err != nil {
@@ -250,7 +309,7 @@ func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.arrivals++
 	ev := walEvent{Op: walOpArrive, ID: req.ID, X: req.X, Y: req.Y}
-	if sess.logRows {
+	if sess.table != nil {
 		ev.Row = sess.m.Row(req.ID)
 	}
 	if err := s.logEvent(sess, ev); err != nil {
@@ -403,11 +462,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	sess.gone = true
-	if sess.log != nil {
-		sess.log.Close()
-		sess.log = nil
-	}
+	sess.retire()
 	sess.mu.Unlock()
 	s.removeSessionFiles(id)
 	s.stats.recordDeleted()

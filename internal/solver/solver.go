@@ -227,6 +227,11 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	// *netmetric.Table already in place (as their metric and in
 	// Core.Table) and skip the rewrap.
 	table, buildWall := withDistTable(providers, data, &opts)
+	if table != nil {
+		// The table lives for this solve only: its rows go back to the
+		// pool for the next one. Deferred first, so it runs last.
+		defer table.Release()
+	}
 	if buildWall > 0 {
 		span.AddTimed("table-build", buildWall)
 	}

@@ -215,3 +215,29 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestCapacitySumsSaturate: capacities whose sum passes the int range
+// (two providers of capacity 2^63−1) used to wrap γ to a negative
+// total, so ida, nia, ria and sspa answered size 0 with no error, and
+// hungarian's slot count wrapped past its matrix check into a makeslice
+// panic. The sums now saturate: the exact solvers match the one
+// customer, and hungarian refuses the matrix with an error.
+func TestCapacitySumsSaturate(t *testing.T) {
+	providers := []core.Provider{
+		{Pt: geo.Point{X: 0, Y: 0}, Cap: math.MaxInt},
+		{Pt: geo.Point{X: 10, Y: 0}, Cap: math.MaxInt},
+	}
+	data := buildDataset(t, []geo.Point{{X: 3, Y: 4}})
+	for _, name := range []string{"ida", "nia", "ria", "sspa"} {
+		res, err := MustGet(name).Solve(context.Background(), providers, data, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Size != 1 || len(res.Pairs) != 1 || res.Pairs[0].Provider != 0 || res.Cost != 5 {
+			t.Fatalf("%s: size %d, cost %v, pairs %+v; want the customer on provider 0 at cost 5", name, res.Size, res.Cost, res.Pairs)
+		}
+	}
+	if res, err := MustGet("hungarian").Solve(context.Background(), providers, data, Options{}); err == nil {
+		t.Fatalf("hungarian: no error for %d×2 slots (size %d)", math.MaxInt, res.Size)
+	}
+}

@@ -33,6 +33,14 @@ type Log struct {
 	tail      int64 // byte offset one past the last valid record
 	records   int
 	truncated bool // recovery dropped a torn/corrupt tail
+
+	// page holds a copy of page pageID as the last append wrote it
+	// (pageID is InvalidPage until then), so the next append, which
+	// starts on that page, reads nothing back from the store. framed is
+	// the reused buffer appends frame their records in.
+	page   []byte
+	pageID PageID
+	framed []byte
 }
 
 const (
@@ -44,6 +52,9 @@ const (
 	// append in many does. The zeroed pages past the tail read as the
 	// log's clean end.
 	logGrowPages = 16
+	// logKeepFrame is the largest framing buffer a Log keeps between
+	// appends; a larger record frames in a buffer of its own.
+	logKeepFrame = 64 << 10
 )
 
 // NewLog starts a fresh log on an empty store.
@@ -51,7 +62,7 @@ func NewLog(store Store) (*Log, error) {
 	if store.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: NewLog on non-empty store (%d pages); use OpenLog", store.NumPages())
 	}
-	return &Log{store: store}, nil
+	return &Log{store: store, pageID: InvalidPage}, nil
 }
 
 // OpenLog recovers a log from store, invoking fn for each valid record in
@@ -61,7 +72,7 @@ func NewLog(store Store) (*Log, error) {
 // aborts recovery and is returned verbatim. The payload fn receives is
 // valid only until fn returns. The scan reads each page once, in order.
 func OpenLog(store Store, fn func(payload []byte) error) (*Log, error) {
-	l := &Log{store: store}
+	l := &Log{store: store, pageID: InvalidPage}
 	r := &pageReader{store: store, page: make([]byte, store.PageSize()), id: InvalidPage}
 	end := int64(store.NumPages()) * int64(store.PageSize())
 	var hdr [logFrameHeader]byte
@@ -121,7 +132,14 @@ func (l *Log) Append(payload []byte) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	framed := make([]byte, logFrameHeader+len(payload))
+	n := logFrameHeader + len(payload)
+	if cap(l.framed) < n {
+		l.framed = make([]byte, n)
+	}
+	framed := l.framed[:n]
+	if n > logKeepFrame {
+		l.framed = nil // a rare large record keeps no buffer alive
+	}
 	binary.LittleEndian.PutUint32(framed[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(framed[4:8], crc32.ChecksumIEEE(payload))
 	copy(framed[logFrameHeader:], payload)
@@ -232,9 +250,13 @@ func (r *pageReader) zeroRange(from, to int64) bool {
 	return dirty
 }
 
-// writeAt writes data at byte offset off, read-modify-writing partially
-// covered pages. A write past the current end first extends the store
-// by logGrowPages pages (or to the write's end, if that is further).
+// writeAt writes data at byte offset off, which is the log's tail,
+// page by page through the log's page copy. A page the last append
+// wrote is already in the copy, and a page that starts at or past the
+// tail holds only zeros (the log's clean end), so neither is read from
+// the store: in steady state an append reads nothing. A write past the
+// current end first extends the store by logGrowPages pages (or to the
+// write's end, if that is further).
 func (l *Log) writeAt(off int64, data []byte) error {
 	ps := int64(l.store.PageSize())
 	needPages := int((off + int64(len(data)) + ps - 1) / ps)
@@ -245,27 +267,26 @@ func (l *Log) writeAt(off int64, data []byte) error {
 			}
 		}
 	}
-	page := make([]byte, ps)
+	if int64(len(l.page)) != ps {
+		l.page, l.pageID = make([]byte, ps), InvalidPage
+	}
 	for len(data) > 0 {
 		id := PageID(off / ps)
 		at := int(off % ps)
-		n := int(ps) - at
-		if n > len(data) {
-			n = len(data)
-		}
-		if at == 0 && n == int(ps) {
-			if err := l.store.Write(id, data[:n]); err != nil {
-				return err
-			}
-		} else {
-			if err := l.store.Read(id, page); err != nil {
-				return err
-			}
-			copy(page[at:], data[:n])
-			if err := l.store.Write(id, page); err != nil {
+		cached := id == l.pageID
+		l.pageID = InvalidPage // until the page is written back
+		if !cached {
+			if int64(id)*ps >= l.tail {
+				clear(l.page)
+			} else if err := l.store.Read(id, l.page); err != nil {
 				return err
 			}
 		}
+		n := copy(l.page[at:], data)
+		if err := l.store.Write(id, l.page); err != nil {
+			return err
+		}
+		l.pageID = id
 		data = data[n:]
 		off += int64(n)
 	}

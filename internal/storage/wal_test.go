@@ -491,6 +491,75 @@ func TestOpenLogReadsEachPageOnce(t *testing.T) {
 	}
 }
 
+// TestLogAppendReadsNothing: an append keeps the tail page it wrote,
+// and a page past the log's end is known to hold zeros, so steady-state
+// appends read no page back from the store, whether a record fits in
+// the tail page, spans pages or starts on a page boundary. Only the
+// first append after OpenLog reads the tail page once. The log still
+// recovers every record.
+func TestLogAppendReadsNothing(t *testing.T) {
+	s := NewMemStore(64)
+	rc := &readCounter{Store: s, reads: map[PageID]int{}}
+	l, err := NewLog(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func() int {
+		n := 0
+		for _, r := range rc.reads {
+			n += r
+		}
+		return n
+	}
+	var want [][]byte
+	appendN := func(l *Log, k int) {
+		for i := 0; i < k; i++ {
+			// 1 to 150 bytes: several frames per page, frames spanning
+			// pages, and (56 bytes framed to 64) frames ending on a
+			// page boundary.
+			size := 1 + (len(want)*37)%150
+			if len(want)%7 == 0 {
+				size = 56
+			}
+			p := bytes.Repeat([]byte{byte(len(want) + 1)}, size)
+			if err := l.Append(p); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, p)
+		}
+	}
+	appendN(l, 60)
+	if n := reads(); n != 0 {
+		t.Fatalf("60 appends to a fresh log read %d pages, want 0", n)
+	}
+
+	re, err := OpenLog(rc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(rc.reads)
+	appendN(re, 60)
+	if n := reads(); n > 1 {
+		t.Fatalf("60 appends after OpenLog read %d pages, want at most 1 (the tail page once)", n)
+	}
+
+	var got [][]byte
+	if _, err := OpenLog(s, func(p []byte) error {
+		got = append(got, bytes.Clone(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d records, appended %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d: got %d bytes %x…, want %d bytes %x…", i, len(got[i]), got[i][:1], len(want[i]), want[i][:1])
+		}
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.snap")
 	payload := []byte(`{"live":[1,2,3],"cost":42.5}`)
