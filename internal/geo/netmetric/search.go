@@ -109,10 +109,13 @@ type sweep struct {
 }
 
 // start resets s to a fresh sweep from src over n nodes, reusing its
-// label and heap storage: only src is labelled and on the frontier.
+// label, heap and settle-order storage: only src is labelled and on the
+// frontier. Storage sized for a network more than twice as large is
+// dropped instead, so a pooled row from a large network never pins its
+// vectors in a small network's table.
 func (s *sweep) start(src int32, n int) {
-	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
+	if cap(s.dist) < n || cap(s.dist) > 2*n {
+		*s = sweep{dist: make([]float64, n)}
 	}
 	s.dist = s.dist[:n]
 	for i := range s.dist {

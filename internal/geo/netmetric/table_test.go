@@ -302,3 +302,34 @@ func TestBuildTableReusesReleasedRows(t *testing.T) {
 		t.Fatalf("released Table.Dist = %v, point query %v", got, want)
 	}
 }
+
+// TestBuildTableDropsOversizedRows: rows released by a table on a large
+// network are not reused at their full size by a table on a small one,
+// so a small table's rows hold vectors sized for its own network. Run
+// like TestBuildTableReusesReleasedRows, so the pool does hand the
+// large rows back.
+func TestBuildTableDropsOversizedRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool reuse")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bigNet := datagen.NewNetwork(64, space, 2008)
+	big := FromNetwork(bigNet)
+	sources := bigNet.Points(datagen.Config{N: 8, Dist: datagen.Uniform, Seed: 31})
+	large := big.BuildTable(sources, 0)
+	for _, p := range sources {
+		large.Dist(p, sources[0])
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	large.Release()
+
+	smallNet := datagen.NewNetwork(8, space, 2008)
+	small := FromNetwork(smallNet)
+	tab := small.BuildTable(smallNet.Points(datagen.Config{N: 8, Dist: datagen.Uniform, Seed: 33}), 0)
+	n := small.NumNodes()
+	for i, r := range tab.rows {
+		if cap(r.dist) > 2*n || cap(r.order) > 2*n {
+			t.Fatalf("row %d of a %d-node table holds vectors of capacity %d (labels) and %d (order)", i, n, cap(r.dist), cap(r.order))
+		}
+	}
+}

@@ -13,3 +13,7 @@ func (s *Server) NetworkMetric(grid int, seed int64) *netmetric.NetworkMetric {
 	}
 	return e.m
 }
+
+// SessionTableCells returns the label cells the live session tables
+// hold.
+func (s *Server) SessionTableCells() int64 { return s.tableCells.Load() }

@@ -174,11 +174,11 @@ func (s *Server) buildMatcher(req client.SessionRequest) (*cca.DynamicMatcher, *
 		if err := checkNetCompat(req.NetLandmarks, req.NetCH); err != nil {
 			return nil, nil, 0, err
 		}
-		m, err := s.networkMetric(grid, seed)
+		e, err := s.network(grid, seed)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		table = &sessionTable{net: m, providers: make([]cca.Point, len(providers))}
+		table = &sessionTable{srv: s, net: e, providers: make([]cca.Point, len(providers))}
 		for i, q := range providers {
 			table.providers[i] = q.Pt
 		}

@@ -95,6 +95,13 @@ type Config struct {
 	// integrity checkpoints, not the recovery path — recovery always
 	// replays the full WAL for byte-identical matchings.
 	SnapshotEvery int
+	// SessionTableCells bounds the label cells the distance tables of
+	// road-network sessions hold at once, server-wide: one per table
+	// row and network node, about 12 B each with the row's settle
+	// order. A session whose table would take the total past it
+	// answers through the shared metric's point queries instead.
+	// Values < 1 select DefaultSessionTableCells.
+	SessionTableCells int
 	// SlowSolveThreshold emits a structured slog warning for every solve
 	// instance whose wall time reaches it; 0 disables the slow-solve log.
 	SlowSolveThreshold time.Duration
@@ -110,6 +117,10 @@ const (
 	DefaultMaxInstances  = 1024
 	DefaultMaxArrivals   = 100_000
 	DefaultSnapshotEvery = 64
+	// DefaultSessionTableCells is about 100 MB of session table rows:
+	// the eight 32-provider sessions of a 64-grid need a quarter of it,
+	// one 64-provider session on the 256-grid all of it.
+	DefaultSessionTableCells = netmetric.DefaultTableBudget
 )
 
 // Server is the HTTP front end. Build one with New and mount Handler.
@@ -144,6 +155,10 @@ type Server struct {
 
 	stats counters
 
+	// tableCells counts the label cells the live session tables hold
+	// (sessionTable), against cfg.SessionTableCells.
+	tableCells atomic.Int64
+
 	// reloadMu serializes WAL reloads of unloaded sessions (persist.go).
 	reloadMu sync.Mutex
 	// recovered is the number of sessions replayed at boot.
@@ -164,6 +179,9 @@ type netEntry struct {
 	once sync.Once
 	done atomic.Bool // set after once ran; guards m for non-waiters
 	m    *netmetric.NetworkMetric
+	// rowLabels counts the labels the tables of retired sessions on
+	// this network settled (sessionTable).
+	rowLabels atomic.Int64
 }
 
 // metric returns the entry's metric, building it on first use (outside
@@ -195,6 +213,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SnapshotEvery < 1 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
+	}
+	if cfg.SessionTableCells < 1 {
+		cfg.SessionTableCells = DefaultSessionTableCells
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -247,8 +268,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) RecoveredSessions() int { return s.recovered }
 
 // Close stops the TTL sweeper and releases durable-state handles (open
-// session WALs) and the sessions' distance tables. It does not close the engine — cmd/ccad owns the drain
-// sequence — and it must run after the HTTP listener stopped serving.
+// session WALs) and the sessions' distance tables. It does not close
+// the engine — cmd/ccad owns the drain sequence — and it must run after
+// the HTTP listener stopped serving.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
@@ -344,6 +366,15 @@ const (
 // meanwhile). The metric turns its contraction hierarchy on by network
 // size.
 func (s *Server) networkMetric(grid int, seed int64) (*netmetric.NetworkMetric, error) {
+	e, err := s.network(grid, seed)
+	if err != nil {
+		return nil, err
+	}
+	return e.m, nil
+}
+
+// network returns the memo entry for (grid, seed), its metric built.
+func (s *Server) network(grid int, seed int64) (*netEntry, error) {
 	if grid < MinNetGrid || grid > MaxNetGrid {
 		return nil, fmt.Errorf("net_grid %d out of range [%d, %d]", grid, MinNetGrid, MaxNetGrid)
 	}
@@ -359,7 +390,8 @@ func (s *Server) networkMetric(grid int, seed int64) (*netmetric.NetworkMetric, 
 		s.netMetrics[key] = e
 	}
 	s.netMu.Unlock()
-	return e.metric(key), nil
+	e.metric(key)
+	return e, nil
 }
 
 // checkNetCompat range-checks net_landmarks and net_ch. They select

@@ -69,47 +69,104 @@ func (sess *session) retire() {
 }
 
 // sessionTable is a road-network session's metric. A session's
-// providers never change, so its distances come from a netmetric.Table
-// over them: one row per snap-edge endpoint (2|Q| at most), each a
-// suspended sweep that arrivals advance only as far as they reach.
-// Table.Dist is bit-identical to the shared metric's point queries, so
-// no answer and no logged row changes, but the session never builds
-// the contraction hierarchy and never touches the node-pair and
-// point-pair caches. The table is built on the first distance query,
-// so a replay that reads every row from the log allocates none. Over
-// netmetric.DefaultTableBudget BuildTable declines, and the session
-// asks the shared metric's point queries instead.
+// providers never change, so its distances can come from a
+// netmetric.Table over them: one row per snap-edge endpoint (2|Q| at
+// most), each a suspended sweep that arrivals advance only as far as
+// they reach. Table.Dist is bit-identical to the shared metric's point
+// queries, so no answer and no logged row depends on which one serves,
+// but a session on its table never builds the contraction hierarchy
+// and never touches the node-pair and point-pair caches. The choice is
+// made on the first distance query, so a replay that reads every row
+// from the log allocates nothing, and it falls to the shared metric
+// when any of these holds:
+//
+//   - the network's retired session tables have already settled
+//     sessionRowLabelsPerNode labels per node (netEntry.rowLabels):
+//     from then on the hierarchy costs less than more rows;
+//   - the table's 2|Q| rows would take the server's live session
+//     tables past Config.SessionTableCells;
+//   - BuildTable declines (over netmetric.DefaultTableBudget).
 //
 // Queries and release run under the session's lock (or, during replay,
 // before the session is shared).
 type sessionTable struct {
-	net       *netmetric.NetworkMetric
+	srv       *Server
+	net       *netEntry
 	providers []cca.Point
-	// metric is nil until the first query, then the table, or net when
-	// BuildTable declined.
+	// metric is nil until the first query, then table or the shared
+	// metric. cells is the share of Config.SessionTableCells the table
+	// holds until release.
 	metric cca.Metric
+	table  *netmetric.Table
+	cells  int64
 }
 
+// sessionRowLabelsPerNode is how many labels per network node the
+// tables of retired sessions may settle before later sessions on that
+// network use point queries. A table row costs one settled label per
+// node it reaches, however few arrivals it serves; a point query costs
+// a few hundred labels' worth once the hierarchy exists, and the
+// hierarchy costs 140 (32-grid), 232 (64-grid), 313 (128-grid) and 487
+// (256-grid) labels per node to build, timed against full row sweeps
+// on a 2-vCPU VM. Sessions with few arrivals on a large grid sweep most
+// of their rows for little use: with the hierarchy built, a session of
+// 8 providers and 4 arrivals on the 128-grid took 36 ms on rows against
+// 6 ms on point queries, while one of 256 arrivals took 58 ms against
+// 115. So rows serve until they have cost about one hierarchy build
+// (the smallest measured), and the hierarchy after that; a network's
+// sessions then never cost much more than twice what point queries
+// alone would, and dense sessions on a fresh server keep their rows.
+const sessionRowLabelsPerNode = 128
+
 // Name implements cca.Metric.
-func (d *sessionTable) Name() string { return d.net.Name() }
+func (d *sessionTable) Name() string { return d.net.m.Name() }
 
 // Dist implements cca.Metric.
 func (d *sessionTable) Dist(p, q cca.Point) float64 {
 	if d.metric == nil {
-		d.metric = d.net
-		if t := d.net.BuildTable(d.providers, 0); t != nil {
-			d.metric = t
-		}
+		d.metric = d.open()
 	}
 	return d.metric.Dist(p, q)
 }
 
-// release returns the table's rows to netmetric's pool for the next
-// table, in this session or a batch solve.
-func (d *sessionTable) release() {
-	if t, ok := d.metric.(*netmetric.Table); ok {
-		t.Release()
+// open builds the session's table, or returns the shared metric when
+// the network's session rows have run their course or the table does
+// not fit the server's budget. The budget is taken for 2|Q| rows before
+// the build and the rows the table did not need are handed back.
+func (d *sessionTable) open() cca.Metric {
+	m := d.net.m
+	n := int64(m.NumNodes())
+	if d.net.rowLabels.Load() >= sessionRowLabelsPerNode*n {
+		return m
 	}
+	want := 2 * int64(len(d.providers)) * n
+	if d.srv.tableCells.Add(want) > int64(d.srv.cfg.SessionTableCells) {
+		d.srv.tableCells.Add(-want)
+		return m
+	}
+	t := m.BuildTable(d.providers, 0)
+	if t == nil {
+		d.srv.tableCells.Add(-want)
+		return m
+	}
+	d.table, d.cells = t, int64(t.Coverage())*n
+	d.srv.tableCells.Add(d.cells - want)
+	return t
+}
+
+// release returns the table's rows to netmetric's pool for the next
+// table, in this session or a batch solve, and its cells to the
+// server's budget, and adds the labels its rows settled to the
+// network's count.
+func (d *sessionTable) release() {
+	if d.table == nil {
+		return
+	}
+	settled, _ := d.table.Settled()
+	d.net.rowLabels.Add(int64(settled))
+	d.srv.tableCells.Add(-d.cells)
+	d.table.Release()
+	d.table, d.cells = nil, 0
 }
 
 // sessionStore is the bounded id → session map (resident sessions only;

@@ -395,32 +395,11 @@ func (s *Server) solveBuffered(w http.ResponseWriter, preps []*prepared, chans [
 	fleet := fleetOf(raw, time.Since(start))
 	s.stats.recordSolve(fleet, raw)
 	resp := client.SolveResponse{Results: results, Fleet: fleet}
-	if root == nil {
-		writeJSON(w, http.StatusOK, resp)
-		return
+	if root != nil {
+		root.End()
+		resp.Trace = wireTrace(root.Tree())
 	}
-	// A traced response is encoded under an "encode" span, so the trace
-	// covers the encoding too (a few ms for thousands of pairs). The
-	// trace itself, complete only once the root ends, is encoded after
-	// and spliced in as the last field, giving the bytes writeJSON would.
-	enc := root.StartChild("encode")
-	body, err := json.Marshal(resp)
-	enc.SetInt("bytes", int64(len(body)))
-	enc.End()
-	root.End()
-	var trace []byte
-	if err == nil {
-		trace, err = json.Marshal(wireTrace(root.Tree()))
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
-		return
-	}
-	body = append(body[:len(body)-1], `,"trace":`...)
-	body = append(append(body, trace...), "}\n"...)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // solveStreamed delivers results in completion order as NDJSON lines or
