@@ -101,29 +101,13 @@ type netIndexes struct {
 // datasetIDs hands out process-unique dataset identities.
 var datasetIDs atomic.Uint64
 
-// IndexConfig controls how a customer dataset is indexed.
+// IndexConfig controls how a customer dataset is indexed. Pages are
+// storage.DefaultPageSize (1 KB) and the LRU buffer holds 1% of the
+// tree's pages, the paper's settings (§5.1).
 type IndexConfig struct {
-	// PageSize is the R-tree page size in bytes (default 1024, the
-	// paper's setting).
-	PageSize int
-	// BufferFraction sizes the LRU buffer as a fraction of the tree
-	// (default 0.01, the paper's 1%). Ignored when BufferPages > 0.
-	BufferFraction float64
-	// BufferPages sizes the LRU buffer in pages directly.
-	BufferPages int
 	// Path, when non-empty, stores the R-tree in a page file on disk;
 	// otherwise an in-memory page store simulates the disk.
 	Path string
-}
-
-func (c IndexConfig) withDefaults() IndexConfig {
-	if c.PageSize <= 0 {
-		c.PageSize = storage.DefaultPageSize
-	}
-	if c.BufferFraction <= 0 {
-		c.BufferFraction = 0.01
-	}
-	return c
 }
 
 // IndexCustomers bulk-loads points into a fresh R-tree using the default
@@ -134,7 +118,6 @@ func IndexCustomers(points []Point) (*Customers, error) {
 
 // IndexCustomersConfig bulk-loads points into a fresh R-tree.
 func IndexCustomersConfig(points []Point, cfg IndexConfig) (*Customers, error) {
-	cfg = cfg.withDefaults()
 	items := make([]rtree.Item, len(points))
 	for i, p := range points {
 		items[i] = rtree.Item{ID: int64(i), Pt: p}
@@ -144,16 +127,15 @@ func IndexCustomersConfig(points []Point, cfg IndexConfig) (*Customers, error) {
 
 // IndexItems bulk-loads pre-identified items into a fresh R-tree.
 func IndexItems(items []rtree.Item, cfg IndexConfig) (*Customers, error) {
-	cfg = cfg.withDefaults()
 	var store storage.Store
 	if cfg.Path != "" {
-		fs, err := storage.CreateFileStore(cfg.Path, cfg.PageSize)
+		fs, err := storage.CreateFileStore(cfg.Path, storage.DefaultPageSize)
 		if err != nil {
 			return nil, err
 		}
 		store = fs
 	} else {
-		store = storage.NewMemStore(cfg.PageSize)
+		store = storage.NewMemStore(storage.DefaultPageSize)
 	}
 	// Bulk-load through a large temporary buffer, then rewrap with the
 	// experiment-sized buffer so loading does not distort query stats.
@@ -167,7 +149,7 @@ func IndexItems(items []rtree.Item, cfg IndexConfig) (*Customers, error) {
 		store.Close()
 		return nil, err
 	}
-	buf := storage.NewBuffer(store, cfg.frames(store))
+	buf := storage.NewBuffer(store, bufferFrames(store))
 	reopened, err := rtree.Open(buf)
 	if err != nil {
 		store.Close()
@@ -176,31 +158,23 @@ func IndexItems(items []rtree.Item, cfg IndexConfig) (*Customers, error) {
 	return &Customers{tree: reopened, buf: buf, store: store, owner: true, id: datasetIDs.Add(1), nets: &netIndexes{}}, nil
 }
 
-// frames computes the effective LRU buffer size in pages, clamped to at
-// least one frame: a fractional buffer over a small store truncates to
-// zero, and relying on storage.NewBuffer's hidden clamp would leave the
+// bufferFrames computes the LRU buffer size in pages, 1% of the store,
+// clamped to at least one frame: 1% of a small store truncates to zero,
+// and relying on storage.NewBuffer's hidden clamp would leave the
 // effective size unobservable. Callers can read the result back through
 // Customers.BufferFrames.
-func (c IndexConfig) frames(store storage.Store) int {
-	frames := c.BufferPages
-	if frames <= 0 {
-		frames = int(c.BufferFraction * float64(store.NumPages()))
-	}
-	if frames < 1 {
-		frames = 1
-	}
-	return frames
+func bufferFrames(store storage.Store) int {
+	return max(1, int(0.01*float64(store.NumPages())))
 }
 
 // OpenCustomers opens a customer R-tree previously persisted to a page
 // file by IndexItems/IndexCustomersConfig with a non-empty Path.
-func OpenCustomers(path string, cfg IndexConfig) (*Customers, error) {
-	cfg = cfg.withDefaults()
-	fs, err := storage.OpenFileStore(path, cfg.PageSize)
+func OpenCustomers(path string) (*Customers, error) {
+	fs, err := storage.OpenFileStore(path, storage.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
-	buf := storage.NewBuffer(fs, cfg.frames(fs))
+	buf := storage.NewBuffer(fs, bufferFrames(fs))
 	tree, err := rtree.Open(buf)
 	if err != nil {
 		fs.Close()

@@ -133,7 +133,7 @@ func TestPublicDiskBackedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := OpenCustomers(path, IndexConfig{})
+	reopened, err := OpenCustomers(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,19 +175,19 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestBufferFramesClamped: a buffer fraction sizes the buffer from the
-// store's page count, and tiny stores must yield an explicit one-frame
-// buffer, observable through BufferFrames (the silent under-sizing fix).
+// TestBufferFramesClamped: the buffer is 1% of the store's page count,
+// and tiny stores must yield an explicit one-frame buffer, observable
+// through BufferFrames (the silent under-sizing fix).
 func TestBufferFramesClamped(t *testing.T) {
 	store := storage.NewMemStore(32)
 	for i := 0; i < 200; i++ {
 		store.Alloc()
 	}
-	if got := (IndexConfig{BufferFraction: 0.01}).frames(store); got != 2 {
+	if got := bufferFrames(store); got != 2 {
 		t.Errorf("1%% of 200 pages = %d frames, want 2", got)
 	}
 	pts := []Point{{X: 1, Y: 1}, {X: 2, Y: 2}, {X: 3, Y: 3}}
-	customers, err := IndexCustomersConfig(pts, IndexConfig{BufferFraction: 0.01})
+	customers, err := IndexCustomers(pts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 		pages, fi.Size()/1024, dbPath)
 
 	// Reopen cold, with the paper's 1% LRU buffer.
-	registry, err := cca.OpenCustomers(dbPath, cca.IndexConfig{})
+	registry, err := cca.OpenCustomers(dbPath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,12 +40,6 @@ const (
 	// RefineExclusive is the exclusive NN refinement (§4.3): the
 	// globally closest (provider, customer) pair is committed first.
 	RefineExclusive
-	// RefineExact solves each group's small assignment problem exactly
-	// with the Hungarian algorithm — the option §4.3 mentions and
-	// dismisses as expensive. Groups are small, so it is affordable
-	// here and gives the best refinement quality; it is the natural
-	// upper bound for the quality ablation.
-	RefineExact
 )
 
 // String implements fmt.Stringer.
@@ -55,8 +49,6 @@ func (r Refinement) String() string {
 		return "NN"
 	case RefineExclusive:
 		return "exclusive-NN"
-	case RefineExact:
-		return "exact"
 	default:
 		return fmt.Sprintf("Refinement(%d)", int(r))
 	}
@@ -70,9 +62,8 @@ type Options struct {
 	Delta float64
 	// Refinement is the expansion heuristic (default RefineNN).
 	Refinement Refinement
-	// Space is the data space for Hilbert ordering (default [0,1000]²).
-	Space geo.Rect
-	// Core tunes the concise-matching IDA run.
+	// Core tunes the concise-matching IDA run; its Space is the data
+	// space for Hilbert ordering (default [0,1000]²).
 	Core core.Options
 }
 
@@ -90,8 +81,8 @@ func (o Options) withDefaults(isSA bool) Options {
 			o.Delta = DefaultDeltaCA
 		}
 	}
-	if o.Space.IsEmpty() {
-		o.Space = core.DefaultSpace
+	if o.Core.Space.IsEmpty() {
+		o.Core.Space = core.DefaultSpace
 	}
 	if o.Core.Metric == nil {
 		// Resolve the metric here too (core does its own defaulting):
@@ -154,8 +145,6 @@ func refine(method Refinement, metric geo.Metric, providers []core.Provider, bud
 	switch method {
 	case RefineExclusive:
 		refineExclusive(metric, providers, budgets, customers, out)
-	case RefineExact:
-		refineExact(metric, providers, budgets, customers, out)
 	default:
 		refineNN(metric, providers, budgets, customers, out)
 	}

@@ -369,3 +369,25 @@ func TestApproxDegenerate(t *testing.T) {
 		t.Fatalf("SA empty: %v %+v", err, res)
 	}
 }
+
+// All refinements must fill CustomerPt (regression: heuristics used to
+// leave it zero).
+func TestRefinementsFillCustomerPt(t *testing.T) {
+	in := genInstance(t, 4, 60, 8, 613)
+	for _, method := range []Refinement{RefineNN, RefineExclusive} {
+		for _, run := range []func() (*Result, error){
+			func() (*Result, error) { return CA(in.providers, in.tree, Options{Delta: 30, Refinement: method}) },
+			func() (*Result, error) { return SA(in.providers, in.tree, Options{Delta: 50, Refinement: method}) },
+		} {
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range res.Pairs {
+				if p.CustomerPt != in.items[p.CustomerID].Pt {
+					t.Fatalf("%v: CustomerPt %v != actual %v", method, p.CustomerPt, in.items[p.CustomerID].Pt)
+				}
+			}
+		}
+	}
+}

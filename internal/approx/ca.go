@@ -48,7 +48,7 @@ func CA(providers []core.Provider, tree *rtree.Tree, opts Options) (*Result, err
 		return nil, err
 	}
 	// Phase 1b: merge entries into hyper-entries along the Hilbert curve.
-	groups := caMerge(parts, opts.Space, opts.Delta)
+	groups := caMerge(parts, opts.Core.Space, opts.Delta)
 
 	// Representatives: MBR center, weight = points in the group.
 	reps := make([]rtree.Item, len(groups))

@@ -25,7 +25,7 @@ func SA(providers []core.Provider, tree *rtree.Tree, opts Options) (*Result, err
 	for i, p := range providers {
 		pts[i] = p.Pt
 	}
-	groups := hilbertGroups(pts, opts.Space, opts.Delta)
+	groups := hilbertGroups(pts, opts.Core.Space, opts.Delta)
 
 	// One representative per group: capacity-weighted centroid with the
 	// summed capacity.

@@ -444,21 +444,24 @@ func TestChurnResizeShrinkEvictsAndGrowReadmits(t *testing.T) {
 	}
 }
 
-// Drift bookkeeping: the periodic oracle must fire and read (near)
-// zero drift.
+// Drift bookkeeping: OracleDrift, called every 25 events, must be
+// counted and read (near) zero drift.
 func TestChurnDriftStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	providers := churnProviders(rng, 6, 1, 3)
 	events := genChurnEvents(rng, 300, 6, 5)
 
-	m := NewDynamicMatcherOpts(providers, DynamicOptions{OracleEvery: 25})
+	m := NewDynamicMatcher(providers)
 	o := newChurnMirror(providers)
-	for _, ev := range events {
+	for i, ev := range events {
 		applyChurnEvent(t, m, o, ev)
+		if (i+1)%25 == 0 {
+			m.OracleDrift()
+		}
 	}
 	st := m.Stats()
-	if st.OracleChecks == 0 {
-		t.Fatal("OracleEvery never fired")
+	if st.OracleChecks != len(events)/25 {
+		t.Fatalf("OracleChecks %d, want %d", st.OracleChecks, len(events)/25)
 	}
 	if st.MaxDrift > 1e-9 {
 		t.Fatalf("matcher drifted: MaxDrift %v", st.MaxDrift)

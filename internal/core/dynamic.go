@@ -22,18 +22,14 @@ var (
 )
 
 // DynamicOptions configures a DynamicMatcher beyond the zero-value
-// behavior (Euclidean metric, no periodic oracle).
+// behavior (Euclidean metric).
 type DynamicOptions struct {
 	// Metric is the edge-cost backend; nil means Euclidean.
 	Metric geo.Metric
-	// OracleEvery, when positive, re-solves from scratch every n events
-	// and records the cost drift in ChurnStats. The oracle is O(γ·V·E)
-	// Bellman–Ford — a measurement tool, not a production setting.
-	OracleEvery int
 }
 
 // ChurnStats counts a matcher's event history, the repairs it ran and
-// the drift its periodic oracle measured.
+// the drift its OracleDrift checks measured.
 type ChurnStats struct {
 	Events     int // arrivals + departures + resizes accepted
 	Arrivals   int
@@ -83,7 +79,6 @@ type ChurnStats struct {
 type DynamicMatcher struct {
 	g         *flowgraph.Graph
 	providers []Provider
-	opts      DynamicOptions
 
 	// ids maps every id ever accepted to its customer's live position,
 	// or to -1 once it departed (duplicate detection).
@@ -107,7 +102,6 @@ func NewDynamicMatcherOpts(providers []Provider, opts DynamicOptions) *DynamicMa
 	return &DynamicMatcher{
 		g:         flowgraph.NewChurnGraph(flowProviders(own), opts.Metric),
 		providers: own,
-		opts:      opts,
 		ids:       make(map[int64]int32),
 	}
 }
@@ -173,7 +167,6 @@ func (m *DynamicMatcher) arrive(pt geo.Point, id int64, row []float64) (bool, er
 	case matched:
 		m.stats.Augments++
 	}
-	m.maybeOracle()
 	return matched, nil
 }
 
@@ -208,7 +201,6 @@ func (m *DynamicMatcher) Depart(id int64) (bool, error) {
 			m.stats.Cycles++
 		}
 	}
-	m.maybeOracle()
 	return q >= 0, nil
 }
 
@@ -259,15 +251,7 @@ func (m *DynamicMatcher) ResizeProvider(i, newCap int) error {
 			m.stats.Cycles++
 		}
 	}
-	m.maybeOracle()
 	return nil
-}
-
-// maybeOracle runs the periodic full re-solve when configured.
-func (m *DynamicMatcher) maybeOracle() {
-	if m.opts.OracleEvery > 0 && m.stats.Events%m.opts.OracleEvery == 0 {
-		m.OracleDrift()
-	}
 }
 
 // OracleDrift re-solves the current live instance from scratch with

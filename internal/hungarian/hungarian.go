@@ -23,19 +23,18 @@ import (
 // ErrShape is returned when the cost matrix is empty or ragged.
 var ErrShape = errors.New("hungarian: cost matrix must be rectangular and non-empty")
 
-// Solve computes a minimum-cost assignment of rows to columns for the
-// given cost matrix (len(cost) rows, len(cost[0]) columns, rows ≤
-// columns; transpose if needed). It returns, for each row, the column
-// assigned to it, plus the total cost.
-func Solve(cost [][]float64) ([]int, float64, error) {
-	return SolveCancel(cost, nil)
-}
+// ErrNoFiniteAssignment is returned when a row can reach no free column
+// at a finite reduced cost: costs that are infinite or NaN, or so large
+// that the dual potentials overflow.
+var ErrNoFiniteAssignment = errors.New("hungarian: no assignment of finite cost (costs overflow)")
 
-// SolveCancel is Solve with a cancellation hook: cancel (when non-nil)
-// is polled once per augmented row — the Θ(n³) work is n rows of
-// shortest-path search, so a cancelled solve returns within one row —
-// and its error is returned verbatim. The CCA solver threads the
-// caller's context in this way.
+// SolveCancel computes a minimum-cost assignment of rows to columns for
+// the given cost matrix (len(cost) rows, len(cost[0]) columns, rows ≤
+// columns; transpose if needed). It returns, for each row, the column
+// assigned to it, plus the total cost. cancel (when non-nil) is polled
+// once per column scan — the Θ(n³) work is n rows of shortest-path
+// search, each at most m scans of O(m) — and its error is returned
+// verbatim. The CCA solver threads the caller's context in this way.
 func SolveCancel(cost [][]float64, cancel func() error) ([]int, float64, error) {
 	n := len(cost)
 	if n == 0 {
@@ -57,11 +56,6 @@ func SolveCancel(cost [][]float64, cancel func() error) ([]int, float64, error) 
 	match := make([]int, m+1) // column -> row (0 = free)
 	way := make([]int, m+1)   // alternating-path back-pointers
 	for i := 1; i <= n; i++ {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return nil, 0, err
-			}
-		}
 		match[0] = i
 		j0 := 0
 		minv := make([]float64, m+1)
@@ -70,6 +64,11 @@ func SolveCancel(cost [][]float64, cancel func() error) ([]int, float64, error) 
 			minv[j] = math.Inf(1)
 		}
 		for {
+			if cancel != nil {
+				if err := cancel(); err != nil {
+					return nil, 0, err
+				}
+			}
 			used[j0] = true
 			i0 := match[j0]
 			delta := math.Inf(1)
@@ -87,6 +86,9 @@ func SolveCancel(cost [][]float64, cancel func() error) ([]int, float64, error) 
 					delta = minv[j]
 					j1 = j
 				}
+			}
+			if j1 == 0 {
+				return nil, 0, ErrNoFiniteAssignment
 			}
 			for j := 0; j <= m; j++ {
 				if used[j] {

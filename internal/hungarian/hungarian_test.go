@@ -1,6 +1,7 @@
 package hungarian
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestSolveKnown(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			assign, total, err := Solve(tc.cost)
+			assign, total, err := SolveCancel(tc.cost, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,14 +82,23 @@ func TestSolveKnown(t *testing.T) {
 }
 
 func TestSolveErrors(t *testing.T) {
-	if _, _, err := Solve(nil); err == nil {
+	if _, _, err := SolveCancel(nil, nil); err == nil {
 		t.Error("empty matrix must fail")
 	}
-	if _, _, err := Solve([][]float64{{1, 2}, {3}}); err == nil {
+	if _, _, err := SolveCancel([][]float64{{1, 2}, {3}}, nil); err == nil {
 		t.Error("ragged matrix must fail")
 	}
-	if _, _, err := Solve([][]float64{{1}, {2}}); err == nil {
+	if _, _, err := SolveCancel([][]float64{{1}, {2}}, nil); err == nil {
 		t.Error("more rows than columns must fail")
+	}
+	// A row with no finite-cost column used to spin forever.
+	for _, cost := range [][][]float64{
+		{{math.Inf(1), math.Inf(1)}},
+		{{1, 2}, {math.NaN(), math.NaN()}},
+	} {
+		if _, _, err := SolveCancel(cost, nil); !errors.Is(err, ErrNoFiniteAssignment) {
+			t.Errorf("%v: err %v, want ErrNoFiniteAssignment", cost, err)
+		}
 	}
 }
 
@@ -105,7 +115,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 				cost[i][j] = math.Floor(rng.Float64()*100) / 10
 			}
 		}
-		_, got, err := Solve(cost)
+		_, got, err := SolveCancel(cost, nil)
 		if err != nil {
 			return false
 		}
@@ -155,7 +165,7 @@ func BenchmarkSolve100(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Solve(cost); err != nil {
+		if _, _, err := SolveCancel(cost, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,3 +17,7 @@ func (s *Server) NetworkMetric(grid int, seed int64) *netmetric.NetworkMetric {
 // SessionTableCells returns the label cells the live session tables
 // hold.
 func (s *Server) SessionTableCells() int64 { return s.tableCells.Load() }
+
+// SetSessionTableBudget lowers the label cells the server's session
+// tables may hold at once. Call it before the server handles a request.
+func (s *Server) SetSessionTableBudget(cells int64) { s.tableBudget = cells }

@@ -95,13 +95,6 @@ type Config struct {
 	// integrity checkpoints, not the recovery path — recovery always
 	// replays the full WAL for byte-identical matchings.
 	SnapshotEvery int
-	// SessionTableCells bounds the label cells the distance tables of
-	// road-network sessions hold at once, server-wide: one per table
-	// row and network node, about 12 B each with the row's settle
-	// order. A session whose table would take the total past it
-	// answers through the shared metric's point queries instead.
-	// Values < 1 select DefaultSessionTableCells.
-	SessionTableCells int
 	// SlowSolveThreshold emits a structured slog warning for every solve
 	// instance whose wall time reaches it; 0 disables the slow-solve log.
 	SlowSolveThreshold time.Duration
@@ -117,11 +110,16 @@ const (
 	DefaultMaxInstances  = 1024
 	DefaultMaxArrivals   = 100_000
 	DefaultSnapshotEvery = 64
-	// DefaultSessionTableCells is about 100 MB of session table rows:
-	// the eight 32-provider sessions of a 64-grid need a quarter of it,
-	// one 64-provider session on the 256-grid all of it.
-	DefaultSessionTableCells = netmetric.DefaultTableBudget
 )
+
+// sessionTableCells bounds the label cells the distance tables of
+// road-network sessions hold at once, server-wide: one per table row
+// and network node, about 12 B each with the row's settle order. A
+// session whose table would take the total past it answers through the
+// shared metric's point queries instead. It is about 100 MB: the eight
+// 32-provider sessions of a 64-grid need a quarter of it, one
+// 64-provider session on the 256-grid all of it.
+const sessionTableCells = netmetric.DefaultTableBudget
 
 // Server is the HTTP front end. Build one with New and mount Handler.
 type Server struct {
@@ -156,8 +154,10 @@ type Server struct {
 	stats counters
 
 	// tableCells counts the label cells the live session tables hold
-	// (sessionTable), against cfg.SessionTableCells.
-	tableCells atomic.Int64
+	// (sessionTable), against tableBudget: sessionTableCells, lowered
+	// only by tests.
+	tableCells  atomic.Int64
+	tableBudget int64
 
 	// reloadMu serializes WAL reloads of unloaded sessions (persist.go).
 	reloadMu sync.Mutex
@@ -214,22 +214,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotEvery < 1 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
-	if cfg.SessionTableCells < 1 {
-		cfg.SessionTableCells = DefaultSessionTableCells
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
 	s := &Server{
-		cfg:        cfg,
-		engine:     cfg.Engine,
-		mux:        http.NewServeMux(),
-		start:      time.Now(),
-		logger:     cfg.Logger,
-		sem:        make(chan struct{}, cfg.MaxInFlight),
-		readSem:    make(chan struct{}, 2*cfg.MaxInFlight),
-		netMetrics: make(map[netKey]*netEntry),
-		stop:       make(chan struct{}),
+		cfg:         cfg,
+		engine:      cfg.Engine,
+		mux:         http.NewServeMux(),
+		start:       time.Now(),
+		logger:      cfg.Logger,
+		sem:         make(chan struct{}, cfg.MaxInFlight),
+		readSem:     make(chan struct{}, 2*cfg.MaxInFlight),
+		netMetrics:  make(map[netKey]*netEntry),
+		tableBudget: sessionTableCells,
+		stop:        make(chan struct{}),
 	}
 	s.sessions.init(cfg.MaxSessions)
 	if err := s.datasets.init(cfg.DataDir, cfg.StateDir); err != nil {

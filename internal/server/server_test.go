@@ -31,12 +31,22 @@ type testHarness struct {
 // testServer boots a Server over a fresh engine on an httptest listener.
 func testServer(t *testing.T, cfg server.Config) testHarness {
 	t.Helper()
+	return testServerWith(t, cfg, nil)
+}
+
+// testServerWith is testServer with setup, when non-nil, run on the
+// server before it serves a request.
+func testServerWith(t *testing.T, cfg server.Config, setup func(*server.Server)) testHarness {
+	t.Helper()
 	if cfg.Engine == nil {
 		cfg.Engine = &cca.Engine{Workers: 4}
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(srv)
 	}
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

@@ -84,7 +84,7 @@ func (sess *session) retire() {
 //     sessionRowLabelsPerNode labels per node (netEntry.rowLabels):
 //     from then on the hierarchy costs less than more rows;
 //   - the table's 2|Q| rows would take the server's live session
-//     tables past Config.SessionTableCells;
+//     tables past sessionTableCells;
 //   - BuildTable declines (over netmetric.DefaultTableBudget).
 //
 // Queries and release run under the session's lock (or, during replay,
@@ -94,7 +94,7 @@ type sessionTable struct {
 	net       *netEntry
 	providers []cca.Point
 	// metric is nil until the first query, then table or the shared
-	// metric. cells is the share of Config.SessionTableCells the table
+	// metric. cells is the share of the server's table budget the table
 	// holds until release.
 	metric cca.Metric
 	table  *netmetric.Table
@@ -140,7 +140,7 @@ func (d *sessionTable) open() cca.Metric {
 		return m
 	}
 	want := 2 * int64(len(d.providers)) * n
-	if d.srv.tableCells.Add(want) > int64(d.srv.cfg.SessionTableCells) {
+	if d.srv.tableCells.Add(want) > d.srv.tableBudget {
 		d.srv.tableCells.Add(-want)
 		return m
 	}

@@ -76,7 +76,7 @@ func TestSessionTableBudget(t *testing.T) {
 	n := cca.RoadNetworkMetric(grid, cca.Rect{Max: cca.Point{X: 1000, Y: 1000}}, seed).(*netmetric.NetworkMetric).NumNodes()
 	const q = 3
 	// Room for one session's 2q rows, not two.
-	h := testServer(t, server.Config{SessionTableCells: 2 * q * n})
+	h := testServerWith(t, server.Config{}, func(s *server.Server) { s.SetSessionTableBudget(int64(2 * q * n)) })
 	rng := rand.New(rand.NewSource(5))
 
 	providers, pts := randomSession(rng, q, 12)

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,11 +246,14 @@ func TestTraceSelfTimeAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var handled atomic.Int64
+	// The client can decode the whole response before the handler
+	// returns (only the chunked terminator follows it), so the handler
+	// time is received, not read from a variable.
+	handled := make(chan time.Duration, 1)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
 		srv.Handler().ServeHTTP(w, r)
-		handled.Store(int64(time.Since(begin)))
+		handled <- time.Since(begin)
 	}))
 	t.Cleanup(func() {
 		hs.Close()
@@ -266,7 +268,7 @@ func TestTraceSelfTimeAcceptance(t *testing.T) {
 		t.Fatalf("solve errored: %+v", out.Results)
 	}
 	self := time.Duration(sumSelfNS(out.Trace))
-	wall := time.Duration(handled.Load())
+	wall := <-handled
 	lo, hi := time.Duration(float64(wall)*0.8), time.Duration(float64(wall)*1.2)
 	if self < lo || self > hi {
 		t.Errorf("summed self-times %v outside ±20%% of the handler's wall %v", self, wall)

@@ -15,7 +15,6 @@ type Refinement = approx.Refinement
 const (
 	RefineNN        = approx.RefineNN
 	RefineExclusive = approx.RefineExclusive
-	RefineExact     = approx.RefineExact
 )
 
 // exact wraps a core solver that reads customers through the R-tree.
@@ -57,7 +56,6 @@ func approximate(fn func([]core.Provider, Dataset, approx.Options) (*approx.Resu
 		aopts := approx.Options{
 			Delta:      opts.Delta,
 			Refinement: opts.Refinement,
-			Space:      opts.Core.Space,
 			Core:       opts.Core,
 		}
 		res, err := fn(providers, data, aopts)

@@ -10,10 +10,31 @@ import (
 	"repro/internal/flowgraph"
 	"repro/internal/geo"
 	"repro/internal/geo/netmetric"
+	"repro/internal/shard"
 )
 
 // exactFuzzSolvers are the solvers FuzzExactSolvers holds to the oracle.
 var exactFuzzSolvers = []string{"ida", "nia", "ria", "sspa", "hungarian"}
+
+// boundedFuzzSolvers are the solvers FuzzExactSolvers holds to the
+// oracle's size and to a cost bound above the oracle's.
+var boundedFuzzSolvers = []string{"sa", "ca", "sharded:ida"}
+
+// fuzzCostLimit is the most solver name may cost under metric against
+// the oracle's optimum want, or +Inf where no bound is documented: SA
+// and CA carry Theorems 3–4's ErrorBound, which hold for the Euclidean
+// metric only; the sharded meta-solver stays within shard.GapBound of
+// the optimum under both.
+func fuzzCostLimit(name, metric string, want float64, res *Result) float64 {
+	switch {
+	case name == "sharded:ida":
+		return (1 + shard.GapBound) * want
+	case metric == "euclidean":
+		return want + res.ErrorBound
+	default:
+		return math.Inf(1)
+	}
+}
 
 // fuzzInstance decodes a tiny CCA instance from data: 1–4 providers of
 // capacity 1–4 and 1–14 customers. When the lattice bit is set every
@@ -54,7 +75,9 @@ func fuzzInstance(data []byte) ([]core.Provider, []geo.Point) {
 // each must return a feasible matching whose size and cost equal the
 // Bellman–Ford oracle's (flowgraph.RefSolveMetric over the full cost
 // matrix). It guards the heaps, the NN streams and the Theorem 1/2
-// gates, which all have to agree on ties to stay exact.
+// gates, which all have to agree on ties to stay exact. SA, CA and the
+// sharded meta-solver must match the oracle's size and stay within
+// their documented cost bounds (fuzzCostLimit).
 func FuzzExactSolvers(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3, 3, 9, 1, 1, 2, 2, 5, 5, 3, 3})
@@ -95,6 +118,19 @@ func FuzzExactSolvers(f *testing.F) {
 				}
 				if d := math.Abs(res.Cost - want); d > 1e-6 {
 					t.Fatalf("%s under %s: cost %.9f, oracle %.9f (Δ %.3g)", name, m.name, res.Cost, want, d)
+				}
+			}
+			for _, name := range boundedFuzzSolvers {
+				res, err := MustGet(name).Solve(context.Background(), providers, ds, opts)
+				if err != nil {
+					t.Fatalf("%s under %s: %v", name, m.name, err)
+				}
+				validate(t, name+"/"+m.name, providers, len(pts), res)
+				if res.Size != len(pairs) {
+					t.Fatalf("%s under %s: size %d, oracle %d", name, m.name, res.Size, len(pairs))
+				}
+				if limit := fuzzCostLimit(name, m.name, want, res); res.Cost > limit+1e-6 {
+					t.Fatalf("%s under %s: cost %.9f over its bound %.9f (oracle %.9f)", name, m.name, res.Cost, limit, want)
 				}
 			}
 		}

@@ -145,7 +145,7 @@ func TestCrossMetricApproxConsistency(t *testing.T) {
 		data := buildDataset(t, pts)
 		want := refCost(providers, pts, metric)
 		for _, name := range ByKind(Approximate) {
-			for _, refn := range []Refinement{RefineNN, RefineExclusive, RefineExact} {
+			for _, refn := range []Refinement{RefineNN, RefineExclusive} {
 				opts := Options{Delta: 100, Refinement: refn}
 				opts.Core.Metric = metric
 				res, err := MustGet(name).Solve(context.Background(), providers, data, opts)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flowgraph"
 	"repro/internal/geo"
 	"repro/internal/geo/netmetric"
 	"repro/internal/obs"
@@ -271,6 +272,19 @@ func (s *funcSolver) Solve(ctx context.Context, providers []core.Provider, data 
 	// makes Ψ(M) meaningless; report it rather than return the matching.
 	if math.IsNaN(res.Cost) || math.IsInf(res.Cost, 0) {
 		return nil, fmt.Errorf("non-finite matching cost %v", res.Cost)
+	}
+	// Every solver matches γ = min(Σ q.k, |P|) unit customers; a smaller
+	// matching means distances overflowed on the way (an augmenting path
+	// at +Inf is never taken), and returning it would pass a wrong
+	// answer off as solved.
+	if opts.Core.CustomerCap == nil {
+		total := 0
+		for _, p := range providers {
+			total = flowgraph.AddCap(total, p.Cap)
+		}
+		if gamma := min(total, data.Len()); res.Size != gamma {
+			return nil, fmt.Errorf("%s matched %d customers, want γ = %d", s.name, res.Size, gamma)
+		}
 	}
 	// The table's sweeps run inside the algorithm's Dist calls and so
 	// inside its own timers; only the row allocation ran before them.

@@ -2,13 +2,16 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/hungarian"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
@@ -239,5 +242,61 @@ func TestCapacitySumsSaturate(t *testing.T) {
 	}
 	if res, err := MustGet("hungarian").Solve(context.Background(), providers, data, Options{}); err == nil {
 		t.Fatalf("hungarian: no error for %d×2 slots (size %d)", math.MaxInt, res.Size)
+	}
+}
+
+// overflowInstance is one provider of capacity 2 at the origin and two
+// customers 7.3e304 either side of it. Squaring a coordinate difference
+// overflows, so every distance reads +Inf.
+func overflowInstance(t *testing.T) ([]core.Provider, Dataset) {
+	t.Helper()
+	providers := []core.Provider{{Pt: geo.Point{}, Cap: 2}}
+	return providers, buildDataset(t, []geo.Point{{X: 7.3e304}, {X: -7.3e304}})
+}
+
+// solveWithin runs solver name on a goroutine and returns its error, or
+// fails the test if the solve has not returned within limit, so a solve
+// that never ends fails the test instead of hanging it.
+func solveWithin(t *testing.T, ctx context.Context, limit time.Duration, name string, providers []core.Provider, data Dataset) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := MustGet(name).Solve(ctx, providers, data, Options{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(limit):
+		t.Fatalf("%s still running after %v", name, limit)
+		return nil
+	}
+}
+
+// TestHungarianOverflowEnds: when no column has a finite reduced cost
+// the Hungarian search has nowhere to go; it must say so, with or
+// without a deadline, instead of looping forever.
+func TestHungarianOverflowEnds(t *testing.T) {
+	providers, data := overflowInstance(t)
+	if err := solveWithin(t, context.Background(), 5*time.Second, "hungarian", providers, data); !errors.Is(err, hungarian.ErrNoFiniteAssignment) {
+		t.Fatalf("no deadline: err %v, want ErrNoFiniteAssignment", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := solveWithin(t, ctx, 5*time.Second, "hungarian", providers, data); !errors.Is(err, hungarian.ErrNoFiniteAssignment) {
+		t.Fatalf("2 s deadline: err %v, want ErrNoFiniteAssignment", err)
+	}
+}
+
+// TestOverflowIsAnError: a solver whose distances overflow matches fewer
+// than γ customers at a finite cost; the registry must report an error,
+// not a solved matching. ria is left out: its θ-stepped range search
+// would need about 1e305 steps to reach these customers.
+func TestOverflowIsAnError(t *testing.T) {
+	providers, data := overflowInstance(t)
+	for _, name := range []string{"ida", "nia", "sspa", "hungarian", "greedy", "sa", "ca", "sharded"} {
+		if err := solveWithin(t, context.Background(), 5*time.Second, name, providers, data); err == nil {
+			t.Errorf("%s: no error on an instance whose distances overflow", name)
+		}
 	}
 }
